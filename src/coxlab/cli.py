@@ -201,7 +201,10 @@ def cmd_enumerate(args) -> int:
     subgroup = _parse_subgroup(args.subgroup)
     if args.capacity < 1:
         raise _InputError("capacity must be positive")
-    result = cosets.enumerate_cosets(ngens, relators, subgroup, args.capacity)
+    try:
+        result = cosets.enumerate_cosets(ngens, relators, subgroup, args.capacity)
+    except ValueError as exc:
+        raise _InputError(f"bad subgroup {args.subgroup!r}: {exc}") from exc
     status = "finite" if result.status == "finite" else "inconclusive"
     info = {
         "command": "enumerate",

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import fixtures
-from .perm import Permutation, identity, transposition
+from .perm import Permutation, generates_full_symmetric, identity, transposition
 
 ROLES = ("a", "b", "c", "d", "e", "f")
 
@@ -67,19 +67,14 @@ class DegenerationComplex:
     point_by_id: dict[int, Point] = field(init=False, repr=False)
     line_by_id: dict[int, Line] = field(init=False, repr=False)
     plane_by_id: dict[int, Plane] = field(init=False, repr=False)
-    _point_at: dict[tuple[int, int], int] = field(init=False, repr=False)
     _line_at: dict[tuple[str, int, int], int] = field(init=False, repr=False)
 
     def __post_init__(self):
         self.point_by_id = {p.id: p for p in self.points}
         self.line_by_id = {l.id: l for l in self.lines}
         self.plane_by_id = {f.id: f for f in self.planes}
-        self._point_at = {(p.row, p.col): p.id for p in self.points}
         self._line_at = {(l.kind, *l.cell): l.id for l in self.lines}
         self.validate()
-
-    def point_at(self, row: int, col: int) -> int:
-        return self._point_at[(row % self.rows, col % self.cols)]
 
     def line_at(self, kind: str, row: int, col: int) -> int:
         return self._line_at[(kind, row % self.rows, col % self.cols)]
@@ -342,20 +337,10 @@ def _check_spanning_fixture(graph, tree, chords):
         raise CorruptFixtureError("spanning fixture does not partition the edge set")
     if len(tree) != len(graph.vertices) - 1:
         raise CorruptFixtureError("spanning fixture has the wrong tree size")
-    parent = {v: v for v in graph.vertices}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for e in tree:
-        f, g = graph.edges[e]
-        rf, rg = find(f), find(g)
-        if rf == rg:
-            raise CorruptFixtureError(f"spanning fixture has a cycle through line {e}")
-        parent[rf] = rg
+    # n - 1 edges whose transpositions generate S_n form a spanning tree.
+    n = len(graph.vertices)
+    if not generates_full_symmetric(transposition(*graph.edges[e], n) for e in tree):
+        raise CorruptFixtureError("spanning fixture tree has a cycle")
     for ch in chords:
         if set((ch.tail, ch.head)) != set(graph.edges[ch.line]):
             raise CorruptFixtureError(f"chord {ch.line} endpoints disagree with the graph")
@@ -423,7 +408,7 @@ def check_paper_fixture(x0: DegenerationComplex):
                 raise CorruptFixtureError(f"pair ({i}, {j}) involves a diagonal at point {link.point}")
 
     for name, expected in WITNESS_TRANSPOSITIONS.items():
-        got = _witness_image(x0, name).as_transposition()
+        got = psi_image(x0, witness_words()[name]).as_transposition()
         if got is None or set(got) != set(expected):
             raise CorruptFixtureError(f"witness image {name} is {got}, expected {expected}")
 
@@ -451,6 +436,3 @@ def witness_words() -> dict[str, tuple[int, ...]]:
     tau4 = SIGMA2[::-1] + (8,) + SIGMA2
     return {"tau1": tau1, "tau2": TAU2, "tau3": tau3, "tau4": tau4}
 
-
-def _witness_image(x0, name):
-    return psi_image(x0, witness_words()[name])

@@ -1,8 +1,9 @@
 """Semidirect-product models and the reduced normal form.
 
-Two layers.  The exact layer is S_n acting on n-tuples of free-group
-words over the chord letters (coordinate i of a tuple is the word sitting
-over plane i); a graph edge maps into it by
+One semidirect product, S_n acting on n coordinates, with two kinds of
+coordinate part.  The exact layer puts n-tuples of free-group words over
+the chord letters in the coordinates (coordinate i of a tuple is the word
+sitting over plane i); a graph edge maps into it by
 
     tree edge from a to b   ->  ((a b), trivial tuple)
     chord  x^t from a to b  ->  ((a b), tuple with x^t at a, (x^t)^-1 at b)
@@ -23,8 +24,9 @@ is unique, with cocycle multiplication
     (c,a,b,z)(c',a',b',z') = (c+c', a+a', b+b', z+z' - sum_i b_i a'_i)
 
 derived from q_i p_i = p_i q_i z^-1, i.e. the commutator convention
-[g, h] = g^-1 h^-1 g h gives [p_i, q_i] = z exactly.  All arithmetic is
-plain Python integers, hence exact at every size.
+[g, h] = g^-1 h^-1 g h gives [p_i, q_i] = z exactly.  rho_hat sends the
+exact (sigma, f) to the reduced (sigma, rho(f)) in the same product.  All
+arithmetic is plain Python integers, hence exact at every size.
 """
 
 from __future__ import annotations
@@ -98,25 +100,40 @@ class FreeTuple:
         """(f^sigma)_i = f_{sigma(i)}."""
         return FreeTuple(tuple(self.coords[sigma(i) - 1] for i in range(1, self.n + 1)))
 
-    def is_trivial(self) -> bool:
+    def is_identity(self) -> bool:
         return all(u == () for u in self.coords)
 
 
 @dataclass(frozen=True)
 class SemidirectElement:
+    """(sigma, part) in S_n acting on coordinates: (s, f)(t, g) = (st, f^t g).
+
+    part is a FreeTuple (the exact layer) or a ReducedElement (the reduced
+    layer); either answers part * part, part.inverse(), part.act(sigma)
+    and part.is_identity().
+    """
+
     sigma: Permutation
-    tuple_part: FreeTuple
+    part: FreeTuple | ReducedElement
 
     def __mul__(self, other: "SemidirectElement") -> "SemidirectElement":
         return SemidirectElement(self.sigma * other.sigma,
-                                 self.tuple_part.act(other.sigma) * other.tuple_part)
+                                 self.part.act(other.sigma) * other.part)
 
     def inverse(self) -> "SemidirectElement":
         inv = self.sigma.inverse()
-        return SemidirectElement(inv, self.tuple_part.inverse().act(inv))
+        return SemidirectElement(inv, self.part.inverse().act(inv))
 
     def is_identity(self) -> bool:
-        return self.sigma.is_identity() and self.tuple_part.is_trivial()
+        return self.sigma.is_identity() and self.part.is_identity()
+
+    def commutes_with(self, other: "SemidirectElement") -> bool:
+        return self * other == other * self
+
+
+# Kept as an alias because the benchmark tracer (perfbench/tracer.py) wraps
+# ModelElement.commutes_with by name.
+ModelElement = SemidirectElement
 
 
 def semidirect_identity(n: int) -> SemidirectElement:
@@ -236,10 +253,6 @@ class ReducedElement:
         return {"c": list(self.c), "a": list(self.a), "b": list(self.b), "zeta": self.zeta}
 
 
-def heisenberg_mul(u: ReducedElement, v: ReducedElement) -> ReducedElement:
-    return u * v
-
-
 def _letter_image(tau: int, i: int, n: int) -> ReducedElement:
     central, tail = CHORD_SUBSTITUTION[tau]
     c = [0] * 8
@@ -276,31 +289,9 @@ def rho(f: FreeTuple) -> ReducedElement:
     return out
 
 
-@dataclass(frozen=True)
-class ModelElement:
-    """An element of the permutation group acting on the reduced model."""
-
-    sigma: Permutation
-    reduced: ReducedElement
-
-    def __mul__(self, other: "ModelElement") -> "ModelElement":
-        return ModelElement(self.sigma * other.sigma,
-                            self.reduced.act(other.sigma) * other.reduced)
-
-    def inverse(self) -> "ModelElement":
-        inv = self.sigma.inverse()
-        return ModelElement(inv, self.reduced.inverse().act(inv))
-
-    def is_identity(self) -> bool:
-        return self.sigma.is_identity() and self.reduced.is_identity()
-
-    def commutes_with(self, other: "ModelElement") -> bool:
-        return self * other == other * self
-
-
-def rho_hat(g: SemidirectElement, span: SpanningData) -> ModelElement:
+def rho_hat(g: SemidirectElement, span: SpanningData) -> SemidirectElement:
     require_paper_span(span)
-    return ModelElement(g.sigma, rho(g.tuple_part))
+    return SemidirectElement(g.sigma, rho(g.part))
 
 
 def require_paper_span(span: SpanningData):
@@ -327,7 +318,7 @@ def relator_report(relator_words, span: SpanningData, graph: DualGraph,
         out.append({
             "relator": [int(x) for x in w],
             "status": "pass" if v.is_identity() else "fail",
-            "value": {"sigma": v.sigma.to_json(), **v.reduced.to_json()},
+            "value": {"sigma": v.sigma.to_json(), **v.part.to_json()},
         })
     return out
 
@@ -448,22 +439,18 @@ def nilpotency_class_check(sample_size: int = 100, seed: int = 20040709, n: int 
 
 # -- the centre witness -------------------------------------------------------
 
-def _involutive_inverse(word):
-    return tuple(reversed(word))
-
-
 def center_witness_word() -> tuple[int, ...]:
     """The commutator word whose image generates the centre."""
     from .complexes import witness_words
     taus = witness_words()
     first = taus["tau1"] + (1,)
-    middle = _involutive_inverse(taus["tau3"]) + taus["tau4"] + (4,) + taus["tau3"]
-    return (_involutive_inverse(first) + _involutive_inverse(middle) + first + middle)
+    middle = taus["tau3"][::-1] + taus["tau4"] + (4,) + taus["tau3"]
+    return first[::-1] + middle[::-1] + first + middle
 
 
 @dataclass
 class CenterWitness:
-    value: ModelElement
+    value: SemidirectElement
     zeta: int
     tau_images: dict[str, tuple[int, int]]
 
@@ -478,11 +465,11 @@ def center_witness(span: SpanningData, graph: DualGraph) -> CenterWitness:
     for name, word in witness_words().items():
         image = evaluate_word_semidirect(word, span, graph, table)
         pair = image.sigma.as_transposition()
-        if pair is None or not image.tuple_part.is_trivial():
+        if pair is None or not image.part.is_identity():
             raise FixtureInconsistencyError(f"witness conjugator {name} is not a plain transposition")
         tau_images[name] = pair
     value = rho_hat(evaluate_word_semidirect(center_witness_word(), span, graph, table), span)
-    if not value.sigma.is_identity() or not value.reduced.is_central_power() \
-            or value.reduced.zeta not in (1, -1):
+    if not value.sigma.is_identity() or not value.part.is_central_power() \
+            or value.part.zeta not in (1, -1):
         raise FixtureInconsistencyError(f"centre witness is not z^(+-1): {value}")
-    return CenterWitness(value=value, zeta=value.reduced.zeta, tau_images=tau_images)
+    return CenterWitness(value=value, zeta=value.part.zeta, tau_images=tau_images)

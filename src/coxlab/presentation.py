@@ -25,7 +25,7 @@ from itertools import combinations
 
 from . import fixtures
 from .complexes import DualGraph, HexagonLink
-from .words import Relator, Word, canonical_form
+from .words import Word
 
 VARIANTS = ("plain", "fork", "quotient")
 
@@ -58,11 +58,6 @@ class Presentation:
 
     def relator_words(self) -> list[Word]:
         return self.squares + self.commutations + self.braids + self.forks + self.cycles
-
-    def relators(self) -> set[Relator]:
-        # Squares are kept verbatim: under the involutive reading they carry
-        # no reduced content, but they are still part of the presentation.
-        return {Relator(word=w, canonical=canonical_form(w)) for w in self.relator_words()}
 
     def counts(self) -> dict[str, int]:
         return {
@@ -242,6 +237,3 @@ def hexagon_graph() -> tuple[DualGraph, list[HexagonLink]]:
                        roles=dict(zip("defabc", (1, 2, 3, 4, 5, 6))))
     return graph, [link]
 
-
-def canonical_relator_set(words) -> set[Word]:
-    return {canonical_form(w) for w in words}

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -203,6 +207,17 @@ def test_enumerate_with_subgroup(capsys, tmp_path):
     assert json.loads(out)["index"] == 4
 
 
+def test_enumerate_subgroup_letter_out_of_range(capsys, tmp_path):
+    fx = tmp_path / "fx"
+    complex_file = tmp_path / "tt.json"
+    run(capsys, "build", "--paper-fixture", "--out", str(complex_file))
+    run(capsys, "present", "--complex", str(complex_file), "--fixtures-out", str(fx))
+    code, out, err = run(capsys, "enumerate", "--presentation", str(fx / "s4_remark.json"),
+                         "--subgroup", "9")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_enumerate_table_out(capsys, tmp_path):
     fx = tmp_path / "fx"
     complex_file = tmp_path / "tt.json"
@@ -223,3 +238,14 @@ def test_enumerate_bad_word(capsys, tmp_path):
     code, _, err = run(capsys, "enumerate", "--presentation", str(fx / "s4_remark.json"),
                        "--subgroup", "1,x")
     assert code == 2
+
+
+def test_python_dash_m_runs_the_command_line():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-m", "coxlab", "build", "--paper-fixture", "--json"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    info = json.loads(proc.stdout)
+    assert info["command"] == "build" and (info["points"], info["lines"]) == (9, 27)

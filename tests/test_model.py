@@ -4,10 +4,9 @@ import pytest
 
 from coxlab.complexes import spanning_data, witness_words
 from coxlab.model import (CHORD_SUBSTITUTION, FixtureInconsistencyError,
-                          FreeTuple, ModelElement, ReducedElement,
-                          SemidirectElement, ab_image, abelianization,
-                          center_witness, center_witness_word,
-                          evaluate_word_semidirect, heisenberg_mul,
+                          FreeTuple, ReducedElement, SemidirectElement,
+                          ab_image, abelianization, center_witness,
+                          center_witness_word, evaluate_word_semidirect,
                           kernel_generators, kernel_member,
                           kernel_relation_matrix, nilpotency_class_check,
                           phi, random_kernel_element, rho, rho_hat,
@@ -20,7 +19,7 @@ def test_phi_tree_edge_is_plain_transposition(paper):
     e = paper.span.tree_edges[0]
     v = phi(e, paper.span, paper.graph)
     assert v.sigma == transposition(*paper.graph.edges[e], 18)
-    assert v.tuple_part.is_trivial()
+    assert v.part.is_identity()
 
 
 def test_phi_chord_puts_opposite_letters_at_ends(paper):
@@ -28,8 +27,8 @@ def test_phi_chord_puts_opposite_letters_at_ends(paper):
     assert chord.line == 17 and (chord.tail, chord.head) == (11, 9)
     v = phi(17, paper.span, paper.graph)
     assert v.sigma == transposition(11, 9, 18)
-    assert v.tuple_part.coords[chord.tail - 1] == (4,)
-    assert v.tuple_part.coords[chord.head - 1] == (-4,)
+    assert v.part.coords[chord.tail - 1] == (4,)
+    assert v.part.coords[chord.head - 1] == (-4,)
 
 
 def test_phi_images_are_involutions(paper, paper_phi):
@@ -69,17 +68,17 @@ def test_witness_conjugate_tuples_match_recorded_values(paper, paper_phi):
     w = witness_words()
     v1 = evaluate_word_semidirect(w["tau1"] + (1,), paper.span, paper.graph, paper_phi)
     assert v1.sigma.is_identity()
-    assert v1.tuple_part.coords[6] == (1,) and v1.tuple_part.coords[1] == (-1,)
+    assert v1.part.coords[6] == (1,) and v1.part.coords[1] == (-1,)
     v4 = evaluate_word_semidirect(w["tau4"] + (4,), paper.span, paper.graph, paper_phi)
     assert v4.sigma.is_identity()
-    assert v4.tuple_part.coords[0] == (8,) and v4.tuple_part.coords[2] == (-8,)
+    assert v4.part.coords[0] == (8,) and v4.part.coords[2] == (-8,)
 
 
 def test_nine_cyclic_relators_die_under_reduction(paper, paper_phi):
     for link in paper.links:
         w = cycle_relator(link.cycle)
         v = evaluate_word_semidirect(w, paper.span, paper.graph, paper_phi)
-        assert not v.tuple_part.is_trivial()
+        assert not v.part.is_identity()
         assert rho_hat(v, paper.span).is_identity()
 
 
@@ -103,14 +102,14 @@ def test_rho_rejects_foreign_letters():
 
 def test_heisenberg_single_pair_commutator():
     p1, q1 = ReducedElement.p(1), ReducedElement.q(1)
-    assert heisenberg_mul(p1, q1) == heisenberg_mul(q1, p1) * ReducedElement.z(1)
+    assert p1 * q1 == q1 * p1 * ReducedElement.z(1)
     assert p1.commutator(q1) == ReducedElement.z(1)
 
 
 def test_heisenberg_central_block_adds():
     u = ReducedElement((1, 0, 2, 0, 0, 0, 0, -1), (0,) * 18, (0,) * 18, 3)
     v = ReducedElement((0, 1, 0, 0, 4, 0, 0, 1), (0,) * 18, (0,) * 18, -1)
-    w = heisenberg_mul(u, v)
+    w = u * v
     assert w.c == (1, 1, 2, 0, 4, 0, 0, 0) and w.zeta == 2
 
 
@@ -241,15 +240,15 @@ def test_center_witness_word_is_a_commutator_shape():
 
 
 def test_witness_commutes_with_every_generator_image(paper, paper_phi):
-    z = ModelElement(identity(18), ReducedElement.z(1))
+    z = SemidirectElement(identity(18), ReducedElement.z(1))
     for e in sorted(paper.graph.edges):
         g = rho_hat(paper_phi[e], paper.span)
         assert z * g == g * z
 
 
 def test_noncentral_kernel_element_moves():
-    m = ModelElement(identity(18), ReducedElement.p(1) * ReducedElement.p(2, -1))
-    t = ModelElement(transposition(1, 2, 18), ReducedElement.identity())
+    m = SemidirectElement(identity(18), ReducedElement.p(1) * ReducedElement.p(2, -1))
+    t = SemidirectElement(transposition(1, 2, 18), ReducedElement.identity())
     assert not m.commutes_with(t)
 
 

@@ -52,7 +52,7 @@ def test_variants_nest(paper):
     plain = generate(paper.graph, paper.links, "plain")
     fork = generate(paper.graph, paper.links, "fork")
     quotient = generate(paper.graph, paper.links, "quotient")
-    c = lambda p: {r.canonical for r in p.relators()}
+    c = lambda p: {canonical_form(w) for w in p.relator_words()}
     assert c(plain) < c(fork) < c(quotient)
 
 
@@ -99,9 +99,9 @@ def test_cycle_relator_chord_first_structure(paper):
     assert word[0] == 17 and len(word) == 10
     v = model.evaluate_word_semidirect(word, paper.span, paper.graph)
     assert v.sigma.is_identity()
-    support = {i + 1 for i, u in enumerate(v.tuple_part.coords) if u}
+    support = {i + 1 for i, u in enumerate(v.part.coords) if u}
     assert support == {9, 11}
-    assert {abs(x) for u in v.tuple_part.coords for x in u} == {4}
+    assert {abs(x) for u in v.part.coords for x in u} == {4}
 
 
 def test_cycle_orientations_same_model_value(paper, paper_phi):
@@ -112,7 +112,7 @@ def test_cycle_orientations_same_model_value(paper, paper_phi):
             for orient in (rot, (rot[0],) + rot[:0:-1]):
                 v = model.rho_hat(model.evaluate_word_semidirect(
                     cycle_relator(orient), paper.span, paper.graph, paper_phi), paper.span)
-                values.add((v.sigma, v.reduced))
+                values.add((v.sigma, v.part))
         assert len(values) == 1
 
 

@@ -114,7 +114,7 @@ def test_rewrites_preserve_model_value(paper, paper_phi):
     def value(w):
         v = model.rho_hat(
             model.evaluate_word_semidirect(w, paper.span, paper.graph, paper_phi), paper.span)
-        return (v.sigma, v.reduced)
+        return (v.sigma, v.part)
 
     rng = random.Random(11)
     samples = [tuple(rng.randint(1, 27) for _ in range(rng.randint(0, 12))) for _ in range(40)]
