@@ -223,3 +223,7 @@ def cmd_enumerate(args) -> int:
         f"(allocated {result.allocated} cosets); the group may be infinite",
     ])
     return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

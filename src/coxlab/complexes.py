@@ -20,6 +20,7 @@ anchors on every load.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 
 from . import fixtures
@@ -288,8 +289,12 @@ class SpanningData:
     tree_edges: list[int]
     chords: list[Chord]
 
+    def __post_init__(self):
+        self._chord_by_line = {ch.line: ch for ch in self.chords}
+
     def chord_by_line(self) -> dict[int, Chord]:
-        return {ch.line: ch for ch in self.chords}
+        """Chords keyed by line id; shared, so callers must not mutate it."""
+        return self._chord_by_line
 
 
 def spanning_data(graph: DualGraph, mode: str = "canonical") -> SpanningData:
@@ -306,9 +311,9 @@ def spanning_data(graph: DualGraph, mode: str = "canonical") -> SpanningData:
         root = min(graph.vertices)
         seen = {root}
         tree: list[int] = []
-        queue = [root]
+        queue = deque([root])
         while queue:
-            v = queue.pop(0)
+            v = queue.popleft()
             for e in graph.adjacency[v]:
                 w = graph.other_end(e, v)
                 if w not in seen:

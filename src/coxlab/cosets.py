@@ -13,6 +13,7 @@ the presented group may simply be infinite.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 DEFAULT_CAPACITY = 10 ** 6
@@ -141,9 +142,9 @@ def enumerate_cosets(ngens: int, relators, subgroup_gens=(),
 def _standardize(table: CosetTable) -> list[list[int]]:
     """Renumber live cosets in breadth-first order from the subgroup coset."""
     order = {table.find(table.start): 1}
-    queue = [table.find(table.start)]
+    queue = deque([table.find(table.start)])
     while queue:
-        c = queue.pop(0)
+        c = queue.popleft()
         for g in range(table.ngens):
             d = table.rows[c][g]
             if d == -1:

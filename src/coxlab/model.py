@@ -10,7 +10,11 @@ sitting over plane i); a graph edge maps into it by
 
 and both images square to the identity.  Multiplication is
 (s, f)(t, g) = (s t, f^t g) with (f^t)_i = f_{t(i)}, matching the
-permutation convention (p q)(i) = p(q(i)).
+permutation convention (p q)(i) = p(q(i)).  Words are evaluated sparsely
+by word_action: right-multiplying by one edge image swaps two planes and
+appends at most two chord letters, so a word costs O(letters) rather than
+O(n) per letter.  The dense product over phi_table stays as the reference
+the tests compare against.
 
 The reduced layer M collapses the chord letters of the 3 x 3 instance:
 four chords become central letters, four more become central letters
@@ -31,6 +35,8 @@ arithmetic is plain Python integers, hence exact at every size.
 
 from __future__ import annotations
 
+import functools
+import os
 import random
 from dataclasses import dataclass
 
@@ -101,7 +107,7 @@ class FreeTuple:
         return FreeTuple(tuple(self.coords[sigma(i) - 1] for i in range(1, self.n + 1)))
 
     def is_identity(self) -> bool:
-        return all(u == () for u in self.coords)
+        return not any(self.coords)
 
 
 @dataclass(frozen=True)
@@ -160,18 +166,70 @@ def phi_table(span: SpanningData, graph: DualGraph) -> dict[int, SemidirectEleme
     return {e: phi(e, span, graph) for e in sorted(graph.edges)}
 
 
-def evaluate_word_semidirect(word, span: SpanningData, graph: DualGraph,
-                             table: dict[int, SemidirectElement] | None = None) -> SemidirectElement:
-    """Left-to-right product of edge images; letters are line ids."""
-    if table is None:
-        table = phi_table(span, graph)
-    out = semidirect_identity(len(graph.vertices))
+def word_action(word, span: SpanningData, graph: DualGraph) -> tuple[dict[int, int], dict[int, list[int]]]:
+    """Sparse left-to-right product of edge images; letters are line ids.
+
+    Returns ({plane: sigma(plane)}, {plane: coordinate word}): the first
+    map covers the planes the word touches, the second holds only the
+    nonempty coordinate words; every other plane is fixed with an empty
+    word.  Right-multiplying by the image of an edge (a b) swaps a and b
+    in both maps, then a chord appends its letter at the tail and the
+    inverse letter at the head, with free cancellation.
+    """
+    chords = span.chord_by_line()
+    sigma: dict[int, int] = {}
+    coords: dict[int, list[int]] = {}
     for letter in word:
         e = abs(letter)
-        if e not in table:
+        ends = graph.edges.get(e)
+        if ends is None:
             raise ValueError(f"unknown edge letter {letter}")
-        out = out * table[e]
-    return out
+        chord = chords.get(e)
+        a, b = ends if chord is None else (chord.tail, chord.head)
+        sigma[a], sigma[b] = sigma.get(b, b), sigma.get(a, a)
+        wa, wb = coords.pop(b, []), coords.pop(a, [])
+        if chord is not None:
+            x = chord.index
+            if wa and wa[-1] == -x:
+                wa.pop()
+            else:
+                wa.append(x)
+            if wb and wb[-1] == x:
+                wb.pop()
+            else:
+                wb.append(-x)
+        if wa:
+            coords[a] = wa
+        if wb:
+            coords[b] = wb
+    return sigma, coords
+
+
+def word_is_identity(word, span: SpanningData, graph: DualGraph) -> bool:
+    """Whether the word evaluates to the identity of the exact model."""
+    sigma, coords = word_action(word, span, graph)
+    return not coords and all(plane == image for plane, image in sigma.items())
+
+
+def evaluate_word_semidirect(word, span: SpanningData, graph: DualGraph,
+                             table: dict[int, SemidirectElement] | None = None) -> SemidirectElement:
+    """Left-to-right product of edge images; letters are line ids.
+
+    A given table restricts the accepted letters to its keys.
+    """
+    if table is not None:
+        for letter in word:
+            if abs(letter) not in table:
+                raise ValueError(f"unknown edge letter {letter}")
+    sigma, coords = word_action(word, span, graph)
+    n = len(graph.vertices)
+    images = list(range(1, n + 1))
+    dense: list[tuple[int, ...]] = [()] * n
+    for plane, image in sigma.items():
+        images[plane - 1] = image
+    for plane, w in coords.items():
+        dense[plane - 1] = tuple(w)
+    return SemidirectElement(Permutation(tuple(images)), FreeTuple(tuple(dense)))
 
 
 # -- the reduced layer -------------------------------------------------------
@@ -296,11 +354,19 @@ def rho_hat(g: SemidirectElement, span: SpanningData) -> SemidirectElement:
 
 def require_paper_span(span: SpanningData):
     """The reduction tables are pinned to the published spanning data."""
-    published = fixtures.load_json("t0_spanning.json")
-    got = [(ch.index, ch.line, ch.tail, ch.head) for ch in span.chords]
-    want = [(ch["index"], ch["line"], ch["tail"], ch["head"]) for ch in published["chords"]]
-    if got != want or sorted(span.tree_edges) != sorted(published["tree"]):
+    want, tree = _published_span(os.environ.get("COXLAB_FIXTURES"))
+    got = tuple((ch.index, ch.line, ch.tail, ch.head) for ch in span.chords)
+    if got != want or tuple(sorted(span.tree_edges)) != tree:
         raise ValueError("reduction is defined only for the published spanning data")
+
+
+@functools.lru_cache(maxsize=8)
+def _published_span(override: str | None) -> tuple[tuple[tuple[int, int, int, int], ...], tuple[int, ...]]:
+    # Keyed on COXLAB_FIXTURES, which load_json reads, so an override
+    # directory is read once and never shadowed by the bundled copy.
+    published = fixtures.load_json("t0_spanning.json")
+    chords = tuple((ch["index"], ch["line"], ch["tail"], ch["head"]) for ch in published["chords"])
+    return chords, tuple(sorted(published["tree"]))
 
 
 def relator_report(relator_words, span: SpanningData, graph: DualGraph,
@@ -310,8 +376,6 @@ def relator_report(relator_words, span: SpanningData, graph: DualGraph,
     status is "pass" when the relator reduces to the identity of the
     model, else "fail" with the offending value serialized.
     """
-    if table is None:
-        table = phi_table(span, graph)
     out = []
     for w in relator_words:
         v = rho_hat(evaluate_word_semidirect(w, span, graph, table), span)
@@ -460,15 +524,14 @@ def center_witness(span: SpanningData, graph: DualGraph) -> CenterWitness:
     inverse with trivial permutation part, else the fixture is inconsistent."""
     from .complexes import witness_words
     require_paper_span(span)
-    table = phi_table(span, graph)
     tau_images = {}
     for name, word in witness_words().items():
-        image = evaluate_word_semidirect(word, span, graph, table)
+        image = evaluate_word_semidirect(word, span, graph)
         pair = image.sigma.as_transposition()
         if pair is None or not image.part.is_identity():
             raise FixtureInconsistencyError(f"witness conjugator {name} is not a plain transposition")
         tau_images[name] = pair
-    value = rho_hat(evaluate_word_semidirect(center_witness_word(), span, graph, table), span)
+    value = rho_hat(evaluate_word_semidirect(center_witness_word(), span, graph), span)
     if not value.sigma.is_identity() or not value.part.is_central_power() \
             or value.part.zeta not in (1, -1):
         raise FixtureInconsistencyError(f"centre witness is not z^(+-1): {value}")

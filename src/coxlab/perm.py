@@ -39,7 +39,7 @@ class Permutation:
         return Permutation(tuple(inv))
 
     def is_identity(self) -> bool:
-        return all(v == i + 1 for i, v in enumerate(self.images))
+        return self.images == tuple(range(1, len(self.images) + 1))
 
     def moved_points(self) -> list[int]:
         return [i + 1 for i, v in enumerate(self.images) if v != i + 1]

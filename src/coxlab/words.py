@@ -49,15 +49,21 @@ def normalise_pair(i: int, j: int) -> Pair:
 
 
 def reduce_with_commutations(word, comm) -> Word:
-    """Fixpoint of u.u -> empty and u_i u_j u_i -> u_j for commuting pairs."""
-    comm = {normalise_pair(*p) for p in comm}
+    """Fixpoint of u.u -> empty and u_i u_j u_i -> u_j for commuting pairs.
+
+    comm holds unordered pairs in either order.  A set or frozenset is
+    used as given, so a caller holding one pays nothing per call; any
+    other iterable of pairs is copied into a set of tuples first.
+    """
+    if not isinstance(comm, (set, frozenset)):
+        comm = {tuple(p) for p in comm}
     w = free_reduce_involutive(word)
     changed = True
     while changed:
         changed = False
         for k in range(len(w) - 2):
             i, j = w[k], w[k + 1]
-            if w[k + 2] == i and i != j and normalise_pair(i, j) in comm:
+            if w[k + 2] == i and i != j and ((i, j) in comm or (j, i) in comm):
                 w = free_reduce_involutive(w[:k] + (j,) + w[k + 3:])
                 changed = True
                 break

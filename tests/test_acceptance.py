@@ -2,13 +2,17 @@
 
 Every check is exact; the only tolerances are the per-criterion runtime
 budgets, asserted with time.perf_counter around the computation itself.
-Run with -s to see the one-line verdict per criterion.
+Run with -s to see the one-line verdict per criterion.  Criteria S1 and
+S2 are scaling budgets on a 10 x 10 grid, where relator verification and
+relator cleaning once grew much faster than the grid.
 """
 
+import json
 import math
 import time
 
 from coxlab import model
+from coxlab.cli import main
 from coxlab.complexes import (build_torus_triangulation, dual_graph,
                               hexagon_links, load_paper_labeling,
                               spanning_data)
@@ -19,7 +23,7 @@ from coxlab.presentation import (EXPECTED_MISSING_ROLES, ax_fixture,
                                  classify_missing, coverage_counts,
                                  cycle_relator, generate, hexagon_graph,
                                  nonrel_fixture)
-from coxlab.words import derive_bounded
+from coxlab.words import clean, derive_bounded
 
 
 def _verdict(number, label, elapsed, budget):
@@ -180,3 +184,23 @@ def test_criterion_7_derivation_replays():
         result = derive_bounded(known, cycle_relator(link.cycle), max_len=40)
         assert result.found, f"no derivation found for the hexagon relation at point {point}"
     _verdict(7, "derivation replays", time.perf_counter() - start, 30.0)
+
+
+def test_criteria_s1_s2_grid_10x10_budgets(tmp_path, capsys):
+    grid, quotient = str(tmp_path / "g10.json"), tmp_path / "q10.json"
+    assert main(["build", "--rows", "10", "--cols", "10", "--out", grid]) == 0
+    assert main(["present", "--complex", grid, "--variant", "quotient", "--out", str(quotient)]) == 0
+    relators = [tuple(w) for w in json.loads(quotient.read_text())["relators"]]
+    capsys.readouterr()
+
+    start = time.perf_counter()
+    assert main(["verify", "--complex", grid, "--suite", "relators", "--json"]) == 0
+    elapsed = time.perf_counter() - start
+    assert json.loads(capsys.readouterr().out)["summary"]["fail"] == 0
+    _verdict("S1", "10 x 10 verify relators", elapsed, 10.0)
+
+    start = time.perf_counter()
+    report = clean(relators)
+    elapsed = time.perf_counter() - start
+    assert report.squares and report.commutations and report.braids
+    _verdict("S2", "10 x 10 clean", elapsed, 5.0)

@@ -249,3 +249,16 @@ def test_python_dash_m_runs_the_command_line():
     assert proc.returncode == 0, proc.stderr
     info = json.loads(proc.stdout)
     assert info["command"] == "build" and (info["points"], info["lines"]) == (9, 27)
+
+
+def test_python_dash_m_cli_module_runs_the_command_line(tmp_path):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    out = tmp_path / "tt.json"
+    proc = subprocess.run([sys.executable, "-m", "coxlab.cli", "build", "--paper-fixture",
+                           "--out", str(out), "--json"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["out"] == str(out)
+    assert len(json.loads(out.read_text())["lines"]) == 27

@@ -1,16 +1,18 @@
 """Byte-identity gate: the sha256 of every `verify --json` report is pinned.
 
-The digests were taken before the exact and reduced models were merged
-into one semidirect product; a refactor that changes any byte of these
-reports fails here.  The 6 x 6 relators report is pinned by the
-benchmark's own goldens.
+The paper and 4 x 3 digests were taken before the exact and reduced
+models were merged into one semidirect product; the 6 x 6 relators and
+CleanReport digests are the benchmark's goldens, made from the seed code.
+A refactor that changes any byte of these reports fails here.
 """
 
 import hashlib
+import json
 
 import pytest
 
 from coxlab.cli import main
+from coxlab.words import clean
 
 PAPER_DIGESTS = {
     "relators": "14cd2a7869902672f19e5877e85237b7898c8096a2f67e5b41583784c39754a4",
@@ -21,6 +23,8 @@ PAPER_DIGESTS = {
 }
 
 GRID_4X3_RELATORS_DIGEST = "d221dae180704c563194d303806ae6be3dddf32638cb7b4f39294a845ddfbe42"
+GRID_6X6_RELATORS_DIGEST = "c69a10e4427762473eb9ee41c3a2dcbdd4a816a8e3875afa68e3a07adbdb3a66"
+GRID_6X6_CLEAN_DIGEST = "07f3c92a660ece17dd68cda61bbb98b145340fddb3d25bc0d31e48a8e38fe9d3"
 
 
 def _verify_digest(capsys, complex_file, suite):
@@ -35,6 +39,9 @@ def complex_files(tmp_path_factory):
     root = tmp_path_factory.mktemp("golden")
     assert main(["build", "--paper-fixture", "--out", str(root / "tt.json")]) == 0
     assert main(["build", "--rows", "4", "--cols", "3", "--out", str(root / "g43.json")]) == 0
+    assert main(["build", "--rows", "6", "--cols", "6", "--out", str(root / "g66.json")]) == 0
+    assert main(["present", "--complex", str(root / "g66.json"), "--variant", "quotient",
+                 "--out", str(root / "q66.json")]) == 0
     return root
 
 
@@ -47,3 +54,14 @@ def test_paper_report_digest(capsys, complex_files, suite):
 def test_grid_4x3_relators_digest(capsys, complex_files):
     capsys.readouterr()
     assert _verify_digest(capsys, complex_files / "g43.json", "relators") == GRID_4X3_RELATORS_DIGEST
+
+
+def test_grid_6x6_relators_digest(capsys, complex_files):
+    capsys.readouterr()
+    assert _verify_digest(capsys, complex_files / "g66.json", "relators") == GRID_6X6_RELATORS_DIGEST
+
+
+def test_grid_6x6_clean_digest(complex_files):
+    relators = [tuple(w) for w in json.loads((complex_files / "q66.json").read_text())["relators"]]
+    text = json.dumps(clean(relators).to_json(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == GRID_6X6_CLEAN_DIGEST

@@ -1,16 +1,21 @@
+import json
 import random
+from functools import reduce
+from operator import mul
 
 import pytest
 
-from coxlab.complexes import spanning_data, witness_words
+from coxlab import fixtures
+from coxlab.complexes import (build_torus_triangulation, dual_graph,
+                              hexagon_links, spanning_data, witness_words)
 from coxlab.model import (CHORD_SUBSTITUTION, FixtureInconsistencyError,
                           FreeTuple, ReducedElement, SemidirectElement,
                           ab_image, abelianization, center_witness,
                           center_witness_word, evaluate_word_semidirect,
                           kernel_generators, kernel_member,
                           kernel_relation_matrix, nilpotency_class_check,
-                          phi, random_kernel_element, rho, rho_hat,
-                          semidirect_identity)
+                          phi, phi_table, random_kernel_element, rho, rho_hat,
+                          semidirect_identity, word_is_identity)
 from coxlab.perm import identity, transposition
 from coxlab.presentation import ax_fixture, cycle_relator, generate
 
@@ -43,6 +48,39 @@ def test_phi_unknown_edge(paper):
 
 def test_empty_word_evaluates_to_identity(paper):
     assert evaluate_word_semidirect((), paper.span, paper.graph).is_identity()
+
+
+def test_unknown_letter_rejected_by_every_evaluator(paper, paper_phi):
+    for word in ((99,), (1, 0)):
+        with pytest.raises(ValueError):
+            evaluate_word_semidirect(word, paper.span, paper.graph, paper_phi)
+        with pytest.raises(ValueError):
+            evaluate_word_semidirect(word, paper.span, paper.graph)
+        with pytest.raises(ValueError):
+            word_is_identity(word, paper.span, paper.graph)
+    with pytest.raises(ValueError):
+        evaluate_word_semidirect((1,), paper.span, paper.graph, {})
+
+
+@pytest.mark.parametrize("rows,cols", [(3, 3), (4, 6), (5, 5)])
+def test_sparse_evaluation_matches_dense_product(rows, cols):
+    x0 = build_torus_triangulation(rows, cols)
+    graph = dual_graph(x0)
+    span = spanning_data(graph, "canonical")
+    table = phi_table(span, graph)
+    unit = semidirect_identity(len(graph.vertices))
+    edges = sorted(graph.edges)
+    rng = random.Random(100 * rows + cols)
+    samples = []
+    for _ in range(40):
+        w = tuple(rng.choice(edges) * rng.choice((1, -1)) for _ in range(rng.randint(0, 60)))
+        samples += [w, w + w[::-1]]
+    relators = generate(graph, hexagon_links(x0), "quotient").relator_words()
+    for w in samples + relators:
+        dense = reduce(mul, (table[abs(e)] for e in w), unit)
+        assert evaluate_word_semidirect(w, span, graph, table) == dense, w
+        assert word_is_identity(w, span, graph) == dense.is_identity(), w
+    assert all(word_is_identity(w + w[::-1], span, graph) for w in samples)
 
 
 def test_semidirect_associativity_random(paper, paper_phi):
@@ -257,6 +295,30 @@ def test_rho_requires_published_span(paper):
     x = semidirect_identity(18)
     with pytest.raises(ValueError):
         rho_hat(x, canonical)
+
+
+def test_rho_hat_loads_the_spanning_fixture_once(paper, tmp_path, monkeypatch):
+    calls = []
+    load = fixtures.load_json
+    monkeypatch.setattr(fixtures, "load_json", lambda name: calls.append(name) or load(name))
+    # A fresh override directory is a key no earlier call has seen.
+    monkeypatch.setenv("COXLAB_FIXTURES", str(tmp_path))
+    x = semidirect_identity(18)
+    for _ in range(50):
+        rho_hat(x, paper.span)
+    assert calls == ["t0_spanning.json"]
+
+
+def test_rho_hat_reads_an_overriding_spanning_fixture(paper, tmp_path, monkeypatch):
+    x = semidirect_identity(18)
+    rho_hat(x, paper.span)
+    data = fixtures.load_json("t0_spanning.json")
+    chord = data["chords"][0]
+    chord["tail"], chord["head"] = chord["head"], chord["tail"]
+    (tmp_path / "t0_spanning.json").write_text(json.dumps(data))
+    monkeypatch.setenv("COXLAB_FIXTURES", str(tmp_path))
+    with pytest.raises(ValueError):
+        rho_hat(x, paper.span)
 
 
 def test_reduced_element_json():

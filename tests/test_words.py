@@ -32,6 +32,9 @@ def test_free_reduce_idempotent_and_shrinking(w):
 
 def test_reduce_with_commutations_examples():
     assert reduce_with_commutations((1, 2, 1), {(1, 2)}) == (2,)
+    assert reduce_with_commutations((1, 2, 1), {(2, 1)}) == (2,)
+    assert reduce_with_commutations((1, 2, 1), [[2, 1]]) == (2,)
+    assert reduce_with_commutations((1, 2, 1), frozenset({(1, 2)})) == (2,)
     assert reduce_with_commutations((1, 2, 1), set()) == (1, 2, 1)
     ax5 = ax_fixture()["AX5"]
     assert reduce_with_commutations(ax5, set()) == ax5
