@@ -169,14 +169,11 @@ def cmd_verify(args) -> int:
         report = verify.run_suite(x0, args.suite)
     except ValueError as exc:
         raise _InputError(str(exc)) from exc
-    if args.as_json:
-        print(json.dumps(report.to_json(), sort_keys=True, indent=1))
-    else:
-        for e in report.entries:
-            print(f"{e.status.upper():4} {e.name}: {e.detail} [{e.value}]")
-        summary = report.summary()
-        print(f"summary: {summary['pass']} pass, {summary['fail']} fail, "
-              f"{summary['inconclusive']} inconclusive")
+    summary = report.summary()
+    _emit(report.to_json(), args.as_json,
+          [f"{e.status.upper():4} {e.name}: {e.detail} [{e.value}]" for e in report.entries]
+          + [f"summary: {summary['pass']} pass, {summary['fail']} fail, "
+             f"{summary['inconclusive']} inconclusive"])
     return report.exit_code()
 
 

@@ -28,6 +28,9 @@ from .perm import Permutation, generates_full_symmetric, identity, transposition
 
 ROLES = ("a", "b", "c", "d", "e", "f")
 
+# Endpoints of the line of each kind at cell (r, c), as offsets from (r, c).
+ENDPOINTS = {"h": ((0, 0), (0, 1)), "v": ((0, 0), (1, 0)), "d": ((0, 1), (1, 0))}
+
 
 class CorruptFixtureError(RuntimeError):
     """A bundled fixture failed its consistency oracle."""
@@ -80,20 +83,31 @@ class DegenerationComplex:
     def line_at(self, kind: str, row: int, col: int) -> int:
         return self._line_at[(kind, row % self.rows, col % self.cols)]
 
-    def lines_at_point(self, point_id: int) -> list[int]:
-        return [l.id for l in self.lines if point_id in l.points]
-
     def validate(self):
+        """Counts, unique ids, grid geometry and incidence; ValueError if not."""
         m, n = self.rows, self.cols
-        if len(self.points) != m * n:
-            raise ValueError(f"expected {m * n} points, got {len(self.points)}")
-        if len(self.lines) != 3 * m * n:
-            raise ValueError(f"expected {3 * m * n} lines, got {len(self.lines)}")
-        if len(self.planes) != 2 * m * n:
-            raise ValueError(f"expected {2 * m * n} planes, got {len(self.planes)}")
-        if len(self.points) - len(self.lines) + len(self.planes) != 0:
-            raise ValueError("Euler characteristic is not 0")
+        if type(m) is not int or type(n) is not int or min(m, n) < 3:
+            raise ValueError(f"rows and cols must be integers of at least 3, got {m!r} and {n!r}")
+        counts = (len(self.points), len(self.lines), len(self.planes))
+        if counts != (m * n, 3 * m * n, 2 * m * n):
+            raise ValueError(f"expected {m * n} points, {3 * m * n} lines and {2 * m * n} planes, "
+                             f"got {counts[0]}, {counts[1]} and {counts[2]}")
+        if len(self.point_by_id) + len(self.line_by_id) + len(self.plane_by_id) != 6 * m * n:
+            raise ValueError("point, line and plane ids must be unique")
+        at = {(p.row, p.col): p.id for p in self.points}
+        if len(at) != m * n or not all(_on_grid(cell, m, n) for cell in at):
+            raise ValueError(f"point (row, col) values must be distinct cells of the {m} x {n} grid")
+        if len(self._line_at) != len(self.lines):
+            raise ValueError("two lines share a kind and cell")
         for line in self.lines:
+            if line.kind not in ENDPOINTS or not _on_grid(line.cell, m, n):
+                raise ValueError(f"line {line.id}: kind {line.kind!r} at cell {list(line.cell)} "
+                                 f"is not an h, v or d line of the {m} x {n} grid")
+            r, c = line.cell
+            ends = {at[((r + dr) % m, (c + dc) % n)] for dr, dc in ENDPOINTS[line.kind]}
+            if len(line.points) != 2 or set(line.points) != ends:
+                raise ValueError(f"line {line.id} joins points {list(line.points)}, "
+                                 f"but its kind and cell give {sorted(ends)}")
             f, g = line.planes
             if f == g:
                 raise ValueError(f"line {line.id} borders plane {f} twice")
@@ -103,9 +117,6 @@ class DegenerationComplex:
         for plane in self.planes:
             if len(set(plane.lines)) != 3:
                 raise ValueError(f"plane {plane.id} does not have 3 distinct boundary lines")
-        for point in self.points:
-            if len(self.lines_at_point(point.id)) != 6:
-                raise ValueError(f"point {point.id} is not 6-valent")
 
     def to_json(self) -> dict:
         return {
@@ -122,6 +133,10 @@ class DegenerationComplex:
                 for f in self.planes
             ],
         }
+
+
+def _on_grid(cell, m: int, n: int) -> bool:
+    return len(cell) == 2 and all(type(x) is int and 0 <= x < size for x, size in zip(cell, (m, n)))
 
 
 def complex_from_json(data: dict) -> DegenerationComplex:

@@ -21,7 +21,7 @@ four chords become central letters, four more become central letters
 times p_i or q_i, and the two remaining chords give p_i and q_i with
 [p_i, q_i] = z for a single central z.  A normal form
 
-    y^c p^a q^b z^zeta      (c in Z^8, a and b in Z^n, zeta in Z)
+    y^c p^a q^b z^zeta      (c in Z^8, a and b in Z^PLANES = Z^18, zeta in Z)
 
 is unique, with cocycle multiplication
 
@@ -56,6 +56,9 @@ CHORD_SUBSTITUTION = {
     3: (6, "p"), 2: (7, "p"),
     1: (None, "p"), 8: (None, "q"),
 }
+
+# Planes of the published complex: the reduced layer's only size.
+PLANES = 18
 
 
 class FixtureInconsistencyError(RuntimeError):
@@ -236,7 +239,7 @@ def evaluate_word_semidirect(word, span: SpanningData, graph: DualGraph,
 
 @dataclass(frozen=True)
 class ReducedElement:
-    """Normal form y^c p^a q^b z^zeta."""
+    """Normal form y^c p^a q^b z^zeta over the PLANES planes."""
 
     c: tuple[int, ...]
     a: tuple[int, ...]
@@ -244,32 +247,26 @@ class ReducedElement:
     zeta: int
 
     @staticmethod
-    def identity(n: int = 18) -> "ReducedElement":
-        return ReducedElement((0,) * 8, (0,) * n, (0,) * n, 0)
+    def identity() -> "ReducedElement":
+        return _IDENTITY
 
     @staticmethod
-    def z(power: int = 1, n: int = 18) -> "ReducedElement":
-        return ReducedElement((0,) * 8, (0,) * n, (0,) * n, power)
+    def z(power: int = 1) -> "ReducedElement":
+        return ReducedElement(_IDENTITY.c, _IDENTITY.a, _IDENTITY.b, power)
 
     @staticmethod
-    def p(i: int, power: int = 1, n: int = 18) -> "ReducedElement":
-        a = [0] * n
+    def p(i: int, power: int = 1) -> "ReducedElement":
+        a = [0] * PLANES
         a[i - 1] = power
-        return ReducedElement((0,) * 8, tuple(a), (0,) * n, 0)
+        return ReducedElement(_IDENTITY.c, tuple(a), _IDENTITY.b, 0)
 
     @staticmethod
-    def q(i: int, power: int = 1, n: int = 18) -> "ReducedElement":
-        b = [0] * n
+    def q(i: int, power: int = 1) -> "ReducedElement":
+        b = [0] * PLANES
         b[i - 1] = power
-        return ReducedElement((0,) * 8, (0,) * n, tuple(b), 0)
-
-    @property
-    def n(self) -> int:
-        return len(self.a)
+        return ReducedElement(_IDENTITY.c, _IDENTITY.a, tuple(b), 0)
 
     def __mul__(self, other: "ReducedElement") -> "ReducedElement":
-        if self.n != other.n:
-            raise ValueError(f"coordinate count mismatch: {self.n} != {other.n}")
         cross = sum(bi * ai for bi, ai in zip(self.b, other.a))
         return ReducedElement(
             tuple(x + y for x, y in zip(self.c, other.c)),
@@ -294,35 +291,23 @@ class ReducedElement:
         """Permute the p and q indices; the central block is fixed."""
         return ReducedElement(
             self.c,
-            tuple(self.a[sigma(i) - 1] for i in range(1, self.n + 1)),
-            tuple(self.b[sigma(i) - 1] for i in range(1, self.n + 1)),
+            tuple(self.a[i - 1] for i in sigma.images),
+            tuple(self.b[i - 1] for i in sigma.images),
             self.zeta,
         )
 
     def is_identity(self) -> bool:
-        return self == ReducedElement.identity(self.n)
+        return self == _IDENTITY
 
     def is_central_power(self) -> bool:
         """Whether the element lies in the cyclic group generated by z."""
-        zero = (0,) * self.n
-        return self.c == (0,) * 8 and self.a == zero and self.b == zero
+        return self.c == _IDENTITY.c and self.a == _IDENTITY.a and self.b == _IDENTITY.b
 
     def to_json(self) -> dict:
         return {"c": list(self.c), "a": list(self.a), "b": list(self.b), "zeta": self.zeta}
 
 
-def _letter_image(tau: int, i: int, n: int) -> ReducedElement:
-    central, tail = CHORD_SUBSTITUTION[tau]
-    c = [0] * 8
-    if central is not None:
-        c[central] = 1
-    a = [0] * n
-    b = [0] * n
-    if tail == "p":
-        a[i - 1] = 1
-    elif tail == "q":
-        b[i - 1] = 1
-    return ReducedElement(tuple(c), tuple(a), tuple(b), 0)
+_IDENTITY = ReducedElement((0,) * len(CENTRAL_LETTERS), (0,) * PLANES, (0,) * PLANES, 0)
 
 
 def rho(f: FreeTuple) -> ReducedElement:
@@ -331,20 +316,26 @@ def rho(f: FreeTuple) -> ReducedElement:
     Defined against the published chord indexing only; coordinate i sends
     letter t to its substitute times p_i or q_i as the table dictates.
     Distinct coordinates commute in M, so the product over coordinates is
-    taken in index order without loss.
+    taken in index order without loss.  A letter image has a . b = 0, so
+    its inverse is its negation and each letter updates the exponents once.
     """
-    n = f.n
-    if n != 18:
-        raise ValueError(f"the substitution table is pinned to 18 coordinates, got {n}")
-    out = ReducedElement.identity(n)
-    for i, word in enumerate(f.coords, start=1):
+    if f.n != PLANES:
+        raise ValueError(f"the substitution table is pinned to {PLANES} coordinates, got {f.n}")
+    c, a, b, zeta = [0] * len(CENTRAL_LETTERS), [0] * PLANES, [0] * PLANES, 0
+    for i, word in enumerate(f.coords):
         for letter in word:
-            tau = abs(letter)
-            if tau not in CHORD_SUBSTITUTION:
+            if abs(letter) not in CHORD_SUBSTITUTION:
                 raise ValueError(f"letter {letter} is outside the published chord range")
-            img = _letter_image(tau, i, n)
-            out = out * (img if letter > 0 else img.inverse())
-    return out
+            central, tail = CHORD_SUBSTITUTION[abs(letter)]
+            sign = 1 if letter > 0 else -1
+            if central is not None:
+                c[central] += sign
+            if tail == "p":
+                zeta -= b[i] * sign
+                a[i] += sign
+            elif tail == "q":
+                b[i] += sign
+    return ReducedElement(tuple(c), tuple(a), tuple(b), zeta)
 
 
 def rho_hat(g: SemidirectElement, span: SpanningData) -> SemidirectElement:
@@ -417,25 +408,21 @@ def kernel_member(x: ReducedElement) -> bool:
 
 # -- structure of the kernel --------------------------------------------------
 
-def kernel_generators(n: int = 18) -> list[ReducedElement]:
-    """p_i p_{i+1}^-1 and q_i q_{i+1}^-1 for i < n, plus z."""
-    gens = []
-    for i in range(1, n):
-        gens.append(ReducedElement.p(i, 1, n) * ReducedElement.p(i + 1, -1, n))
-    for i in range(1, n):
-        gens.append(ReducedElement.q(i, 1, n) * ReducedElement.q(i + 1, -1, n))
-    gens.append(ReducedElement.z(1, n))
-    return gens
+def kernel_generators() -> list[ReducedElement]:
+    """p_i p_{i+1}^-1 and q_i q_{i+1}^-1 for i < PLANES, plus z."""
+    gens = [ReducedElement.p(i) * ReducedElement.p(i + 1, -1) for i in range(1, PLANES)]
+    gens += [ReducedElement.q(i) * ReducedElement.q(i + 1, -1) for i in range(1, PLANES)]
+    return gens + [ReducedElement.z()]
 
 
-def kernel_relation_matrix(n: int = 18) -> list[list[int]]:
+def kernel_relation_matrix() -> list[list[int]]:
     """Relation matrix of the abelianized kernel.
 
     Generators as in kernel_generators (the final column is z); every
     pairwise commutator is a power of z, contributing one row that kills
     that power of the last generator.
     """
-    gens = kernel_generators(n)
+    gens = kernel_generators()
     ngens = len(gens)
     rows = []
     for i in range(ngens):
@@ -455,17 +442,17 @@ def abelianization(relation_matrix, ngens: int) -> tuple[int, list[int]]:
     return abelian_invariants(relation_matrix, ngens)
 
 
-def random_kernel_element(rng: random.Random, n: int = 18, spread: int = 5) -> ReducedElement:
+def random_kernel_element(rng: random.Random) -> ReducedElement:
     """A random element with zero exponent sums and no central-letter part."""
     def balanced():
-        v = [rng.randint(-spread, spread) for _ in range(n - 1)]
+        v = [rng.randint(-5, 5) for _ in range(PLANES - 1)]
         v.append(-sum(v))
         return tuple(v)
 
-    return ReducedElement((0,) * 8, balanced(), balanced(), rng.randint(-spread, spread))
+    return ReducedElement(_IDENTITY.c, balanced(), balanced(), rng.randint(-5, 5))
 
 
-def nilpotency_class_check(sample_size: int = 100, seed: int = 20040709, n: int = 18) -> dict:
+def nilpotency_class_check(sample_size: int = 100, seed: int = 20040709) -> dict:
     """Sampled witness that the kernel is nilpotent of class exactly 2.
 
     Every sampled commutator must land in the centre; every sampled triple
@@ -476,9 +463,9 @@ def nilpotency_class_check(sample_size: int = 100, seed: int = 20040709, n: int 
     commutators_central = triple_trivial = True
     witness = None
     for _ in range(sample_size):
-        g = random_kernel_element(rng, n)
-        h = random_kernel_element(rng, n)
-        k = random_kernel_element(rng, n)
+        g = random_kernel_element(rng)
+        h = random_kernel_element(rng)
+        k = random_kernel_element(rng)
         comm = g.commutator(h)
         if not comm.is_central_power():
             commutators_central = False
@@ -487,8 +474,8 @@ def nilpotency_class_check(sample_size: int = 100, seed: int = 20040709, n: int 
         if witness is None and comm.zeta != 0:
             witness = (g, h, comm.zeta)
     if witness is None:
-        g = ReducedElement.p(1, 1, n) * ReducedElement.p(2, -1, n)
-        h = ReducedElement.q(1, 1, n) * ReducedElement.q(2, -1, n)
+        g = ReducedElement.p(1) * ReducedElement.p(2, -1)
+        h = ReducedElement.q(1) * ReducedElement.q(2, -1)
         comm = g.commutator(h)
         if comm.zeta != 0:
             witness = (g, h, comm.zeta)

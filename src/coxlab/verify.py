@@ -211,7 +211,7 @@ def _suite_center(ctx: _Context) -> Report:
             {k: sorted(v) for k, v in sorted(witness.tau_images.items())},
             "the conjugating words land on the recorded transpositions")
 
-    z = model.SemidirectElement(identity(18), model.ReducedElement.z())
+    z = model.SemidirectElement(identity(model.PLANES), model.ReducedElement.z())
     commuting = sum(
         1 for e in sorted(ctx.graph.edges)
         if z.commutes_with(model.rho_hat(model.phi(e, ctx.span, ctx.graph), ctx.span)))
@@ -236,14 +236,15 @@ def _suite_structure(ctx: _Context) -> Report:
     rng = random.Random(18)
     samples = 120
     moved = 0
+    planes = range(1, model.PLANES + 1)
     for _ in range(samples):
         m = model.random_kernel_element(rng)
         if m.is_central_power():
             m = m * model.ReducedElement.p(1) * model.ReducedElement.p(2, -1)
-        elem = model.SemidirectElement(identity(18), m)
-        if any(not elem.commutes_with(model.SemidirectElement(transposition(i, j, 18),
+        elem = model.SemidirectElement(identity(model.PLANES), m)
+        if any(not elem.commutes_with(model.SemidirectElement(transposition(i, j, model.PLANES),
                                                               model.ReducedElement.identity()))
-               for i in range(1, 19) for j in range(i + 1, 19)):
+               for i in planes for j in planes if i < j):
             moved += 1
     rep.add("structure.noncentral_kernel_elements", moved == samples,
             {"samples": samples, "moved": moved},

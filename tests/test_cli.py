@@ -171,6 +171,37 @@ def test_verify_corrupted_fixture_exits_nonzero(capsys, tmp_path):
     assert code != 0
 
 
+def _first_h_line_to_v(data):
+    next(l for l in data["lines"] if l["kind"] == "h")["kind"] = "v"
+
+
+def _line_cell_off_grid(data):
+    data["lines"][0]["cell"] = [7, 7]
+
+
+def _point_row_negative(data):
+    data["points"][0]["row"] = -1
+
+
+def _rows_as_string(data):
+    data["rows"] = "3"
+
+
+@pytest.mark.parametrize("mutate,needle", [(_first_h_line_to_v, "kind and cell"),
+                                           (_line_cell_off_grid, "cell [7, 7]"),
+                                           (_point_row_negative, "(row, col)"),
+                                           (_rows_as_string, "rows and cols")])
+def test_verify_malformed_complex_exits_2(capsys, tmp_path, mutate, needle):
+    data = load_json("tt33.json")
+    mutate(data)
+    complex_file = tmp_path / "bad.json"
+    complex_file.write_text(json.dumps(data))
+    code, out, err = run(capsys, "verify", "--complex", str(complex_file), "--suite", "relators")
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: invalid complex file") and needle in err
+    assert "Traceback" not in err
+
+
 def test_enumerate_bundled_small_group(capsys, tmp_path):
     fx = tmp_path / "fx"
     complex_file = tmp_path / "tt.json"

@@ -138,6 +138,33 @@ def test_rho_rejects_foreign_letters():
     assert set(CHORD_SUBSTITUTION) == set(range(1, 11))
 
 
+def test_rho_matches_the_product_of_letter_images():
+    # Reference: coordinate i sends letter t to y^e times p_i or q_i, inverted
+    # for a negative letter, multiplied in coordinate order, then word order.
+    unit = ReducedElement.identity()
+
+    def image(letter, i):
+        central, tail = CHORD_SUBSTITUTION[abs(letter)]
+        img = unit
+        if central is not None:
+            c = [0] * 8
+            c[central] = 1
+            img = ReducedElement(tuple(c), unit.a, unit.b, 0)
+        if tail is not None:
+            img = img * (ReducedElement.p(i) if tail == "p" else ReducedElement.q(i))
+        return img if letter > 0 else img.inverse()
+
+    rng = random.Random(31)
+    for _ in range(300):
+        coords = tuple(
+            tuple(rng.choice((1, -1)) * rng.randint(1, 10) for _ in range(rng.randint(0, 8)))
+            for _ in range(18))
+        expected = reduce(mul, (image(x, i) for i, w in enumerate(coords, start=1) for x in w), unit)
+        assert rho(FreeTuple(coords)) == expected
+    with pytest.raises(ValueError):
+        rho(FreeTuple.trivial(17))
+
+
 def test_heisenberg_single_pair_commutator():
     p1, q1 = ReducedElement.p(1), ReducedElement.q(1)
     assert p1 * q1 == q1 * p1 * ReducedElement.z(1)
