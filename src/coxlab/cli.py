@@ -99,7 +99,9 @@ def _load_complex(path: str):
         return complex_from_json(data)
     except FileNotFoundError as exc:
         raise _InputError(f"cannot read complex file: {exc}") from exc
-    except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
+    except KeyError as exc:
+        raise _InputError(f"invalid complex file {path}: missing key {exc}") from exc
+    except (TypeError, ValueError) as exc:
         raise _InputError(f"invalid complex file {path}: {exc}") from exc
 
 

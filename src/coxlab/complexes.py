@@ -31,6 +31,11 @@ ROLES = ("a", "b", "c", "d", "e", "f")
 # Endpoints of the line of each kind at cell (r, c), as offsets from (r, c).
 ENDPOINTS = {"h": ((0, 0), (0, 1)), "v": ((0, 0), (1, 0)), "d": ((0, 1), (1, 0))}
 
+# The h, v and d sides of each half of cell (r, c), as offsets from (r, c):
+# the upper half lies above the cell's diagonal, the lower half below it.
+SIDES = {"upper": {"h": (0, 0), "v": (0, 0), "d": (0, 0)},
+         "lower": {"h": (1, 0), "v": (0, 1), "d": (0, 0)}}
+
 
 class CorruptFixtureError(RuntimeError):
     """A bundled fixture failed its consistency oracle."""
@@ -108,15 +113,24 @@ class DegenerationComplex:
             if len(line.points) != 2 or set(line.points) != ends:
                 raise ValueError(f"line {line.id} joins points {list(line.points)}, "
                                  f"but its kind and cell give {sorted(ends)}")
-            f, g = line.planes
-            if f == g:
-                raise ValueError(f"line {line.id} borders plane {f} twice")
+            if len(line.planes) != 2 or line.planes[0] == line.planes[1]:
+                raise ValueError(f"line {line.id} must border two distinct planes, got {list(line.planes)}")
             for pid in line.planes:
+                if pid not in self.plane_by_id:
+                    raise ValueError(f"line {line.id} borders unknown plane {pid}")
                 if line.id not in self.plane_by_id[pid].lines:
                     raise ValueError(f"incidence mismatch at line {line.id} / plane {pid}")
         for plane in self.planes:
-            if len(set(plane.lines)) != 3:
-                raise ValueError(f"plane {plane.id} does not have 3 distinct boundary lines")
+            if plane.half not in SIDES or not _on_grid(plane.cell, m, n):
+                raise ValueError(f"plane {plane.id}: half {plane.half!r} at cell {list(plane.cell)} "
+                                 f"is not an upper or lower half of the {m} x {n} grid")
+            r, c = plane.cell
+            sides = {self.line_at(kind, r + dr, c + dc) for kind, (dr, dc) in SIDES[plane.half].items()}
+            if len(plane.lines) != 3 or set(plane.lines) != sides:
+                raise ValueError(f"plane {plane.id} is bounded by lines {list(plane.lines)}, "
+                                 f"but its half and cell give {sorted(sides)}")
+        if len({(f.half, f.cell) for f in self.planes}) != len(self.planes):
+            raise ValueError("two planes share a half and cell")
 
     def to_json(self) -> dict:
         return {
@@ -164,50 +178,30 @@ def build_torus_triangulation(m: int, n: int) -> DegenerationComplex:
     """
     if m < 3 or n < 3:
         raise ValueError(f"unsupported grid {m} x {n}: both sides must be at least 3")
+    cells = [(r, c) for r in range(m) for c in range(n)]
 
-    def pid(r, c):
-        return (r % m) * n + (c % n) + 1
+    def at(r, c):
+        return (r % m) * n + c % n
 
-    def hid(r, c):
-        return (r % m) * n + (c % n) + 1
+    def line_id(kind, r, c):
+        return list(ENDPOINTS).index(kind) * m * n + at(r, c) + 1
 
-    def vid(r, c):
-        return m * n + (r % m) * n + (c % n) + 1
+    def plane_id(half, r, c):
+        return 2 * at(r, c) + (2 if half == "upper" else 1)
 
-    def did(r, c):
-        return 2 * m * n + (r % m) * n + (c % n) + 1
-
-    def lower(r, c):
-        return 2 * ((r % m) * n + (c % n)) + 1
-
-    def upper(r, c):
-        return 2 * ((r % m) * n + (c % n)) + 2
-
-    points = [Point(pid(r, c), r, c) for r in range(m) for c in range(n)]
-    lines = []
-    for r in range(m):
-        for c in range(n):
-            # h(r,c): top edge of upper(r,c), bottom edge of lower(r-1,c).
-            lines.append(Line(hid(r, c), (pid(r, c), pid(r, c + 1)),
-                              (upper(r, c), lower(r - 1, c)), "h", (r, c)))
-    for r in range(m):
-        for c in range(n):
-            # v(r,c): left edge of upper(r,c), right edge of lower(r,c-1).
-            lines.append(Line(vid(r, c), (pid(r, c), pid(r + 1, c)),
-                              (upper(r, c), lower(r, c - 1)), "v", (r, c)))
-    for r in range(m):
-        for c in range(n):
-            # d(r,c): the diagonal separating the two halves of cell (r,c).
-            lines.append(Line(did(r, c), (pid(r, c + 1), pid(r + 1, c)),
-                              (upper(r, c), lower(r, c)), "d", (r, c)))
-    planes = []
-    for r in range(m):
-        for c in range(n):
-            planes.append(Plane(lower(r, c), (hid(r + 1, c), vid(r, c + 1), did(r, c)),
-                                (r, c), "lower"))
-            planes.append(Plane(upper(r, c), (hid(r, c), vid(r, c), did(r, c)),
-                                (r, c), "upper"))
-    planes.sort(key=lambda f: f.id)
+    points = [Point(at(r, c) + 1, r, c) for r, c in cells]
+    lines = [Line(line_id(kind, r, c),
+                  tuple(at(r + dr, c + dc) + 1 for dr, dc in ENDPOINTS[kind]),
+                  tuple(plane_id(half, r - sides[kind][0], c - sides[kind][1])
+                        for half, sides in SIDES.items()),
+                  kind, (r, c))
+             for kind in ENDPOINTS for r, c in cells]
+    planes = sorted((Plane(plane_id(half, r, c),
+                           tuple(line_id(kind, r + dr, c + dc)
+                                 for kind, (dr, dc) in sides.items()),
+                           (r, c), half)
+                     for half, sides in SIDES.items() for r, c in cells),
+                    key=lambda f: f.id)
     return DegenerationComplex(rows=m, cols=n, points=points, lines=lines, planes=planes)
 
 

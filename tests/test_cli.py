@@ -187,19 +187,75 @@ def _rows_as_string(data):
     data["rows"] = "3"
 
 
+def _rows_missing(data):
+    del data["rows"]
+
+
+def _line_unknown_plane(data):
+    _by_id(data["lines"], 1)["planes"][1] = 99
+
+
+def _plane_cell_off_grid(data):
+    _by_id(data["planes"], 1)["cell"] = [9, 9]
+
+
+def _plane_half_middle(data):
+    _by_id(data["planes"], 1)["half"] = "middle"
+
+
+def _lines_1_27_trade_planes_7_18(data):
+    _trade_planes(data, 1, 7, 27, 18)
+
+
+def _by_id(items, ident):
+    return next(x for x in items if x["id"] == ident)
+
+
+def _trade_planes(data, line_a, plane_a, line_b, plane_b):
+    """Line a takes plane b in place of plane a and vice versa; both planes follow."""
+    for line, old, new in ((line_a, plane_a, plane_b), (line_b, plane_b, plane_a)):
+        entry = _by_id(data["lines"], line)
+        entry["planes"] = [new if f == old else f for f in entry["planes"]]
+    for plane, old, new in ((plane_a, line_a, line_b), (plane_b, line_b, line_a)):
+        entry = _by_id(data["planes"], plane)
+        entry["lines"] = [new if l == old else l for l in entry["lines"]]
+
+
+def _assert_malformed_exits_2(capsys, complex_file, needle):
+    code, out, err = run(capsys, "verify", "--complex", str(complex_file), "--suite", "relators")
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: invalid complex file") and needle in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("mutate,needle", [(_first_h_line_to_v, "kind and cell"),
                                            (_line_cell_off_grid, "cell [7, 7]"),
                                            (_point_row_negative, "(row, col)"),
-                                           (_rows_as_string, "rows and cols")])
+                                           (_rows_as_string, "rows and cols"),
+                                           (_rows_missing, "missing key 'rows'"),
+                                           (_line_unknown_plane, "line 1 borders unknown plane 99"),
+                                           (_plane_cell_off_grid, "plane 1: half 'lower' at cell [9, 9]"),
+                                           (_plane_half_middle, "half 'middle'"),
+                                           (_lines_1_27_trade_planes_7_18,
+                                            "plane 7 is bounded by lines [27, 13, 14], "
+                                            "but its half and cell give [1, 13, 14]")])
 def test_verify_malformed_complex_exits_2(capsys, tmp_path, mutate, needle):
     data = load_json("tt33.json")
     mutate(data)
     complex_file = tmp_path / "bad.json"
     complex_file.write_text(json.dumps(data))
-    code, out, err = run(capsys, "verify", "--complex", str(complex_file), "--suite", "relators")
-    assert code == 2 and out == ""
-    assert err.count("\n") == 1 and err.startswith("error: invalid complex file") and needle in err
-    assert "Traceback" not in err
+    _assert_malformed_exits_2(capsys, complex_file, needle)
+
+
+def test_verify_grid_with_traded_planes_exits_2(capsys, tmp_path):
+    complex_file = tmp_path / "g44.json"
+    run(capsys, "build", "--rows", "4", "--cols", "4", "--out", str(complex_file))
+    data = json.loads(complex_file.read_text())
+    _trade_planes(data, 1, 2, 27, 22)
+    complex_file.write_text(json.dumps(data))
+    _assert_malformed_exits_2(capsys, complex_file,
+                              "plane 2 is bounded by lines [27, 17, 33], "
+                              "but its half and cell give [1, 17, 33]")
 
 
 def test_enumerate_bundled_small_group(capsys, tmp_path):

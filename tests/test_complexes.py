@@ -1,4 +1,6 @@
+import importlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +23,12 @@ def test_generated_counts_and_euler(m, n):
     assert len(x0.lines) == 3 * m * n
     assert len(x0.planes) == 2 * m * n
     assert len(x0.points) - len(x0.lines) + len(x0.planes) == 0
+
+
+def test_gen_fixtures_regenerates_bundled_tt33(monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "tools"))
+    gen_fixtures = importlib.import_module("gen_fixtures")
+    assert gen_fixtures.relabeled_tt33() == load_json("tt33.json")
 
 
 def test_four_by_three_counts():
@@ -128,6 +136,22 @@ def test_disconnected_graph_rejected():
 def test_json_round_trip(paper):
     again = complex_from_json(json.loads(json.dumps(paper.x0.to_json())))
     assert again.to_json() == paper.x0.to_json()
+
+
+def test_planes_doubling_the_upper_halves_rejected():
+    # Every lower plane copies the upper plane of its cell, and every line
+    # borders the two copies: the incidence is consistent and each plane's
+    # lines are the sides of its half and cell, but no plane is a lower half.
+    data = build_torus_triangulation(3, 3).to_json()
+    upper = {tuple(f["cell"]): f for f in data["planes"] if f["half"] == "upper"}
+    lower = {tuple(f["cell"]): f for f in data["planes"] if f["half"] == "lower"}
+    for cell, f in lower.items():
+        f["half"], f["lines"] = "upper", list(upper[cell]["lines"])
+    for l in data["lines"]:
+        cell = tuple(l["cell"])
+        l["planes"] = [upper[cell]["id"], lower[cell]["id"]]
+    with pytest.raises(ValueError, match="two planes share a half and cell"):
+        complex_from_json(data)
 
 
 def test_canonical_33_is_not_the_paper_labeling():

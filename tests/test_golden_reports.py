@@ -3,7 +3,9 @@
 The paper and 4 x 3 digests were taken before the exact and reduced
 models were merged into one semidirect product; the 6 x 6 relators and
 CleanReport digests are the benchmark's goldens, made from the seed code.
-A refactor that changes any byte of these reports fails here.
+The `build --out` digests were taken before the torus builder was
+rewritten over the grid-geometry tables.  A refactor that changes any
+byte of these reports or files fails here.
 """
 
 import hashlib
@@ -25,6 +27,12 @@ PAPER_DIGESTS = {
 GRID_4X3_RELATORS_DIGEST = "d221dae180704c563194d303806ae6be3dddf32638cb7b4f39294a845ddfbe42"
 GRID_6X6_RELATORS_DIGEST = "c69a10e4427762473eb9ee41c3a2dcbdd4a816a8e3875afa68e3a07adbdb3a66"
 GRID_6X6_CLEAN_DIGEST = "07f3c92a660ece17dd68cda61bbb98b145340fddb3d25bc0d31e48a8e38fe9d3"
+
+BUILD_DIGESTS = {
+    (3, 3): "1d496f025dd4910100e59eac8faabffb29a0cab1b79e80bce21693473cf8b199",
+    (4, 6): "debbcdc93acac1fbdb310c5ce7bb213458cc3a71a17a09db8edba5579f81f45d",
+    (10, 10): "2a2c1ebbe851f4c21dbaaf6954ab0338ce390d93ae270dde97d4ed8f6e9640ab",
+}
 
 
 def _verify_digest(capsys, complex_file, suite):
@@ -65,3 +73,10 @@ def test_grid_6x6_clean_digest(complex_files):
     relators = [tuple(w) for w in json.loads((complex_files / "q66.json").read_text())["relators"]]
     text = json.dumps(clean(relators).to_json(), sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == GRID_6X6_CLEAN_DIGEST
+
+
+@pytest.mark.parametrize("rows,cols", sorted(BUILD_DIGESTS))
+def test_build_file_digest(tmp_path, rows, cols):
+    out = tmp_path / "grid.json"
+    assert main(["build", "--rows", str(rows), "--cols", str(cols), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == BUILD_DIGESTS[(rows, cols)]
