@@ -21,12 +21,10 @@ anchors on every load.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from . import fixtures
 from .perm import Permutation, generates_full_symmetric, identity, transposition
-
-ROLES = ("a", "b", "c", "d", "e", "f")
 
 # Endpoints of the line of each kind at cell (r, c), as offsets from (r, c).
 ENDPOINTS = {"h": ((0, 0), (0, 1)), "v": ((0, 0), (1, 0)), "d": ((0, 1), (1, 0))}
@@ -79,11 +77,35 @@ class DegenerationComplex:
     _line_at: dict[tuple[str, int, int], int] = field(init=False, repr=False)
 
     def __post_init__(self):
+        self._check_field_types()
         self.point_by_id = {p.id: p for p in self.points}
         self.line_by_id = {l.id: l for l in self.lines}
         self.plane_by_id = {f.id: f for f in self.planes}
         self._line_at = {(l.kind, *l.cell): l.id for l in self.lines}
         self.validate()
+
+    def _check_field_types(self):
+        """Ids, coordinates and incidence entries are ints; kind and half are strings.
+
+        Runs before any lookup dict is built, so a list-valued id is named
+        rather than failing as an unhashable key.
+        """
+        for cls, elements in ((Point, self.points), (Line, self.lines), (Plane, self.planes)):
+            keys = [f.name for f in fields(cls)]
+            for position, element in enumerate(elements, start=1):
+                for key in keys:
+                    value = getattr(element, key)
+                    if key in ("kind", "half"):
+                        want = None if type(value) is str else "a string"
+                    elif type(value) is tuple:
+                        want = None if all(type(x) is int for x in value) else "a list of integers"
+                        value = list(value)
+                    else:
+                        want = None if type(value) is int else "an integer"
+                    if want:
+                        label = element.id if type(element.id) is int else f"at position {position}"
+                        raise ValueError(f"{cls.__name__.lower()} {label}: {key} must be {want}, "
+                                         f"got {value!r}")
 
     def line_at(self, kind: str, row: int, col: int) -> int:
         return self._line_at[(kind, row % self.rows, col % self.cols)]
@@ -295,8 +317,15 @@ class Chord:
 
 @dataclass
 class SpanningData:
+    """A spanning tree's edges plus the oriented chords outside it.
+
+    published is not a constructor argument: only spanning_data's
+    paper-fixture branch sets it, after the fixture's oracle has passed.
+    """
+
     tree_edges: list[int]
     chords: list[Chord]
+    published: bool = field(default=False, init=False)
 
     def __post_init__(self):
         self._chord_by_line = {ch.line: ch for ch in self.chords}
@@ -312,7 +341,8 @@ def spanning_data(graph: DualGraph, mode: str = "canonical") -> SpanningData:
     canonical: breadth-first from the lowest vertex, edges in id order,
     chords ascending by line id and oriented from the smaller plane to the
     larger.  paper-fixture: the published tree and chord orientations of
-    the 3 x 3 instance, validated against the graph.
+    the 3 x 3 instance, validated against the graph and marked published;
+    this branch is the only place that marks a span.
     """
     if not graph.is_connected():
         raise ValueError("spanning tree requires a connected graph")
@@ -342,7 +372,9 @@ def spanning_data(graph: DualGraph, mode: str = "canonical") -> SpanningData:
         tree = list(data["tree"])
         chords = [Chord(ch["index"], ch["line"], ch["tail"], ch["head"]) for ch in data["chords"]]
         _check_spanning_fixture(graph, tree, chords)
-        return SpanningData(tree_edges=tree, chords=chords)
+        span = SpanningData(tree_edges=tree, chords=chords)
+        span.published = True
+        return span
     raise ValueError(f"unknown spanning mode: {mode}")
 
 

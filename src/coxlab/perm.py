@@ -102,10 +102,6 @@ def compose(p: Permutation, q: Permutation) -> Permutation:
     return Permutation(tuple(p.images[v - 1] for v in q.images))
 
 
-def permutation_from_json(images: list[int]) -> Permutation:
-    return Permutation(tuple(images))
-
-
 def generates_full_symmetric(gens) -> bool:
     """Whether a set of transpositions generates the full symmetric group.
 

@@ -221,19 +221,3 @@ def coverage_counts(p: Presentation, pairs, graph: DualGraph) -> dict:
         and report["missing"] == missing_disjoint + missing_adjacent
     )
     return report
-
-
-def hexagon_graph() -> tuple[DualGraph, list[HexagonLink]]:
-    """A bare 6-cycle as a dual graph: edge i joins vertices i and i+1.
-
-    Its vertices are 2-valent, so there are no fork relators; the quotient
-    variant is the cycle-extended presentation whose finite image is
-    checked by coset enumeration.
-    """
-    edges = {i: (i, i % 6 + 1) for i in range(1, 7)}
-    adjacency = {v: sorted(e for e, pair in edges.items() if v in pair) for v in range(1, 7)}
-    graph = DualGraph(vertices=list(range(1, 7)), edges=edges, adjacency=adjacency)
-    link = HexagonLink(point=1, cycle=(1, 2, 3, 4, 5, 6),
-                       roles=dict(zip("defabc", (1, 2, 3, 4, 5, 6))))
-    return graph, [link]
-

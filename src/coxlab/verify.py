@@ -169,8 +169,7 @@ def _suite_ax(ctx: _Context) -> Report:
 def _suite_tables(ctx: _Context) -> Report:
     rep = Report(command="verify:tables")
     pairs = presentation.nonrel_fixture()
-    plain = presentation.generate(ctx.graph, ctx.links, "plain")
-    cov = presentation.coverage_counts(plain, pairs, ctx.graph)
+    cov = presentation.coverage_counts(ctx.quotient, pairs, ctx.graph)
     rep.add("tables.pair_split", (cov["pairs_total"], cov["disjoint"], cov["adjacent"]) == (351, 297, 54),
             {k: cov[k] for k in ("pairs_total", "disjoint", "adjacent")},
             "all 351 edge pairs split 297 disjoint and 54 adjacent")

@@ -21,7 +21,7 @@ from coxlab.fixtures import load_json
 from coxlab.perm import compose, generates_full_symmetric, identity, transposition
 from coxlab.presentation import (EXPECTED_MISSING_ROLES, ax_fixture,
                                  classify_missing, coverage_counts,
-                                 cycle_relator, generate, hexagon_graph,
+                                 cycle_relator, generate,
                                  nonrel_fixture)
 from coxlab.words import clean, derive_bounded
 
@@ -94,12 +94,12 @@ def test_criterion_3_relator_suite():
     _verdict(3, "relator suite", time.perf_counter() - start, 2.0)
 
 
-def test_criterion_4_finite_quotients():
+def test_criterion_4_finite_quotients(hexagon_graph):
     start = time.perf_counter()
     remark = load_json("s4_remark.json")
     assert enumerate_cosets(remark["generators"], remark["relators"]).index == 24
 
-    graph, links = hexagon_graph()
+    graph, links = hexagon_graph
     with_cycle = generate(graph, links, "quotient")
     result = enumerate_cosets(with_cycle.generator_count, with_cycle.relator_words())
     assert result.status == "finite" and result.index == 720

@@ -207,6 +207,17 @@ def _lines_1_27_trade_planes_7_18(data):
     _trade_planes(data, 1, 7, 27, 18)
 
 
+def _field(items, ident, key, value, entry=None):
+    """A mutation setting a field (or one entry of a list field) of one element."""
+    def mutate(data):
+        element = _by_id(data[items], ident)
+        if entry is None:
+            element[key] = value
+        else:
+            element[key][entry] = value
+    return mutate
+
+
 def _by_id(items, ident):
     return next(x for x in items if x["id"] == ident)
 
@@ -238,7 +249,30 @@ def _assert_malformed_exits_2(capsys, complex_file, needle):
                                            (_plane_half_middle, "half 'middle'"),
                                            (_lines_1_27_trade_planes_7_18,
                                             "plane 7 is bounded by lines [27, 13, 14], "
-                                            "but its half and cell give [1, 13, 14]")])
+                                            "but its half and cell give [1, 13, 14]"),
+    # Wrongly typed fields are named before any lookup dict hashes them.
+    pytest.param(_field("lines", 17, "id", [34, 12]),
+                 "line at position 17: id must be an integer, got [34, 12]", id="line_id_list"),
+    pytest.param(_field("points", 1, "id", {"id": 1}),
+                 "point at position 1: id must be an integer, got {'id': 1}", id="point_id_dict"),
+    pytest.param(_field("points", 4, "row", [1]),
+                 "point 4: row must be an integer, got [1]", id="point_row_list"),
+    pytest.param(_field("points", 2, "col", True),
+                 "point 2: col must be an integer, got True", id="point_col_bool"),
+    pytest.param(_field("lines", 5, "kind", ["h"]),
+                 "line 5: kind must be a string, got ['h']", id="line_kind_list"),
+    pytest.param(_field("lines", 5, "cell", [0], entry=0),
+                 "line 5: cell must be a list of integers, got [[0], 2]", id="line_cell_entry_list"),
+    pytest.param(_field("lines", 5, "points", {"p": 2}, entry=1),
+                 "line 5: points must be a list of integers", id="line_points_entry_dict"),
+    pytest.param(_field("lines", 5, "planes", [3], entry=0),
+                 "line 5: planes must be a list of integers", id="line_planes_entry_list"),
+    pytest.param(_field("planes", 3, "id", [3]),
+                 "plane at position 3: id must be an integer, got [3]", id="plane_id_list"),
+    pytest.param(_field("planes", 3, "half", {"half": "upper"}),
+                 "plane 3: half must be a string", id="plane_half_dict"),
+    pytest.param(_field("planes", 3, "lines", [7], entry=2),
+                 "plane 3: lines must be a list of integers", id="plane_lines_entry_list")])
 def test_verify_malformed_complex_exits_2(capsys, tmp_path, mutate, needle):
     data = load_json("tt33.json")
     mutate(data)

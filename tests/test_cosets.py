@@ -5,7 +5,7 @@ import pytest
 from coxlab.cosets import check_result, enumerate_cosets
 from coxlab.fixtures import load_json
 from coxlab.perm import compose, generates_full_symmetric, identity, transposition
-from coxlab.presentation import generate, hexagon_graph
+from coxlab.presentation import generate
 
 
 def chain_coxeter(n):
@@ -31,8 +31,8 @@ def test_chain_presentations_match_factorials(n, order):
     assert result.index == order == math.factorial(n + 1)
 
 
-def test_hexagon_with_cycle_is_finite_720(paper):
-    graph, links = hexagon_graph()
+def test_hexagon_with_cycle_is_finite_720(paper, hexagon_graph):
+    graph, links = hexagon_graph
     pres = generate(graph, links, "quotient")
     result = enumerate_cosets(pres.generator_count, pres.relator_words())
     assert result.status == "finite" and result.index == 720
@@ -50,8 +50,8 @@ def test_hexagon_with_cycle_is_finite_720(paper):
         assert acc.is_identity()
 
 
-def test_hexagon_without_cycle_exceeds_capacity():
-    graph, links = hexagon_graph()
+def test_hexagon_without_cycle_exceeds_capacity(hexagon_graph):
+    graph, links = hexagon_graph
     pres = generate(graph, links, "plain")
     result = enumerate_cosets(pres.generator_count, pres.relator_words(), capacity=10 ** 5)
     assert result.status == "capacity-exceeded"

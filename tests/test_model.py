@@ -6,16 +6,17 @@ from operator import mul
 import pytest
 
 from coxlab import fixtures
-from coxlab.complexes import (build_torus_triangulation, dual_graph,
-                              hexagon_links, spanning_data, witness_words)
+from coxlab.complexes import (SpanningData, build_torus_triangulation,
+                              dual_graph, hexagon_links, spanning_data,
+                              witness_words)
 from coxlab.model import (CHORD_SUBSTITUTION, FixtureInconsistencyError,
                           FreeTuple, ReducedElement, SemidirectElement,
                           ab_image, abelianization, center_witness,
                           center_witness_word, evaluate_word_semidirect,
-                          kernel_generators, kernel_member,
-                          kernel_relation_matrix, nilpotency_class_check,
-                          phi, phi_table, random_kernel_element, rho, rho_hat,
-                          semidirect_identity, word_is_identity)
+                          kernel_generators, kernel_relation_matrix,
+                          nilpotency_class_check, phi, phi_table,
+                          random_kernel_element, relator_report, rho, rho_hat,
+                          word_is_identity)
 from coxlab.perm import identity, transposition
 from coxlab.presentation import ax_fixture, cycle_relator, generate
 
@@ -68,7 +69,8 @@ def test_sparse_evaluation_matches_dense_product(rows, cols):
     graph = dual_graph(x0)
     span = spanning_data(graph, "canonical")
     table = phi_table(span, graph)
-    unit = semidirect_identity(len(graph.vertices))
+    n = len(graph.vertices)
+    unit = SemidirectElement(identity(n), FreeTuple.trivial(n))
     edges = sorted(graph.edges)
     rng = random.Random(100 * rows + cols)
     samples = []
@@ -120,21 +122,26 @@ def test_nine_cyclic_relators_die_under_reduction(paper, paper_phi):
         assert rho_hat(v, paper.span).is_identity()
 
 
+def _at_plane(i, word):
+    """The 18-coordinate tuple with the given word at plane i only."""
+    return FreeTuple(tuple(tuple(word) if k == i else () for k in range(1, 19)))
+
+
 def test_rho_chord_difference_is_central_letter():
     # x^7_i (x^8_i)^-1 collapses to the same central letter for every i.
     for i in range(1, 19):
-        v = rho(FreeTuple.single(18, i, (7, -8)))
+        v = rho(_at_plane(i, (7, -8)))
         assert v == ReducedElement((0, 0, 0, 0, 1, 0, 0, 0), (0,) * 18, (0,) * 18, 0)
 
 
 def test_rho_commutator_of_paired_letters_is_z():
-    v = rho(FreeTuple.single(18, 7, (-1, -8, 1, 8)))
+    v = rho(_at_plane(7, (-1, -8, 1, 8)))
     assert v == ReducedElement.z(1)
 
 
 def test_rho_rejects_foreign_letters():
     with pytest.raises(ValueError):
-        rho(FreeTuple.single(18, 1, (11,)))
+        rho(_at_plane(1, (11,)))
     assert set(CHORD_SUBSTITUTION) == set(range(1, 11))
 
 
@@ -230,9 +237,10 @@ def test_ab_is_additive_random():
 
 
 def test_kernel_membership():
-    assert kernel_member(ReducedElement.z(3))
-    assert kernel_member(ReducedElement.p(1) * ReducedElement.p(2, -1))
-    assert not kernel_member(ReducedElement.p(1))
+    zero = (0,) * 10
+    assert ab_image(ReducedElement.z(3)) == zero
+    assert ab_image(ReducedElement.p(1) * ReducedElement.p(2, -1)) == zero
+    assert ab_image(ReducedElement.p(1)) != zero
 
 
 def test_kernel_abelianization_rank_34():
@@ -317,35 +325,57 @@ def test_noncentral_kernel_element_moves():
     assert not m.commutes_with(t)
 
 
+EXACT_UNIT = SemidirectElement(identity(18), FreeTuple.trivial(18))
+
+
+def _reduced_model_calls(paper):
+    """rho_hat, relator_report and center_witness, each on a span of the caller's."""
+    return [lambda span: rho_hat(EXACT_UNIT, span),
+            lambda span: relator_report([(1, 1)], span, paper.graph),
+            lambda span: center_witness(span, paper.graph)]
+
+
 def test_rho_requires_published_span(paper):
     canonical = spanning_data(paper.graph, "canonical")
-    x = semidirect_identity(18)
-    with pytest.raises(ValueError):
-        rho_hat(x, canonical)
+    for call in _reduced_model_calls(paper):
+        with pytest.raises(ValueError):
+            call(canonical)
 
 
-def test_rho_hat_loads_the_spanning_fixture_once(paper, tmp_path, monkeypatch):
+def test_hand_built_published_span_rejected(paper):
+    # The published tree and chords, but not from the paper-fixture loader.
+    forged = SpanningData(tree_edges=list(paper.span.tree_edges), chords=list(paper.span.chords))
+    assert (forged.tree_edges, forged.chords) == (paper.span.tree_edges, paper.span.chords)
+    assert paper.span.published and not forged.published
+    for call in _reduced_model_calls(paper):
+        call(paper.span)
+        with pytest.raises(ValueError):
+            call(forged)
+
+
+def test_rho_hat_loads_no_fixture(paper, tmp_path, monkeypatch):
     calls = []
     load = fixtures.load_json
     monkeypatch.setattr(fixtures, "load_json", lambda name: calls.append(name) or load(name))
-    # A fresh override directory is a key no earlier call has seen.
+    # A fresh override directory, so a fixture cache keyed on it would miss.
     monkeypatch.setenv("COXLAB_FIXTURES", str(tmp_path))
-    x = semidirect_identity(18)
     for _ in range(50):
-        rho_hat(x, paper.span)
-    assert calls == ["t0_spanning.json"]
+        rho_hat(EXACT_UNIT, paper.span)
+    assert calls == []
 
 
-def test_rho_hat_reads_an_overriding_spanning_fixture(paper, tmp_path, monkeypatch):
-    x = semidirect_identity(18)
-    rho_hat(x, paper.span)
+def test_paper_span_is_built_from_an_overriding_fixture(paper, tmp_path, monkeypatch):
     data = fixtures.load_json("t0_spanning.json")
     chord = data["chords"][0]
     chord["tail"], chord["head"] = chord["head"], chord["tail"]
     (tmp_path / "t0_spanning.json").write_text(json.dumps(data))
     monkeypatch.setenv("COXLAB_FIXTURES", str(tmp_path))
-    with pytest.raises(ValueError):
-        rho_hat(x, paper.span)
+    span = spanning_data(paper.graph, "paper-fixture")
+    first = span.chords[0]
+    assert (first.line, first.tail, first.head) == (chord["line"], chord["tail"], chord["head"])
+    assert (first.tail, first.head) == (paper.span.chords[0].head, paper.span.chords[0].tail)
+    assert span.published
+    rho_hat(EXACT_UNIT, span)
 
 
 def test_reduced_element_json():
@@ -369,7 +399,6 @@ def test_reduced_layer_full_suite(paper, paper_phi):
 
 
 def test_relator_report_records(paper, paper_phi):
-    from coxlab.model import relator_report
     records = relator_report([ax_fixture()["AX1"], (1,)], paper.span, paper.graph, paper_phi)
     assert records[0]["status"] == "pass"
     assert records[1]["status"] == "fail"

@@ -128,6 +128,5 @@ def test_connectivity_criterion_against_brute_force():
 
 
 def test_json_round_trip():
-    from coxlab.perm import permutation_from_json
     p = transposition(2, 7, 18)
-    assert permutation_from_json(p.to_json()) == p
+    assert Permutation(tuple(p.to_json())) == p

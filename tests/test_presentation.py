@@ -7,7 +7,7 @@ from coxlab.complexes import build_torus_triangulation, dual_graph, hexagon_link
 from coxlab.fixtures import load_json
 from coxlab.presentation import (EXPECTED_MISSING_ROLES, ax_fixture,
                                  classify_missing, coverage_counts,
-                                 cycle_relator, generate, hexagon_graph,
+                                 cycle_relator, generate,
                                  nonrel_fixture, presentation_from_json)
 from coxlab.words import canonical_form
 
@@ -56,14 +56,14 @@ def test_variants_nest(paper):
     assert c(plain) < c(fork) < c(quotient)
 
 
-def test_fork_variant_needs_three_regular():
-    graph, links = hexagon_graph()
+def test_fork_variant_needs_three_regular(hexagon_graph):
+    graph, links = hexagon_graph
     with pytest.raises(ValueError):
         generate(graph, links, "fork")
 
 
-def test_hexagon_quotient_matches_bundled_fixture():
-    graph, links = hexagon_graph()
+def test_hexagon_quotient_matches_bundled_fixture(hexagon_graph):
+    graph, links = hexagon_graph
     pres = generate(graph, links, "quotient")
     bundled = load_json("hexagon_quotient.json")
     assert {canonical_form(w) for w in pres.relator_words()} \
