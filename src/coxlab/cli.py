@@ -195,7 +195,10 @@ def cmd_enumerate(args) -> int:
             ngens, relators = presentation.presentation_from_json(json.load(handle))
     except FileNotFoundError as exc:
         raise _InputError(f"cannot read presentation file: {exc}") from exc
-    except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
+    except KeyError as exc:
+        raise _InputError(f"invalid presentation file {args.presentation_file}: "
+                          f"missing key {exc}") from exc
+    except (TypeError, ValueError) as exc:
         raise _InputError(f"invalid presentation file {args.presentation_file}: {exc}") from exc
     subgroup = _parse_subgroup(args.subgroup)
     if args.capacity < 1:

@@ -91,20 +91,20 @@ class DegenerationComplex:
         rather than failing as an unhashable key.
         """
         for cls, elements in ((Point, self.points), (Line, self.lines), (Plane, self.planes)):
-            keys = [f.name for f in fields(cls)]
             for position, element in enumerate(elements, start=1):
-                for key in keys:
-                    value = getattr(element, key)
-                    if key in ("kind", "half"):
+                for f in fields(cls):
+                    value = getattr(element, f.name)
+                    if f.type == "str":
                         want = None if type(value) is str else "a string"
-                    elif type(value) is tuple:
-                        want = None if all(type(x) is int for x in value) else "a list of integers"
-                        value = list(value)
+                    elif f.type.startswith("tuple"):
+                        ok = type(value) is tuple and all(type(x) is int for x in value)
+                        want = None if ok else "a list of integers"
+                        value = list(value) if type(value) is tuple else value
                     else:
                         want = None if type(value) is int else "an integer"
                     if want:
                         label = element.id if type(element.id) is int else f"at position {position}"
-                        raise ValueError(f"{cls.__name__.lower()} {label}: {key} must be {want}, "
+                        raise ValueError(f"{cls.__name__.lower()} {label}: {f.name} must be {want}, "
                                          f"got {value!r}")
 
     def line_at(self, kind: str, row: int, col: int) -> int:
@@ -176,19 +176,35 @@ def _on_grid(cell, m: int, n: int) -> bool:
 
 
 def complex_from_json(data: dict) -> DegenerationComplex:
-    return DegenerationComplex(
-        rows=data["rows"],
-        cols=data["cols"],
-        points=[Point(p["id"], p["row"], p["col"]) for p in data["points"]],
-        lines=[
-            Line(l["id"], tuple(l["points"]), tuple(l["planes"]), l["kind"], tuple(l["cell"]))
-            for l in data["lines"]
-        ],
-        planes=[
-            Plane(f["id"], tuple(f["lines"]), tuple(f["cell"]), f["half"])
-            for f in data["planes"]
-        ],
-    )
+    """A complex from its JSON form.
+
+    Lists in tuple-typed fields become tuples; every other value passes on
+    unchanged for ``DegenerationComplex`` to check and name.
+    """
+    if type(data) is not dict:
+        raise ValueError(f"a complex file holds one object, got {type(data).__name__}")
+
+    def elements(key, cls):
+        items = data[key]
+        if type(items) is not list:
+            raise ValueError(f"{key} must be a list of objects, got {items!r}")
+        name = cls.__name__.lower()
+        out = []
+        for position, item in enumerate(items, start=1):
+            if type(item) is not dict:
+                raise ValueError(f"{name} at position {position} must be an object, got {item!r}")
+            missing = next((f.name for f in fields(cls) if f.name not in item), None)
+            if missing:
+                raise ValueError(f"{name} at position {position}: missing key {missing!r}")
+            values = {f.name: item[f.name] for f in fields(cls)}
+            for f in fields(cls):
+                if f.type.startswith("tuple") and type(values[f.name]) is list:
+                    values[f.name] = tuple(values[f.name])
+            out.append(cls(**values))
+        return out
+
+    return DegenerationComplex(rows=data["rows"], cols=data["cols"], points=elements("points", Point),
+                               lines=elements("lines", Line), planes=elements("planes", Plane))
 
 
 def build_torus_triangulation(m: int, n: int) -> DegenerationComplex:

@@ -1,10 +1,18 @@
 """Coset enumeration for involutive presentations.
 
-Relator-scanning enumeration over a single action table: every generator
-is an involution and acts as its own inverse, so defining c^g = d sets
-d^g = c at the same time and no doubled alphabet is needed.  Vertices are
-merged through a union-find as coincidences appear; reads go through the
-find operation, so stale entries resolve lazily.
+Relator-scanning (HLT) enumeration: each live coset in turn has every
+relator traced from it, defining new cosets where the path runs off the
+table, and the path's end is identified with the coset it started from.
+Every generator is an involution and acts as its own inverse, so defining
+c^g = d sets d^g = c at the same time and no doubled alphabet is needed.
+
+The action table is one flat list, ``table[c * ngens + g]`` the image of
+coset c under generator g (``-1`` while undefined), grown by one blank
+row per defined coset.  Beside it ``labels`` is a union-find forest over
+the cosets: a coincidence merges the larger coset into the smaller one,
+and reads resolve stale entries lazily.  Path tracing is inlined in
+``enumerate_cosets``; it runs ``find`` only on a coset that has been
+merged away.
 
 The table size cap counts every coset ever allocated, dead or alive.
 Hitting the cap is a distinguished inconclusive outcome, not an error:
@@ -15,12 +23,9 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import chain
 
 DEFAULT_CAPACITY = 10 ** 6
-
-
-class _CapacityExceeded(Exception):
-    pass
 
 
 @dataclass
@@ -37,72 +42,47 @@ class EnumerationResult:
         return [row[gen - 1] for row in self.table]
 
 
-class CosetTable:
-    def __init__(self, ngens: int, capacity: int = DEFAULT_CAPACITY):
-        if capacity < 1:
-            raise ValueError("capacity must be positive")
-        self.ngens = ngens
-        self.capacity = capacity
-        self.labels: list[int] = []
-        self.rows: list[list[int]] = []     # -1 marks an undefined slot
-        self.allocated = 0
-        self.start = self._add_vertex()
+def _find(labels: list[int], c: int) -> int:
+    root = c
+    while labels[root] != root:
+        root = labels[root]
+    while labels[c] != root:
+        labels[c], c = root, labels[c]
+    return root
 
-    def _add_vertex(self) -> int:
-        if self.allocated >= self.capacity:
-            raise _CapacityExceeded
-        c = len(self.labels)
-        self.labels.append(c)
-        self.rows.append([-1] * self.ngens)
-        self.allocated += 1
-        return c
 
-    def find(self, c: int) -> int:
-        labels = self.labels
-        root = c
-        while labels[root] != root:
-            root = labels[root]
-        while labels[c] != root:
-            labels[c], c = root, labels[c]
-        return root
-
-    def follow(self, c: int, g: int) -> int:
-        c = self.find(c)
-        d = self.rows[c][g]
-        if d == -1:
-            d = self._add_vertex()
-            self.rows[c][g] = d
-            self.rows[d][g] = c
-            return d
-        return self.find(d)
-
-    def follow_path(self, c: int, word) -> int:
-        for g in word:
-            c = self.follow(c, g)
-        return c
-
-    def unify(self, c1: int, c2: int):
-        pending = [(c1, c2)]
-        while pending:
-            a, b = pending.pop()
-            a, b = self.find(a), self.find(b)
-            if a == b:
+def _unify(table: list[int], labels: list[int], ngens: int, c1: int, c2: int):
+    """Merge two cosets and every coincidence their rows imply."""
+    pending = [(c1, c2)]
+    while pending:
+        a, b = pending.pop()
+        a, b = _find(labels, a), _find(labels, b)
+        if a == b:
+            continue
+        if b < a:
+            a, b = b, a
+        labels[b] = a
+        row_a, row_b = a * ngens, b * ngens
+        for g in range(ngens):
+            nb = table[row_b + g]
+            if nb == -1:
                 continue
-            if b < a:
-                a, b = b, a
-            self.labels[b] = a
-            row_a, row_b = self.rows[a], self.rows[b]
-            for g in range(self.ngens):
-                nb = row_b[g]
-                if nb == -1:
-                    continue
-                if row_a[g] == -1:
-                    row_a[g] = nb
-                else:
-                    pending.append((row_a[g], nb))
+            na = table[row_a + g]
+            if na == -1:
+                table[row_a + g] = nb
+            else:
+                pending.append((na, nb))
 
-    def live(self) -> list[int]:
-        return [c for c in range(len(self.labels)) if self.find(c) == c]
+
+def _scans(subs, rels, labels):
+    """The (coset, words) passes in definition order: the subgroup words
+    at coset 0, then every relator at each coset still live when reached."""
+    yield 0, subs
+    scan = 0
+    while scan < len(labels):
+        if labels[scan] == scan:
+            yield scan, rels
+        scan += 1
 
 
 def enumerate_cosets(ngens: int, relators, subgroup_gens=(),
@@ -117,61 +97,82 @@ def enumerate_cosets(ngens: int, relators, subgroup_gens=(),
     for w in rels + subs:
         if any(not 0 <= g < ngens for g in w):
             raise ValueError("generator index out of range")
+    if capacity < 1:
+        raise ValueError("capacity must be positive")
     # Every generator is an involution; scanning its square at each coset
     # also guarantees the final table is total.
     rels = [(g, g) for g in range(ngens)] + rels
 
-    table = CosetTable(ngens, capacity)
-    try:
-        for w in subs:
-            table.unify(table.follow_path(table.start, w), table.start)
-        scan = 0
-        while scan < len(table.labels):
-            if table.find(scan) == scan:
-                for rel in rels:
-                    table.unify(table.follow_path(scan, rel), scan)
-            scan += 1
-    except _CapacityExceeded:
-        return EnumerationResult(status="capacity-exceeded", index=None,
-                                 allocated=table.allocated, table=None)
-    std = _standardize(table)
+    blank = [-1] * ngens
+    table = list(blank)         # row 0 is the subgroup's own coset
+    labels = [0]
+    for scan, words in _scans(subs, rels, labels):
+        for word in words:
+            # No coincidence is processed while a word is traced, so every
+            # coset the path reaches stays a root until its end.
+            c = scan if labels[scan] == scan else _find(labels, scan)
+            for g in word:
+                slot = c * ngens + g
+                d = table[slot]
+                if d == -1:
+                    d = len(labels)
+                    if d >= capacity:
+                        return EnumerationResult(status="capacity-exceeded", index=None,
+                                                 allocated=d, table=None)
+                    labels.append(d)
+                    table.extend(blank)
+                    table[slot] = d
+                    table[d * ngens + g] = c
+                elif labels[d] != d:
+                    d = _find(labels, d)
+                c = d
+            if c != scan or labels[scan] != scan:
+                _unify(table, labels, ngens, c, scan)
+    std = _standardize(table, labels, ngens)
     return EnumerationResult(status="finite", index=len(std),
-                             allocated=table.allocated, table=std)
+                             allocated=len(labels), table=std)
 
 
-def _standardize(table: CosetTable) -> list[list[int]]:
-    """Renumber live cosets in breadth-first order from the subgroup coset."""
-    order = {table.find(table.start): 1}
-    queue = deque([table.find(table.start)])
+def _standardize(table: list[int], labels: list[int], ngens: int) -> list[list[int]]:
+    """Renumber live cosets in breadth-first order from the subgroup coset.
+
+    Coset 0 is always live, since a coincidence keeps the smaller coset.
+    """
+    order = {0: 1}
+    queue = deque([0])
     while queue:
         c = queue.popleft()
-        for g in range(table.ngens):
-            d = table.rows[c][g]
+        for d in table[c * ngens:(c + 1) * ngens]:
             if d == -1:
                 raise ValueError("closed table expected after successful enumeration")
-            d = table.find(d)
+            d = _find(labels, d)
             if d not in order:
                 order[d] = len(order) + 1
                 queue.append(d)
-    live = table.live()
-    if len(order) != len(live):
+    if len(order) != sum(1 for c, label in enumerate(labels) if label == c):
         raise ValueError("live cosets are not all reachable from the start")
-    std = [[0] * table.ngens for _ in live]
-    for c, new_c in order.items():
-        for g in range(table.ngens):
-            std[new_c - 1][g] = order[table.find(table.rows[c][g])]
-    return std
+    return [[order[_find(labels, d)] for d in table[c * ngens:(c + 1) * ngens]]
+            for c in order]
 
 
 def check_result(result: EnumerationResult, ngens: int, relators, subgroup_gens=()) -> bool:
     """Full post-hoc validation of a finite enumeration.
 
-    Every generator must act as a permutation of the cosets, every relator
-    must fix every coset, and every subgroup word must fix coset 1.
+    The table must have one row per coset and one entry in 1..index per
+    generator, every generator must act as a permutation of the cosets,
+    every relator must fix every coset, and every subgroup word must fix
+    coset 1.  A word with a letter outside 1..ngens (up to sign) fails.
     """
     if result.status != "finite" or result.table is None:
         return False
-    n = result.index
+    if any(not 1 <= abs(g) <= ngens for w in (*relators, *subgroup_gens) for g in w):
+        return False
+    n, table = result.index, result.table
+    if type(n) is not int or len(table) != n or any(len(row) != ngens for row in table):
+        return False
+    if not set(map(type, chain.from_iterable(table))) <= {int}:
+        return False
+    # Each column a permutation of 1..n also confines every entry to 1..n.
     for g in range(1, ngens + 1):
         images = result.action_permutation(g)
         if sorted(images) != list(range(1, n + 1)):
@@ -181,7 +182,7 @@ def check_result(result: EnumerationResult, ngens: int, relators, subgroup_gens=
 
     def act(c, word):
         for g in word:
-            c = result.table[c - 1][abs(g) - 1]
+            c = table[c - 1][abs(g) - 1]
         return c
 
     if any(act(c, w) != c for w in relators for c in range(1, n + 1)):

@@ -78,12 +78,19 @@ class Presentation:
 
 def presentation_from_json(data: dict) -> tuple[int, list[Word]]:
     """Generic presentation files: (generator count, relator words)."""
-    ngens = int(data["generators"])
-    relators = [tuple(int(x) for x in w) for w in data["relators"]]
+    if type(data) is not dict:
+        raise ValueError(f"a presentation file holds one object, got {type(data).__name__}")
+    ngens, relators = data["generators"], data["relators"]
+    if type(ngens) is not int or ngens < 1:
+        raise ValueError(f"generators must be an integer of at least 1, got {ngens!r}")
+    if type(relators) is not list:
+        raise ValueError(f"relators must be a list of relators, got {relators!r}")
     for w in relators:
+        if type(w) is not list or any(type(x) is not int for x in w):
+            raise ValueError(f"relator {w!r} must be a list of integer letters")
         if any(not 1 <= x <= ngens for x in w):
-            raise ValueError(f"relator letter out of range 1..{ngens}: {w}")
-    return ngens, relators
+            raise ValueError(f"relator letter out of range 1..{ngens}: {tuple(w)}")
+    return ngens, [tuple(w) for w in relators]
 
 
 def cycle_relator(cycle) -> Word:

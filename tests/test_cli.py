@@ -218,6 +218,13 @@ def _field(items, ident, key, value, entry=None):
     return mutate
 
 
+def _replace_by_id(items, ident, value):
+    """A mutation replacing one whole element."""
+    def mutate(data):
+        data[items][data[items].index(_by_id(data[items], ident))] = value
+    return mutate
+
+
 def _by_id(items, ident):
     return next(x for x in items if x["id"] == ident)
 
@@ -272,13 +279,32 @@ def _assert_malformed_exits_2(capsys, complex_file, needle):
     pytest.param(_field("planes", 3, "half", {"half": "upper"}),
                  "plane 3: half must be a string", id="plane_half_dict"),
     pytest.param(_field("planes", 3, "lines", [7], entry=2),
-                 "plane 3: lines must be a list of integers", id="plane_lines_entry_list")])
+                 "plane 3: lines must be a list of integers", id="plane_lines_entry_list"),
+    # Non-list containers and non-object elements are named before they are read.
+    pytest.param(_field("lines", 5, "points", 5),
+                 "line 5: points must be a list of integers, got 5", id="line_points_int"),
+    pytest.param(_field("lines", 5, "cell", "ab"),
+                 "line 5: cell must be a list of integers, got 'ab'", id="line_cell_string"),
+    pytest.param(_replace_by_id("lines", 5, [1, 2]),
+                 "line at position 5 must be an object, got [1, 2]", id="line_as_list"),
+    pytest.param(lambda data: data.update(lines=7), "lines must be a list of objects, got 7",
+                 id="lines_int"),
+    pytest.param(lambda data: data.update(planes={"a": 1}),
+                 "planes must be a list of objects, got {'a': 1}", id="planes_dict"),
+    pytest.param(lambda data: data["lines"][4].pop("points"),
+                 "line at position 5: missing key 'points'", id="line_points_missing")])
 def test_verify_malformed_complex_exits_2(capsys, tmp_path, mutate, needle):
     data = load_json("tt33.json")
     mutate(data)
     complex_file = tmp_path / "bad.json"
     complex_file.write_text(json.dumps(data))
     _assert_malformed_exits_2(capsys, complex_file, needle)
+
+
+def test_verify_complex_file_not_an_object_exits_2(capsys, tmp_path):
+    complex_file = tmp_path / "bad.json"
+    complex_file.write_text("[3, 3]")
+    _assert_malformed_exits_2(capsys, complex_file, "a complex file holds one object, got list")
 
 
 def test_verify_grid_with_traded_planes_exits_2(capsys, tmp_path):
@@ -359,6 +385,28 @@ def test_enumerate_bad_word(capsys, tmp_path):
     code, _, err = run(capsys, "enumerate", "--presentation", str(fx / "s4_remark.json"),
                        "--subgroup", "1,x")
     assert code == 2
+
+
+@pytest.mark.parametrize("doc,needle", [
+    pytest.param({"generators": -3, "relators": []},
+                 "generators must be an integer of at least 1, got -3", id="generators_negative"),
+    pytest.param({"generators": 2.7, "relators": []},
+                 "generators must be an integer of at least 1, got 2.7", id="generators_float"),
+    pytest.param({"generators": "2", "relators": []},
+                 "generators must be an integer of at least 1, got '2'", id="generators_string"),
+    pytest.param({"generators": True, "relators": []},
+                 "generators must be an integer of at least 1, got True", id="generators_bool"),
+    pytest.param({"generators": 2, "relators": [["1", 2.9]]},
+                 "relator ['1', 2.9] must be a list of integer letters", id="relator_letters"),
+    pytest.param({"relators": []}, "missing key 'generators'", id="generators_missing"),
+    pytest.param([2, []], "a presentation file holds one object, got list", id="top_level_list")])
+def test_enumerate_malformed_presentation_exits_2(capsys, tmp_path, doc, needle):
+    presentation_file = tmp_path / "bad.json"
+    presentation_file.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "enumerate", "--presentation", str(presentation_file))
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: invalid presentation file")
+    assert needle in err
 
 
 def test_python_dash_m_runs_the_command_line():

@@ -1,8 +1,12 @@
+import hashlib
+import json
 import math
+import random
+import tracemalloc
 
 import pytest
 
-from coxlab.cosets import check_result, enumerate_cosets
+from coxlab.cosets import DEFAULT_CAPACITY, EnumerationResult, check_result, enumerate_cosets
 from coxlab.fixtures import load_json
 from coxlab.perm import compose, generates_full_symmetric, identity, transposition
 from coxlab.presentation import generate
@@ -86,6 +90,27 @@ def test_relator_action_check_validates(paper):
     assert check_result(result, ngens, relators, [(1,)])
 
 
+
+@pytest.mark.parametrize("malform", [
+    pytest.param(lambda table: [row[:-1] for row in table], id="rows_short_of_ngens"),
+    pytest.param(lambda table: [row + [1] for row in table], id="rows_with_extra_column"),
+    pytest.param(lambda table: table[:-1], id="fewer_rows_than_index"),
+    pytest.param(lambda table: [[0] + row[1:] for row in table], id="entry_outside_1_to_index"),
+    pytest.param(lambda table: [[float(x) for x in row] for row in table], id="entries_not_int")])
+def test_check_result_rejects_malformed_tables(malform):
+    data = load_json("s4_remark.json")
+    result = enumerate_cosets(data["generators"], data["relators"])
+    bad = EnumerationResult("finite", result.index, result.allocated, malform(result.table))
+    assert check_result(bad, data["generators"], data["relators"]) is False
+
+
+@pytest.mark.parametrize("letter", [0, 4])
+def test_check_result_rejects_letters_outside_the_generators(letter):
+    data = load_json("s4_remark.json")
+    result = enumerate_cosets(data["generators"], data["relators"])
+    assert check_result(result, data["generators"], data["relators"] + [[letter, letter]]) is False
+    assert check_result(result, data["generators"], data["relators"], [(letter,)]) is False
+
 def test_bad_generator_index_rejected():
     with pytest.raises(ValueError):
         enumerate_cosets(2, [(1, 3)])
@@ -106,3 +131,97 @@ def test_unconstrained_involutions_are_inconclusive():
     # group; the enumeration must report the cap, not a bogus index.
     result = enumerate_cosets(2, [], capacity=500)
     assert result.status == "capacity-exceeded"
+
+
+def _digest(table):
+    return None if table is None else hashlib.sha256(json.dumps(table).encode()).hexdigest()
+
+
+# The enumerator's definition order fixes how many cosets it allocates and,
+# through the coincidences met on the way, which standardized table comes
+# out; these values must not move when the enumerator is reworked.
+@pytest.mark.parametrize("name,allocated,digest", [
+    ("s4_remark.json", 53, "86df0317cabe22d23cf0cde3ddd0299da31b05ee94bf2148409042f475b74a4f"),
+    ("hexagon_quotient.json", 5225,
+     "9e272f1f78180503ed3bcf94a712fc53e3c0e0e05769ab5697034626d2dbf45e")])
+def test_fixture_enumerations_are_pinned(name, allocated, digest):
+    data = load_json(name)
+    result = enumerate_cosets(data["generators"], data["relators"])
+    assert result.allocated == allocated and _digest(result.table) == digest
+
+
+PINNED_FIXTURES = ("s4_remark.json", "hexagon_quotient.json", "hexagon_affine.json")
+PINNED_CAPACITIES = (50, 200, 1000, 5000, 20000, 10 ** 6)
+
+
+def _pinned_cases(count=30, seed=2004):
+    """Seeded (fixture, subgroup words, capacity) cases; only rng.random() is
+    drawn, whose stream is stable across Python versions."""
+    rng = random.Random(seed)
+
+    def pick(n):
+        return int(rng.random() * n)
+
+    cases = []
+    for k in range(count):
+        name = PINNED_FIXTURES[k % 3]
+        ngens = load_json(name)["generators"]
+        words = tuple(tuple(pick(ngens) + 1 for _ in range(1 + pick(4))) for _ in range(pick(6)))
+        # The affine group is infinite: a 10^6 cap would take seconds per case.
+        caps = PINNED_CAPACITIES[:-1] if name == "hexagon_affine.json" else PINNED_CAPACITIES
+        cases.append((name, words, caps[pick(len(caps))]))
+    return cases
+
+
+# (status, index, allocated, table digest) of each case above.
+PINNED_OUTCOMES = [
+    ("finite", 1, 11, "0a5d5e44406e47a9edfb8c3ad7530dc5e3546611351cd6f7383a12da28ef2bbb"),
+    ("capacity-exceeded", None, 5000, None),
+    ("capacity-exceeded", None, 1000, None),
+    ("finite", 4, 22, "9ab8cfe16ff2143e34b8ab36b7699707bdb941825bdf26529448a7d2b005ee27"),
+    ("finite", 6, 116, "442a99eec095fb05077e275ad189d50d8394c26bff89ccf99aade23010914e90"),
+    ("finite", 1, 47, "f1d5d275ef30d7802429c3c556276b3d0e73c73de60ab5478f64db1e94ce35a8"),
+    ("finite", 6, 24, "e654f41237052313c6ae5b4f5969c40fc910b4b8d7d5371b4289dbc42e1cf62e"),
+    ("finite", 720, 5225, "9e272f1f78180503ed3bcf94a712fc53e3c0e0e05769ab5697034626d2dbf45e"),
+    ("capacity-exceeded", None, 20000, None),
+    ("finite", 12, 36, "a1a939b1fd646de8f1832d01670b53823a971e3630ea8da46aa17812d50461bd"),
+    ("finite", 45, 387, "8188b939217b3b247c6dc0e81479f8294c710e861d73c17495a5bc61a7eb84b6"),
+    ("capacity-exceeded", None, 1000, None),
+    ("finite", 1, 6, "0a5d5e44406e47a9edfb8c3ad7530dc5e3546611351cd6f7383a12da28ef2bbb"),
+    ("finite", 1, 16, "f1d5d275ef30d7802429c3c556276b3d0e73c73de60ab5478f64db1e94ce35a8"),
+    ("finite", 1, 31, "f1d5d275ef30d7802429c3c556276b3d0e73c73de60ab5478f64db1e94ce35a8"),
+    ("finite", 12, 39, "b3b0e41c26beab5b68b862cfd56430d6bbfae4c6db54449470ac15206f5a9bba"),
+    ("finite", 360, 2871, "49aec2a3701a80c5368b3844540dead9b37c89a9e0ad1d40138c0046f69dd8e4"),
+    ("capacity-exceeded", None, 1000, None),
+    ("finite", 12, 40, "50e8085a414f7d4a77c9727b7df4430478b8f8bce62d658dcbfca4496be0bdb8"),
+    ("finite", 1, 16, "f1d5d275ef30d7802429c3c556276b3d0e73c73de60ab5478f64db1e94ce35a8"),
+    ("finite", 2, 79, "904bd2835b477c04b13cecc5b623b7bdd05378fe9bcd21c34c31f2e9941d7dbe"),
+    ("finite", 1, 4, "0a5d5e44406e47a9edfb8c3ad7530dc5e3546611351cd6f7383a12da28ef2bbb"),
+    ("capacity-exceeded", None, 50, None),
+    ("capacity-exceeded", None, 20000, None),
+    ("finite", 24, 53, "86df0317cabe22d23cf0cde3ddd0299da31b05ee94bf2148409042f475b74a4f"),
+    ("capacity-exceeded", None, 1000, None),
+    ("capacity-exceeded", None, 200, None),
+    ("finite", 6, 14, "221872e099a70c57404e7d26f54df98744a4b890317c25611c1434ae5d8e7699"),
+    ("finite", 1, 38, "f1d5d275ef30d7802429c3c556276b3d0e73c73de60ab5478f64db1e94ce35a8"),
+    ("capacity-exceeded", None, 5000, None),
+]
+
+
+@pytest.mark.parametrize("case,outcome", zip(_pinned_cases(), PINNED_OUTCOMES))
+def test_seeded_enumerations_are_pinned(case, outcome):
+    name, words, capacity = case
+    data = load_json(name)
+    result = enumerate_cosets(data["generators"], data["relators"], words, capacity)
+    assert (result.status, result.index, result.allocated, _digest(result.table)) == outcome
+
+
+def test_table_grows_per_coset_not_to_capacity():
+    data = load_json("s4_remark.json")
+    tracemalloc.start()
+    try:
+        enumerate_cosets(data["generators"], data["relators"], capacity=DEFAULT_CAPACITY)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 ** 6
