@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import cosets, fixtures, presentation, verify
@@ -30,13 +31,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _InputError as exc:
+    except (_InputError, OSError, fixtures.CorruptFixtureError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 
 
 class _InputError(Exception):
-    pass
+    """The user's input is unusable; main reports it and exits 2."""
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -92,22 +93,20 @@ def _write_json(path: str, data: dict) -> None:
         handle.write("\n")
 
 
-def _load_complex(path: str):
-    try:
-        with open(path, encoding="utf-8") as handle:
-            data = json.load(handle)
-        return complex_from_json(data)
-    except FileNotFoundError as exc:
-        raise _InputError(f"cannot read complex file: {exc}") from exc
-    except KeyError as exc:
-        raise _InputError(f"invalid complex file {path}: missing key {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise _InputError(f"invalid complex file {path}: {exc}") from exc
+def _read(path: str, kind: str, parse):
+    """parse(the JSON in path); a file that does not parse is an input error."""
+    with open(path, encoding="utf-8") as handle:
+        try:
+            return parse(json.load(handle))
+        except KeyError as exc:
+            raise _InputError(f"invalid {kind} file {path}: missing key {exc}") from exc
+        except (TypeError, ValueError, RecursionError) as exc:
+            raise _InputError(f"invalid {kind} file {path}: {exc}") from exc
 
 
 def cmd_build(args) -> int:
     if args.paper_fixture:
-        if args.rows or args.cols:
+        if args.rows is not None or args.cols is not None:
             raise _InputError("--paper-fixture excludes --rows/--cols")
         x0 = load_paper_labeling()
     else:
@@ -145,7 +144,7 @@ def cmd_build(args) -> int:
 
 
 def cmd_present(args) -> int:
-    x0 = _load_complex(args.complex_file)
+    x0 = _read(args.complex_file, "complex", complex_from_json)
     graph = dual_graph(x0)
     links = hexagon_links(x0)
     pres = presentation.generate(graph, links, args.variant)
@@ -154,7 +153,10 @@ def cmd_present(args) -> int:
         _write_json(args.out, pres.to_json())
         info["out"] = args.out
     if args.fixtures_out:
-        info["fixtures"] = fixtures.export_all(args.fixtures_out)
+        os.makedirs(args.fixtures_out, exist_ok=True)
+        info["fixtures"] = [os.path.join(args.fixtures_out, name) for name in fixtures.BUNDLED]
+        for name, path in zip(fixtures.BUNDLED, info["fixtures"]):
+            _write_json(path, fixtures.load_json(name))
     counts = pres.counts()
     _emit(info, args.as_json, [
         f"{args.variant} presentation on {pres.generator_count} generators: "
@@ -166,7 +168,7 @@ def cmd_present(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    x0 = _load_complex(args.complex_file)
+    x0 = _read(args.complex_file, "complex", complex_from_json)
     try:
         report = verify.run_suite(x0, args.suite)
     except ValueError as exc:
@@ -190,16 +192,8 @@ def _parse_subgroup(text: str) -> list[tuple[int, ...]]:
 
 
 def cmd_enumerate(args) -> int:
-    try:
-        with open(args.presentation_file, encoding="utf-8") as handle:
-            ngens, relators = presentation.presentation_from_json(json.load(handle))
-    except FileNotFoundError as exc:
-        raise _InputError(f"cannot read presentation file: {exc}") from exc
-    except KeyError as exc:
-        raise _InputError(f"invalid presentation file {args.presentation_file}: "
-                          f"missing key {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise _InputError(f"invalid presentation file {args.presentation_file}: {exc}") from exc
+    ngens, relators = _read(args.presentation_file, "presentation",
+                            presentation.presentation_from_json)
     subgroup = _parse_subgroup(args.subgroup)
     if args.capacity < 1:
         raise _InputError("capacity must be positive")

@@ -24,6 +24,7 @@ from collections import deque
 from dataclasses import dataclass, field, fields
 
 from . import fixtures
+from .fixtures import CorruptFixtureError
 from .perm import Permutation, generates_full_symmetric, identity, transposition
 
 # Endpoints of the line of each kind at cell (r, c), as offsets from (r, c).
@@ -33,10 +34,6 @@ ENDPOINTS = {"h": ((0, 0), (0, 1)), "v": ((0, 0), (1, 0)), "d": ((0, 1), (1, 0))
 # the upper half lies above the cell's diagonal, the lower half below it.
 SIDES = {"upper": {"h": (0, 0), "v": (0, 0), "d": (0, 0)},
          "lower": {"h": (1, 0), "v": (0, 1), "d": (0, 0)}}
-
-
-class CorruptFixtureError(RuntimeError):
-    """A bundled fixture failed its consistency oracle."""
 
 
 @dataclass(frozen=True)

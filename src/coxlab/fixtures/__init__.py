@@ -1,7 +1,9 @@
 """Bundled data fixtures.
 
 The environment variable COXLAB_FIXTURES, when set, points at a directory
-whose files override the bundled ones of the same name.
+whose files override the bundled ones of the same name.  An override that
+cannot be read or parsed raises CorruptFixtureError, as does a fixture that
+fails its consistency oracle.
 """
 
 from __future__ import annotations
@@ -21,13 +23,20 @@ BUNDLED = [
 ]
 
 
+class CorruptFixtureError(RuntimeError):
+    """A fixture file could not be read or failed its consistency oracle."""
+
+
 def load_json(name: str):
     override = os.environ.get("COXLAB_FIXTURES")
     if override:
         path = os.path.join(override, name)
         if os.path.exists(path):
-            with open(path, encoding="utf-8") as handle:
-                return json.load(handle)
+            try:
+                with open(path, encoding="utf-8") as handle:
+                    return json.load(handle)
+            except (OSError, ValueError, RecursionError) as exc:
+                raise CorruptFixtureError(f"cannot read fixture file {path}: {exc}") from exc
     return json.loads(resources.files(__package__).joinpath(name).read_text("utf-8"))
 
 
@@ -42,15 +51,3 @@ def load_nonrel_pairs() -> list[tuple[int, int]]:
     data = load_json("nonrel_pairs.json")
     return [tuple(pair) for pair in data]
 
-
-def export_all(directory: str) -> list[str]:
-    """Write every bundled fixture into a directory; returns the paths."""
-    os.makedirs(directory, exist_ok=True)
-    written = []
-    for name in BUNDLED:
-        path = os.path.join(directory, name)
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(load_json(name), handle, indent=1, sort_keys=True)
-            handle.write("\n")
-        written.append(path)
-    return written

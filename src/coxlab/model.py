@@ -46,7 +46,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .complexes import DualGraph, SpanningData
+from .complexes import CorruptFixtureError, DualGraph, SpanningData
 from .perm import Permutation, transposition
 
 # Central letters, in coordinate order: the four single-chord letters,
@@ -64,10 +64,6 @@ CHORD_SUBSTITUTION = {
 
 # Planes of the published complex: the reduced layer's only size.
 PLANES = 18
-
-
-class FixtureInconsistencyError(RuntimeError):
-    """A computation pinned to the published labeling came out wrong."""
 
 
 # -- the exact layer ---------------------------------------------------------
@@ -367,30 +363,6 @@ def relator_report(relator_words, span: SpanningData, graph: DualGraph,
     return out
 
 
-# -- abelianized invariants ---------------------------------------------------
-
-AB_RANK = 10
-
-# Column of e^t hit by each central letter: y4, y5, y9, y10 go to single
-# columns; the difference letters to a +1/-1 pair.
-_CENTRAL_AB = [
-    ((4, 1),), ((5, 1),), ((9, 1),), ((10, 1),),
-    ((7, 1), (8, -1)), ((6, 1), (8, -1)),
-    ((3, 1), (1, -1)), ((2, 1), (1, -1)),
-]
-
-
-def ab_image(x: ReducedElement) -> tuple[int, ...]:
-    """Exponent sums over e^1 .. e^10; z contributes nothing."""
-    out = [0] * AB_RANK
-    for coeff, hits in zip(x.c, _CENTRAL_AB):
-        for col, sign in hits:
-            out[col - 1] += coeff * sign
-    out[0] += sum(x.a)
-    out[7] += sum(x.b)
-    return tuple(out)
-
-
 # -- structure of the kernel --------------------------------------------------
 
 def kernel_generators() -> list[ReducedElement]:
@@ -414,7 +386,7 @@ def kernel_relation_matrix() -> list[list[int]]:
         for j in range(i + 1, ngens):
             comm = gens[i].commutator(gens[j])
             if not comm.is_central_power():
-                raise FixtureInconsistencyError("kernel generators have a non-central commutator")
+                raise CorruptFixtureError("kernel generators have a non-central commutator")
             row = [0] * ngens
             row[-1] = comm.zeta
             rows.append(row)
@@ -501,10 +473,10 @@ def center_witness(span: SpanningData, graph: DualGraph) -> CenterWitness:
         image = evaluate_word_semidirect(word, span, graph)
         pair = image.sigma.as_transposition()
         if pair is None or not image.part.is_identity():
-            raise FixtureInconsistencyError(f"witness conjugator {name} is not a plain transposition")
+            raise CorruptFixtureError(f"witness conjugator {name} is not a plain transposition")
         tau_images[name] = pair
     value = rho_hat(evaluate_word_semidirect(center_witness_word(), span, graph), span)
     if not value.sigma.is_identity() or not value.part.is_central_power() \
             or value.part.zeta not in (1, -1):
-        raise FixtureInconsistencyError(f"centre witness is not z^(+-1): {value}")
+        raise CorruptFixtureError(f"centre witness is not z^(+-1): {value}")
     return CenterWitness(value=value, zeta=value.part.zeta, tau_images=tau_images)

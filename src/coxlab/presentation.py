@@ -156,7 +156,7 @@ def ax_fixture() -> dict[str, Word]:
     relations = fixtures.load_ax_relations()
     expected = [f"AX{k}" for k in range(1, 27) if k != 9]
     if sorted(relations) != sorted(expected):
-        raise ValueError("miscellaneous relator fixture has unexpected labels")
+        raise fixtures.CorruptFixtureError("miscellaneous relator fixture has unexpected labels")
     return relations
 
 
@@ -164,7 +164,7 @@ def nonrel_fixture() -> list[tuple[int, int]]:
     """The 43 pairs with no order relation given up front."""
     pairs = fixtures.load_nonrel_pairs()
     if len(pairs) != 43 or len(set(map(tuple, pairs))) != 43:
-        raise ValueError("pair fixture must hold 43 distinct pairs")
+        raise fixtures.CorruptFixtureError("pair fixture must hold 43 distinct pairs")
     return [tuple(sorted(p)) for p in pairs]
 
 

@@ -9,6 +9,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from coxlab import model
 from coxlab.complexes import (DualGraph, HexagonLink, dual_graph, hexagon_links,
                               load_paper_labeling, spanning_data)
+from coxlab.fixtures import load_json
 
 
 @pytest.fixture(scope="session")
@@ -22,6 +23,27 @@ def paper():
         links=hexagon_links(x0),
         span=spanning_data(graph, "paper-fixture"),
     )
+
+
+@pytest.fixture(scope="session")
+def spanning_with_cycle(paper):
+    """t0_spanning.json with one tree line traded for a chord so that the
+    tree closes a cycle; edge partition and tree size still hold."""
+    data = load_json("t0_spanning.json")
+    chord = data["chords"][0]
+    edges = paper.graph.edges
+
+    def breaks_tree(t):
+        # Trading tree line t for the chord leaves n - 1 edges that no longer
+        # connect the planes, so they close a cycle.
+        kept = {e: edges[e] for e in data["tree"] if e != t} | {chord["line"]: edges[chord["line"]]}
+        adjacency = {v: [e for e, pair in kept.items() if v in pair] for v in paper.graph.vertices}
+        return not DualGraph(paper.graph.vertices, kept, adjacency).is_connected()
+
+    t = next(t for t in data["tree"] if breaks_tree(t))
+    data["tree"] = sorted(set(data["tree"]) - {t} | {chord["line"]})
+    chord["line"], (chord["tail"], chord["head"]) = t, edges[t]
+    return data
 
 
 @pytest.fixture(scope="session")

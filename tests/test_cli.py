@@ -1,19 +1,36 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 from coxlab.cli import main
-from coxlab.fixtures import load_json
+from coxlab.fixtures import BUNDLED, load_json
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@pytest.fixture(scope="module")
+def paper_files(tmp_path_factory, spanning_with_cycle):
+    """The published complex as `build` writes it, the bundled fixtures as
+    `present --fixtures-out` exports them, and a corrupt spanning fixture."""
+    root = tmp_path_factory.mktemp("paper")
+    files = SimpleNamespace(complex=root / "tt.json", fixtures=root / "fx",
+                            spanning_with_cycle=spanning_with_cycle)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["build", "--paper-fixture", "--out", str(files.complex)]) == 0
+        assert main(["present", "--complex", str(files.complex),
+                     "--fixtures-out", str(files.fixtures)]) == 0
+    return files
 
 
 def test_build_paper_fixture(capsys, tmp_path):
@@ -40,15 +57,15 @@ def test_build_rejects_small_grid(capsys):
 
 
 def test_build_flag_conflict(capsys):
-    code, _, err = run(capsys, "build", "--paper-fixture", "--rows", "3", "--cols", "3")
-    assert code == 2
+    for grid in (["--rows", "3", "--cols", "3"], ["--rows", "0"], ["--cols", "0"]):
+        code, out, err = run(capsys, "build", "--paper-fixture", *grid)
+        assert code == 2 and out == ""
+        assert "--paper-fixture excludes --rows/--cols" in err
 
 
-def test_present_counts(capsys, tmp_path):
-    complex_file = tmp_path / "tt.json"
-    run(capsys, "build", "--paper-fixture", "--out", str(complex_file))
+def test_present_counts(capsys, tmp_path, paper_files):
     pres_file = tmp_path / "pres.json"
-    code, out, _ = run(capsys, "present", "--complex", str(complex_file),
+    code, out, _ = run(capsys, "present", "--complex", str(paper_files.complex),
                        "--variant", "quotient", "--out", str(pres_file))
     assert code == 0
     assert "27 squares, 297 commutations, 54 braids, 54 forks, 9 cycles" in out
@@ -56,21 +73,17 @@ def test_present_counts(capsys, tmp_path):
     assert data["generators"] == 27 and len(data["relators"]) == 441
 
 
-def test_present_plain_has_no_forks_or_cycles(capsys, tmp_path):
-    complex_file = tmp_path / "tt.json"
-    run(capsys, "build", "--paper-fixture", "--out", str(complex_file))
-    code, out, _ = run(capsys, "present", "--complex", str(complex_file),
+def test_present_plain_has_no_forks_or_cycles(capsys, paper_files):
+    code, out, _ = run(capsys, "present", "--complex", str(paper_files.complex),
                        "--variant", "plain", "--json")
     info = json.loads(out)
     assert info["forks"] == 0 and info["cycles"] == 0
 
 
-def test_present_fork_minus_plain_is_54(capsys, tmp_path):
-    complex_file = tmp_path / "tt.json"
-    run(capsys, "build", "--paper-fixture", "--out", str(complex_file))
-    _, out_fork, _ = run(capsys, "present", "--complex", str(complex_file),
+def test_present_fork_minus_plain_is_54(capsys, paper_files):
+    _, out_fork, _ = run(capsys, "present", "--complex", str(paper_files.complex),
                          "--variant", "fork", "--json")
-    _, out_plain, _ = run(capsys, "present", "--complex", str(complex_file),
+    _, out_plain, _ = run(capsys, "present", "--complex", str(paper_files.complex),
                           "--variant", "plain", "--json")
     assert json.loads(out_fork)["total"] - json.loads(out_plain)["total"] == 54
 
@@ -80,30 +93,21 @@ def test_present_unreadable_file(capsys, tmp_path):
     assert code == 2
 
 
-def test_present_exports_fixtures(capsys, tmp_path):
-    complex_file = tmp_path / "tt.json"
-    run(capsys, "build", "--paper-fixture", "--out", str(complex_file))
-    fx = tmp_path / "fx"
-    code, _, _ = run(capsys, "present", "--complex", str(complex_file),
-                     "--fixtures-out", str(fx))
-    assert code == 0
-    assert json.loads((fx / "ax_relations.json").read_text()) == {
-        k: list(v) for k, v in load_json("ax_relations.json").items()}
-    assert (fx / "nonrel_pairs.json").exists()
+def test_present_exports_fixtures(paper_files):
+    assert sorted(os.listdir(paper_files.fixtures)) == sorted(BUNDLED)
+    for name in BUNDLED:
+        assert (paper_files.fixtures / name).read_text(encoding="utf-8") \
+            == json.dumps(load_json(name), indent=1, sort_keys=True) + "\n"
 
 
-def test_verify_all_passes_on_fixture(capsys, tmp_path):
-    complex_file = tmp_path / "tt.json"
-    run(capsys, "build", "--paper-fixture", "--out", str(complex_file))
-    code, out, _ = run(capsys, "verify", "--complex", str(complex_file), "--suite", "all")
+def test_verify_all_passes_on_fixture(capsys, paper_files):
+    code, out, _ = run(capsys, "verify", "--complex", str(paper_files.complex), "--suite", "all")
     assert code == 0
     assert "0 fail" in out and "FAIL" not in out
 
 
-def test_verify_ax_suite_has_25_entries(capsys, tmp_path):
-    complex_file = tmp_path / "tt.json"
-    run(capsys, "build", "--paper-fixture", "--out", str(complex_file))
-    code, out, _ = run(capsys, "verify", "--complex", str(complex_file),
+def test_verify_ax_suite_has_25_entries(capsys, paper_files):
+    code, out, _ = run(capsys, "verify", "--complex", str(paper_files.complex),
                        "--suite", "ax", "--json")
     report = json.loads(out)
     assert code == 0
@@ -111,10 +115,8 @@ def test_verify_ax_suite_has_25_entries(capsys, tmp_path):
     assert all(e["status"] == "pass" for e in report["entries"])
 
 
-def test_verify_center_suite(capsys, tmp_path):
-    complex_file = tmp_path / "tt.json"
-    run(capsys, "build", "--paper-fixture", "--out", str(complex_file))
-    code, out, _ = run(capsys, "verify", "--complex", str(complex_file),
+def test_verify_center_suite(capsys, paper_files):
+    code, out, _ = run(capsys, "verify", "--complex", str(paper_files.complex),
                        "--suite", "center", "--json")
     report = json.loads(out)
     assert code == 0
@@ -123,10 +125,8 @@ def test_verify_center_suite(capsys, tmp_path):
         "tau1": [2, 7], "tau2": [7, 10], "tau3": [1, 7], "tau4": [1, 3]}
 
 
-def test_verify_structure_suite(capsys, tmp_path):
-    complex_file = tmp_path / "tt.json"
-    run(capsys, "build", "--paper-fixture", "--out", str(complex_file))
-    code, out, _ = run(capsys, "verify", "--complex", str(complex_file),
+def test_verify_structure_suite(capsys, paper_files):
+    code, out, _ = run(capsys, "verify", "--complex", str(paper_files.complex),
                        "--suite", "structure", "--json")
     report = json.loads(out)
     assert code == 0
@@ -135,12 +135,10 @@ def test_verify_structure_suite(capsys, tmp_path):
     assert by_name["structure.abelianization_torsion"]["value"] == []
 
 
-def test_verify_reports_are_byte_stable(capsys, tmp_path):
-    complex_file = tmp_path / "tt.json"
-    run(capsys, "build", "--paper-fixture", "--out", str(complex_file))
-    _, first, _ = run(capsys, "verify", "--complex", str(complex_file),
+def test_verify_reports_are_byte_stable(capsys, paper_files):
+    _, first, _ = run(capsys, "verify", "--complex", str(paper_files.complex),
                       "--suite", "tables", "--json")
-    _, second, _ = run(capsys, "verify", "--complex", str(complex_file),
+    _, second, _ = run(capsys, "verify", "--complex", str(paper_files.complex),
                        "--suite", "tables", "--json")
     assert first == second
 
@@ -318,21 +316,15 @@ def test_verify_grid_with_traded_planes_exits_2(capsys, tmp_path):
                               "but its half and cell give [1, 17, 33]")
 
 
-def test_enumerate_bundled_small_group(capsys, tmp_path):
-    fx = tmp_path / "fx"
-    complex_file = tmp_path / "tt.json"
-    run(capsys, "build", "--paper-fixture", "--out", str(complex_file))
-    run(capsys, "present", "--complex", str(complex_file), "--fixtures-out", str(fx))
+def test_enumerate_bundled_small_group(capsys, paper_files):
+    fx = paper_files.fixtures
     code, out, _ = run(capsys, "enumerate", "--presentation", str(fx / "s4_remark.json"), "--json")
     info = json.loads(out)
     assert code == 0 and info["status"] == "finite" and info["index"] == 24
 
 
-def test_enumerate_hexagons(capsys, tmp_path):
-    fx = tmp_path / "fx"
-    complex_file = tmp_path / "tt.json"
-    run(capsys, "build", "--paper-fixture", "--out", str(complex_file))
-    run(capsys, "present", "--complex", str(complex_file), "--fixtures-out", str(fx))
+def test_enumerate_hexagons(capsys, paper_files):
+    fx = paper_files.fixtures
     code, out, _ = run(capsys, "enumerate",
                        "--presentation", str(fx / "hexagon_quotient.json"), "--json")
     assert json.loads(out)["index"] == 720
@@ -344,32 +336,23 @@ def test_enumerate_hexagons(capsys, tmp_path):
     assert info["status"] == "inconclusive" and info["index"] is None
 
 
-def test_enumerate_with_subgroup(capsys, tmp_path):
-    fx = tmp_path / "fx"
-    complex_file = tmp_path / "tt.json"
-    run(capsys, "build", "--paper-fixture", "--out", str(complex_file))
-    run(capsys, "present", "--complex", str(complex_file), "--fixtures-out", str(fx))
+def test_enumerate_with_subgroup(capsys, paper_files):
+    fx = paper_files.fixtures
     code, out, _ = run(capsys, "enumerate", "--presentation", str(fx / "s4_remark.json"),
                        "--subgroup", "1 2", "--json")
     assert json.loads(out)["index"] == 4
 
 
-def test_enumerate_subgroup_letter_out_of_range(capsys, tmp_path):
-    fx = tmp_path / "fx"
-    complex_file = tmp_path / "tt.json"
-    run(capsys, "build", "--paper-fixture", "--out", str(complex_file))
-    run(capsys, "present", "--complex", str(complex_file), "--fixtures-out", str(fx))
+def test_enumerate_subgroup_letter_out_of_range(capsys, paper_files):
+    fx = paper_files.fixtures
     code, out, err = run(capsys, "enumerate", "--presentation", str(fx / "s4_remark.json"),
                          "--subgroup", "9")
     assert code == 2 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1
 
 
-def test_enumerate_table_out(capsys, tmp_path):
-    fx = tmp_path / "fx"
-    complex_file = tmp_path / "tt.json"
-    run(capsys, "build", "--paper-fixture", "--out", str(complex_file))
-    run(capsys, "present", "--complex", str(complex_file), "--fixtures-out", str(fx))
+def test_enumerate_table_out(capsys, tmp_path, paper_files):
+    fx = paper_files.fixtures
     table_file = tmp_path / "table.json"
     run(capsys, "enumerate", "--presentation", str(fx / "s4_remark.json"),
         "--table-out", str(table_file))
@@ -377,11 +360,8 @@ def test_enumerate_table_out(capsys, tmp_path):
     assert table["index"] == 24 and len(table["table"]) == 24
 
 
-def test_enumerate_bad_word(capsys, tmp_path):
-    fx = tmp_path / "fx"
-    complex_file = tmp_path / "tt.json"
-    run(capsys, "build", "--paper-fixture", "--out", str(complex_file))
-    run(capsys, "present", "--complex", str(complex_file), "--fixtures-out", str(fx))
+def test_enumerate_bad_word(capsys, paper_files):
+    fx = paper_files.fixtures
     code, _, err = run(capsys, "enumerate", "--presentation", str(fx / "s4_remark.json"),
                        "--subgroup", "1,x")
     assert code == 2
@@ -431,3 +411,82 @@ def test_python_dash_m_cli_module_runs_the_command_line(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["out"] == str(out)
     assert len(json.loads(out.read_text())["lines"]) == 27
+
+
+# Inputs that exit 2 through cli.main's one error boundary.  Each case takes
+# a scratch directory and the paper files and returns the argv to run;
+# COXLAB_FIXTURES points at the scratch directory's empty `override`
+# subdirectory, which a case may fill.
+
+def _unparsable_tt33(tmp, files):
+    (tmp / "override" / "tt33.json").write_text('{"rows": 3,')
+    return ["build", "--paper-fixture"]
+
+
+def _spanning_with_a_cycle(tmp, files):
+    (tmp / "override" / "t0_spanning.json").write_text(json.dumps(files.spanning_with_cycle))
+    return ["verify", "--complex", str(files.complex), "--suite", "relators"]
+
+
+def _nested_presentation(tmp, files):
+    path = tmp / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    return ["enumerate", "--presentation", str(path)]
+
+
+def _a_file(tmp):
+    path = tmp / "file"
+    path.write_text("")
+    return str(path)
+
+
+BAD_INPUTS = [
+    pytest.param(lambda tmp, files: ["verify", "--complex", str(tmp)], id="verify_complex_is_a_directory"),
+    pytest.param(lambda tmp, files: ["present", "--complex", str(tmp)], id="present_complex_is_a_directory"),
+    pytest.param(lambda tmp, files: ["enumerate", "--presentation", str(tmp)],
+                 id="presentation_is_a_directory"),
+    pytest.param(lambda tmp, files: ["build", "--paper-fixture", "--out", str(tmp / "no" / "tt.json")],
+                 id="build_out_in_missing_directory"),
+    pytest.param(lambda tmp, files: ["build", "--paper-fixture", "--out", _a_file(tmp) + "/tt.json"],
+                 id="build_out_below_a_file"),
+    pytest.param(lambda tmp, files: ["present", "--complex", str(files.complex),
+                                     "--out", str(tmp / "no" / "pres.json")],
+                 id="present_out_in_missing_directory"),
+    pytest.param(lambda tmp, files: ["present", "--complex", str(files.complex),
+                                     "--fixtures-out", _a_file(tmp)],
+                 id="fixtures_out_is_a_file"),
+    pytest.param(lambda tmp, files: ["enumerate", "--presentation", str(files.fixtures / "s4_remark.json"),
+                                     "--table-out", str(tmp / "no" / "table.json")],
+                 id="table_out_in_missing_directory"),
+    pytest.param(lambda tmp, files: ["enumerate", "--presentation", str(files.fixtures / "s4_remark.json"),
+                                     "--table-out", _a_file(tmp) + "/table.json"],
+                 id="table_out_below_a_file"),
+    pytest.param(_nested_presentation, id="presentation_nested_100k_deep"),
+    pytest.param(_unparsable_tt33, id="override_tt33_unparsable"),
+    pytest.param(_spanning_with_a_cycle, id="override_spanning_tree_with_a_cycle"),
+]
+
+
+@pytest.fixture
+def bad_input_env(tmp_path, monkeypatch, paper_files):
+    (tmp_path / "override").mkdir()
+    monkeypatch.setenv("COXLAB_FIXTURES", str(tmp_path / "override"))
+    return tmp_path, paper_files
+
+
+@pytest.mark.parametrize("case", BAD_INPUTS)
+def test_bad_input_exits_2_with_one_error_line(capsys, bad_input_env, case):
+    code, out, err = run(capsys, *case(*bad_input_env))
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+def test_bad_input_exits_2_through_python_dash_m(bad_input_env):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-m", "coxlab", *_spanning_with_a_cycle(*bad_input_env)],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == "error: spanning fixture tree has a cycle\n"

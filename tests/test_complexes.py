@@ -176,23 +176,15 @@ def test_fixture_override_with_identical_copy(tmp_path, monkeypatch):
     assert is_paper_labeling(load_paper_labeling())
 
 
-def test_corrupt_spanning_fixture_with_a_cycle(paper, tmp_path, monkeypatch):
-    from coxlab.complexes import DualGraph
-    data = load_json("t0_spanning.json")
-    chord = data["chords"][0]
-    edges = paper.graph.edges
-
-    def breaks_tree(t):
-        # Trading tree line t for the chord leaves n - 1 edges that no longer
-        # connect the planes, so they close a cycle.
-        kept = {e: edges[e] for e in data["tree"] if e != t} | {chord["line"]: edges[chord["line"]]}
-        adjacency = {v: [e for e, pair in kept.items() if v in pair] for v in paper.graph.vertices}
-        return not DualGraph(paper.graph.vertices, kept, adjacency).is_connected()
-
-    t = next(t for t in data["tree"] if breaks_tree(t))
-    data["tree"] = sorted(set(data["tree"]) - {t} | {chord["line"]})
-    chord["line"], (chord["tail"], chord["head"]) = t, edges[t]
-    (tmp_path / "t0_spanning.json").write_text(json.dumps(data))
+def test_corrupt_spanning_fixture_with_a_cycle(paper, spanning_with_cycle, tmp_path, monkeypatch):
+    (tmp_path / "t0_spanning.json").write_text(json.dumps(spanning_with_cycle))
     monkeypatch.setenv("COXLAB_FIXTURES", str(tmp_path))
     with pytest.raises(CorruptFixtureError, match="cycle"):
         spanning_data(paper.graph, "paper-fixture")
+
+
+def test_unparsable_fixture_override_is_corrupt(tmp_path, monkeypatch):
+    (tmp_path / "tt33.json").write_text('{"rows": 3,')
+    monkeypatch.setenv("COXLAB_FIXTURES", str(tmp_path))
+    with pytest.raises(CorruptFixtureError, match="cannot read fixture file .*tt33.json"):
+        load_json("tt33.json")

@@ -1,10 +1,11 @@
+import json
 from itertools import combinations
 
 import pytest
 
 from coxlab import model
 from coxlab.complexes import build_torus_triangulation, dual_graph, hexagon_links, psi_image
-from coxlab.fixtures import load_json
+from coxlab.fixtures import CorruptFixtureError, load_json
 from coxlab.presentation import (EXPECTED_MISSING_ROLES, ax_fixture,
                                  classify_missing, coverage_counts,
                                  cycle_relator, generate,
@@ -180,3 +181,15 @@ def test_presentation_json_round_trip(paper):
 def test_presentation_json_validates_letters():
     with pytest.raises(ValueError):
         presentation_from_json({"generators": 2, "relators": [[1, 3]]})
+
+
+@pytest.mark.parametrize("name,drop,read,needle", [
+    ("ax_relations.json", lambda data: data.pop("AX1"), ax_fixture, "unexpected labels"),
+    ("nonrel_pairs.json", lambda data: data.pop(), nonrel_fixture, "43 distinct pairs")])
+def test_fixture_table_override_is_checked(tmp_path, monkeypatch, name, drop, read, needle):
+    data = load_json(name)
+    drop(data)
+    (tmp_path / name).write_text(json.dumps(data))
+    monkeypatch.setenv("COXLAB_FIXTURES", str(tmp_path))
+    with pytest.raises(CorruptFixtureError, match=needle):
+        read()
