@@ -95,13 +95,9 @@ def _write_json(path: str, data: dict) -> None:
 
 def _read(path: str, kind: str, parse):
     """parse(the JSON in path); a file that does not parse is an input error."""
-    with open(path, encoding="utf-8") as handle:
-        try:
-            return parse(json.load(handle))
-        except KeyError as exc:
-            raise _InputError(f"invalid {kind} file {path}: missing key {exc}") from exc
-        except (TypeError, ValueError, RecursionError) as exc:
-            raise _InputError(f"invalid {kind} file {path}: {exc}") from exc
+    with open(path, encoding="utf-8") as handle, \
+            fixtures.reported_as(_InputError, f"invalid {kind} file {path}"):
+        return parse(json.load(handle))
 
 
 def cmd_build(args) -> int:

@@ -21,7 +21,7 @@ anchors on every load.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field, fields
+from dataclasses import astuple, dataclass, field, fields
 
 from . import fixtures
 from .fixtures import CorruptFixtureError
@@ -381,17 +381,20 @@ def spanning_data(graph: DualGraph, mode: str = "canonical") -> SpanningData:
             chords.append(Chord(index=len(chords) + 1, line=e, tail=f, head=g))
         return SpanningData(tree_edges=sorted(tree), chords=chords)
     if mode == "paper-fixture":
-        data = fixtures.load_json("t0_spanning.json")
-        tree = list(data["tree"])
-        chords = [Chord(ch["index"], ch["line"], ch["tail"], ch["head"]) for ch in data["chords"]]
-        _check_spanning_fixture(graph, tree, chords)
-        span = SpanningData(tree_edges=tree, chords=chords)
-        span.published = True
-        return span
+        return fixtures.load("t0_spanning.json", lambda data: _published_span(graph, data))
     raise ValueError(f"unknown spanning mode: {mode}")
 
 
-def _check_spanning_fixture(graph, tree, chords):
+def _published_span(graph: DualGraph, data) -> SpanningData:
+    """The tree and chords of a t0_spanning.json document, checked against graph."""
+    if type(data) is not dict:
+        raise ValueError(f"a spanning fixture holds one object, got {type(data).__name__}")
+    tree, items = data["tree"], data["chords"]
+    if type(tree) is not list or type(items) is not list or any(type(ch) is not dict for ch in items):
+        raise ValueError("tree must be a list and chords a list of objects")
+    chords = [Chord(**ch) for ch in items]
+    if any(type(x) is not int for x in tree + [v for ch in chords for v in astuple(ch)]):
+        raise ValueError("tree lines and chord index, line, tail and head must be integers")
     if set(tree) | {c.line for c in chords} != set(graph.edges) or set(tree) & {c.line for c in chords}:
         raise CorruptFixtureError("spanning fixture does not partition the edge set")
     if len(tree) != len(graph.vertices) - 1:
@@ -405,6 +408,9 @@ def _check_spanning_fixture(graph, tree, chords):
             raise CorruptFixtureError(f"chord {ch.line} endpoints disagree with the graph")
     if [ch.index for ch in chords] != list(range(1, len(chords) + 1)):
         raise CorruptFixtureError("chord indices are not 1..t")
+    span = SpanningData(tree_edges=tree, chords=chords)
+    span.published = True
+    return span
 
 
 # -- the published 3 x 3 labeling ------------------------------------------
@@ -412,17 +418,16 @@ def _check_spanning_fixture(graph, tree, chords):
 def load_paper_labeling() -> DegenerationComplex:
     """The 3 x 3 complex with the published line and point numbering.
 
-    Loaded from the fixture and passed through the consistency oracle,
-    which cross-checks every recorded anchor simultaneously; a fixture
-    that fails any anchor raises CorruptFixtureError rather than being
-    silently patched.
+    Loaded from the fixture, checked as a complex file and passed through
+    the consistency oracle, which cross-checks every recorded anchor
+    simultaneously; a fixture of the wrong shape or one that fails any
+    anchor raises CorruptFixtureError rather than being silently patched.
     """
-    x0 = complex_from_json(fixtures.load_json("tt33.json"))
-    check_paper_fixture(x0)
-    return x0
+    return fixtures.load("tt33.json", lambda data: check_paper_fixture(complex_from_json(data)))
 
 
 def is_paper_labeling(x0: DegenerationComplex) -> bool:
+    """Whether x0 passes check_paper_fixture; reads no fixture file."""
     try:
         check_paper_fixture(x0)
     except (CorruptFixtureError, ValueError, KeyError):
@@ -442,8 +447,9 @@ ROLE_ANCHORS = [(6, "a", 12), (6, "b", 25), (5, "d", 12)]
 WITNESS_TRANSPOSITIONS = {"tau1": (2, 7), "tau2": (7, 10), "tau3": (1, 7), "tau4": (1, 3)}
 
 
-def check_paper_fixture(x0: DegenerationComplex):
-    """Every textual anchor of the published labeling, checked at once."""
+def check_paper_fixture(x0: DegenerationComplex) -> DegenerationComplex:
+    """Every textual anchor of the published labeling, checked at once; returns
+    x0.  Reads no fixture: the 43-pair table is checked by its own loader."""
     if (x0.rows, x0.cols) != (3, 3):
         raise CorruptFixtureError("published labeling is a 3 x 3 complex")
     links = {link.point: link for link in hexagon_links(x0)}
@@ -456,20 +462,11 @@ def check_paper_fixture(x0: DegenerationComplex):
             raise CorruptFixtureError(
                 f"role {role} at point {point} is line {links[point].roles[role]}, expected {line}")
 
-    pairs = fixtures.load_nonrel_pairs()
-    for i, j in pairs:
-        shared = set(x0.line_by_id[i].points) & set(x0.line_by_id[j].points)
-        if len(shared) != 1:
-            raise CorruptFixtureError(f"pair ({i}, {j}) does not share exactly one point")
-        link = links[next(iter(shared))]
-        for lid in (i, j):
-            if link.role_of(lid) in ("c", "f"):
-                raise CorruptFixtureError(f"pair ({i}, {j}) involves a diagonal at point {link.point}")
-
     for name, expected in WITNESS_TRANSPOSITIONS.items():
         got = psi_image(x0, witness_words()[name]).as_transposition()
         if got is None or set(got) != set(expected):
             raise CorruptFixtureError(f"witness image {name} is {got}, expected {expected}")
+    return x0
 
 
 def psi_image(x0: DegenerationComplex, word) -> Permutation:

@@ -33,6 +33,13 @@ def as_word(letters) -> Word:
     return tuple(w)
 
 
+def word_from_json(letters, ngens: int, what: str) -> Word:
+    """A JSON list of letters in 1..ngens as a word; ValueError naming `what` if not."""
+    if type(letters) is not list or any(type(x) is not int or not 1 <= x <= ngens for x in letters):
+        raise ValueError(f"{what} {letters!r} must be a list of integer letters in 1..{ngens}")
+    return tuple(letters)
+
+
 def free_reduce_involutive(word) -> Word:
     """Delete subwords u.u until none remain (u^2 = 1 for every u)."""
     stack: list[int] = []

@@ -434,6 +434,32 @@ def _nested_presentation(tmp, files):
     return ["enumerate", "--presentation", str(path)]
 
 
+def _override(name, edit, *argv):
+    """A case that writes the bundled fixture `name`, changed by edit, as an
+    override and runs argv, where {complex} is the published complex file."""
+    def case(tmp, files):
+        (tmp / "override" / name).write_text(json.dumps(edit(load_json(name))))
+        return [arg.format(complex=files.complex) for arg in argv]
+    case.fixture = name
+    return case
+
+
+def _set(value, *path):
+    """An edit that sets the entry at path to value; with no path, the whole document."""
+    def edit(data):
+        if not path:
+            return value
+        parent = data
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        return data
+    return edit
+
+
+VERIFY_PAPER = ("verify", "--complex", "{complex}", "--suite")
+
+
 def _a_file(tmp):
     path = tmp / "file"
     path.write_text("")
@@ -464,6 +490,24 @@ BAD_INPUTS = [
     pytest.param(_nested_presentation, id="presentation_nested_100k_deep"),
     pytest.param(_unparsable_tt33, id="override_tt33_unparsable"),
     pytest.param(_spanning_with_a_cycle, id="override_spanning_tree_with_a_cycle"),
+    # Fixtures that parse but have the wrong shape are named, not tracebacks.
+    pytest.param(_override("ax_relations.json", _set([1, 2]), *VERIFY_PAPER, "ax"),
+                 id="override_ax_relations_a_list"),
+    pytest.param(_override("ax_relations.json", _set({"AX1": 5}), *VERIFY_PAPER, "ax"),
+                 id="override_ax_relations_int_word"),
+    pytest.param(_override("ax_relations.json", _set("a", "AX1", 0), *VERIFY_PAPER, "ax"),
+                 id="override_ax_relations_string_letter"),
+    pytest.param(_override("ax_relations.json", _set(99, "AX1", 0), *VERIFY_PAPER, "ax"),
+                 id="override_ax_relations_letter_99"),
+    pytest.param(_override("t0_spanning.json", _set({"chords": []}), *VERIFY_PAPER, "relators"),
+                 id="override_spanning_without_tree"),
+    pytest.param(_override("t0_spanning.json", _set({"tree": [1], "chords": 5}), *VERIFY_PAPER,
+                           "relators"),
+                 id="override_spanning_chords_int"),
+    pytest.param(_override("tt33.json", _set({"rows": 3}), "build", "--paper-fixture"),
+                 id="override_tt33_without_cols"),
+    pytest.param(_override("nonrel_pairs.json", _set([1, 99], 0), *VERIFY_PAPER, "tables"),
+                 id="override_nonrel_pairs_letter_99"),
 ]
 
 
@@ -480,6 +524,8 @@ def test_bad_input_exits_2_with_one_error_line(capsys, bad_input_env, case):
     assert code == 2 and out == ""
     assert err.count("\n") == 1 and err.startswith("error: ")
     assert "Traceback" not in err
+    if hasattr(case, "fixture"):
+        assert f"invalid fixture file {bad_input_env[0] / 'override' / case.fixture}: " in err
 
 
 def test_bad_input_exits_2_through_python_dash_m(bad_input_env):

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from coxlab import fixtures
 from coxlab.complexes import (CorruptFixtureError, build_torus_triangulation,
                               complex_from_json, dual_graph, hexagon_links,
                               is_paper_labeling, load_paper_labeling,
@@ -157,6 +158,17 @@ def test_planes_doubling_the_upper_halves_rejected():
 def test_canonical_33_is_not_the_paper_labeling():
     assert not is_paper_labeling(build_torus_triangulation(3, 3))
     assert is_paper_labeling(load_paper_labeling())
+
+
+def test_is_paper_labeling_loads_no_fixture(paper, tmp_path, monkeypatch):
+    calls = []
+    load = fixtures.load_json
+    monkeypatch.setattr(fixtures, "load_json", lambda name: calls.append(name) or load(name))
+    # A fresh override directory, so a fixture cache keyed on it would miss.
+    monkeypatch.setenv("COXLAB_FIXTURES", str(tmp_path))
+    assert is_paper_labeling(paper.x0)
+    assert not is_paper_labeling(build_torus_triangulation(3, 3))
+    assert calls == []
 
 
 def test_corrupt_fixture_fails_loudly(tmp_path, monkeypatch):

@@ -4,10 +4,16 @@ Each example deletes one key or list entry of a valid complex or
 presentation file, or replaces one value with an int, a string, None or
 a list, and runs the command line on the result in-process.  Exit 2
 must come with empty stdout and exactly one `error:` line on stderr.
+
+The four published fixtures are mutated the same way and placed under
+COXLAB_FIXTURES.  There exit 1 is allowed too, but only when the report
+on stdout names a failed entry: a mutated table may be well formed and
+wrong.
 """
 
 import io
 import json
+import re
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -93,3 +99,59 @@ def test_mutated_grid_complex_exits_0_or_2(tmp_dir, mutation):
 @given(mutation=_mutations(HEXAGON))
 def test_mutated_presentation_exits_0_or_2(tmp_dir, mutation):
     _run_on(tmp_dir, HEXAGON, mutation, ENUMERATE)
+
+
+def _run_with_fixture(tmp_dir, name, mutation, argv):
+    """argv with COXLAB_FIXTURES holding the bundled fixture `name` under mutation."""
+    override = tmp_dir / name.removesuffix(".json")
+    override.mkdir(exist_ok=True)
+    (override / name).write_text(json.dumps(_mutated(FIXTURES[name], *mutation)))
+    out, err = io.StringIO(), io.StringIO()
+    with pytest.MonkeyPatch.context() as patch, redirect_stdout(out), redirect_stderr(err):
+        patch.setenv("COXLAB_FIXTURES", str(override))
+        code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2) and "Traceback" not in err
+    if code == 1:
+        assert re.search(r"^summary: \d+ pass, [1-9]\d* fail", out, re.M)
+    if code == 2:
+        assert out == "" and err.count("\n") == 1 and err.startswith("error: ")
+
+
+@pytest.fixture(scope="module")
+def paper_complex(tmp_dir):
+    path = tmp_dir / "tt.json"
+    with redirect_stdout(io.StringIO()):
+        assert main(["build", "--paper-fixture", "--out", str(path)]) == 0
+    return str(path)
+
+
+FIXTURES = {name: load_json(name) for name in
+            ("tt33.json", "t0_spanning.json", "ax_relations.json", "nonrel_pairs.json")}
+
+
+@FUZZ
+@given(mutation=_mutations(FIXTURES["tt33.json"]))
+def test_mutated_tt33_fixture_under_build(tmp_dir, mutation):
+    _run_with_fixture(tmp_dir, "tt33.json", mutation, ["build", "--paper-fixture"])
+
+
+@FUZZ
+@given(mutation=_mutations(FIXTURES["t0_spanning.json"]))
+def test_mutated_spanning_fixture_under_relators(tmp_dir, paper_complex, mutation):
+    _run_with_fixture(tmp_dir, "t0_spanning.json", mutation,
+                      ["verify", "--complex", paper_complex, "--suite", "relators"])
+
+
+@FUZZ
+@given(mutation=_mutations(FIXTURES["ax_relations.json"]))
+def test_mutated_ax_fixture_under_ax(tmp_dir, paper_complex, mutation):
+    _run_with_fixture(tmp_dir, "ax_relations.json", mutation,
+                      ["verify", "--complex", paper_complex, "--suite", "ax"])
+
+
+@FUZZ
+@given(mutation=_mutations(FIXTURES["nonrel_pairs.json"]))
+def test_mutated_pair_fixture_under_tables(tmp_dir, paper_complex, mutation):
+    _run_with_fixture(tmp_dir, "nonrel_pairs.json", mutation,
+                      ["verify", "--complex", paper_complex, "--suite", "tables"])

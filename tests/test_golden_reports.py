@@ -14,6 +14,7 @@ import json
 import pytest
 
 from coxlab.cli import main
+from coxlab.fixtures import load_json
 from coxlab.words import clean
 
 PAPER_DIGESTS = {
@@ -22,6 +23,7 @@ PAPER_DIGESTS = {
     "tables": "b19066655a0030eba83bdfd9a26547412b94a063a889263c01d300ce9d98a1d4",
     "center": "a6108918f8470f03464c8eca00ef48775bd50867cea408261c3065c96cb53800",
     "structure": "f62713e89c2e078b29d9aca5c88e65efcea78223949d3ed870911531a34ced73",
+    "all": "7c0fba5c5d8fb70d10a3cb5918528d369fbbb637fc26e3f9904f7f3397feb80e",
 }
 
 GRID_4X3_RELATORS_DIGEST = "d221dae180704c563194d303806ae6be3dddf32638cb7b4f39294a845ddfbe42"
@@ -57,6 +59,17 @@ def complex_files(tmp_path_factory):
 def test_paper_report_digest(capsys, complex_files, suite):
     capsys.readouterr()
     assert _verify_digest(capsys, complex_files / "tt.json", suite) == PAPER_DIGESTS[suite]
+
+
+def test_relators_report_ignores_a_corrupt_pair_table(capsys, complex_files, tmp_path, monkeypatch):
+    # The relators suite reads no pair table, so a corrupt one must not make
+    # it drop the reduced-model entries of the published complex.
+    pairs = load_json("nonrel_pairs.json")
+    pairs[0] = [1, 99]
+    (tmp_path / "nonrel_pairs.json").write_text(json.dumps(pairs))
+    monkeypatch.setenv("COXLAB_FIXTURES", str(tmp_path))
+    capsys.readouterr()
+    assert _verify_digest(capsys, complex_files / "tt.json", "relators") == PAPER_DIGESTS["relators"]
 
 
 def test_grid_4x3_relators_digest(capsys, complex_files):

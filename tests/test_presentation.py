@@ -152,13 +152,12 @@ def test_coverage_counts(paper):
     assert report["adjacent_given"] == 44
     assert report["missing"] == 43
     assert (report["missing_disjoint"], report["missing_adjacent"]) == (33, 10)
-    assert report["consistent"]
 
 
 def test_coverage_counts_empty_table(paper):
     plain = generate(paper.graph, paper.links, "plain")
     report = coverage_counts(plain, [], paper.graph)
-    assert report["missing"] == 0 and report["consistent"]
+    assert report["missing"] == 0
 
 
 def test_generated_grid_presentations():
