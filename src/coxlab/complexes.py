@@ -24,7 +24,7 @@ from collections import deque
 from dataclasses import astuple, dataclass, field, fields
 
 from . import fixtures
-from .fixtures import CorruptFixtureError
+from .fixtures import CorruptFixtureError  # noqa: F401  (re-exported for model and the tests)
 from .perm import Permutation, generates_full_symmetric, identity, transposition
 
 # Endpoints of the line of each kind at cell (r, c), as offsets from (r, c).
@@ -62,6 +62,9 @@ class Plane:
 
 @dataclass
 class DegenerationComplex:
+    """A complex and its lookup dicts, checked by validate on construction;
+    field types are trusted, as complex_from_json checks those of a file."""
+
     rows: int
     cols: int
     points: list[Point]
@@ -74,35 +77,11 @@ class DegenerationComplex:
     _line_at: dict[tuple[str, int, int], int] = field(init=False, repr=False)
 
     def __post_init__(self):
-        self._check_field_types()
         self.point_by_id = {p.id: p for p in self.points}
         self.line_by_id = {l.id: l for l in self.lines}
         self.plane_by_id = {f.id: f for f in self.planes}
         self._line_at = {(l.kind, *l.cell): l.id for l in self.lines}
         self.validate()
-
-    def _check_field_types(self):
-        """Ids, coordinates and incidence entries are ints; kind and half are strings.
-
-        Runs before any lookup dict is built, so a list-valued id is named
-        rather than failing as an unhashable key.
-        """
-        for cls, elements in ((Point, self.points), (Line, self.lines), (Plane, self.planes)):
-            for position, element in enumerate(elements, start=1):
-                for f in fields(cls):
-                    value = getattr(element, f.name)
-                    if f.type == "str":
-                        want = None if type(value) is str else "a string"
-                    elif f.type.startswith("tuple"):
-                        ok = type(value) is tuple and all(type(x) is int for x in value)
-                        want = None if ok else "a list of integers"
-                        value = list(value) if type(value) is tuple else value
-                    else:
-                        want = None if type(value) is int else "an integer"
-                    if want:
-                        label = element.id if type(element.id) is int else f"at position {position}"
-                        raise ValueError(f"{cls.__name__.lower()} {label}: {f.name} must be {want}, "
-                                         f"got {value!r}")
 
     def line_at(self, kind: str, row: int, col: int) -> int:
         return self._line_at[(kind, row % self.rows, col % self.cols)]
@@ -169,14 +148,16 @@ class DegenerationComplex:
 
 
 def _on_grid(cell, m: int, n: int) -> bool:
-    return len(cell) == 2 and all(type(x) is int and 0 <= x < size for x, size in zip(cell, (m, n)))
+    return len(cell) == 2 and all(0 <= x < size for x, size in zip(cell, (m, n)))
 
 
 def complex_from_json(data: dict) -> DegenerationComplex:
-    """A complex from its JSON form.
+    """A complex from its JSON form; ValueError naming the element and rule if not.
 
-    Lists in tuple-typed fields become tuples; every other value passes on
-    unchanged for ``DegenerationComplex`` to check and name.
+    Each element is an object holding every field of its class.  Ids,
+    coordinates and incidence entries are integers (bools rejected), kind
+    and half are strings, and tuple-typed fields are lists, which become
+    tuples.  Counts, unique ids and geometry are left to validate.
     """
     if type(data) is not dict:
         raise ValueError(f"a complex file holds one object, got {type(data).__name__}")
@@ -193,10 +174,21 @@ def complex_from_json(data: dict) -> DegenerationComplex:
             missing = next((f.name for f in fields(cls) if f.name not in item), None)
             if missing:
                 raise ValueError(f"{name} at position {position}: missing key {missing!r}")
-            values = {f.name: item[f.name] for f in fields(cls)}
+            values = {}
             for f in fields(cls):
-                if f.type.startswith("tuple") and type(values[f.name]) is list:
-                    values[f.name] = tuple(values[f.name])
+                value = item[f.name]
+                if f.type == "str":
+                    ok, want = type(value) is str, "a string"
+                elif f.type.startswith("tuple"):
+                    ok = type(value) is list and all(type(x) is int for x in value)
+                    want = "a list of integers"
+                else:
+                    ok, want = type(value) is int, "an integer"
+                if not ok:
+                    # id comes first, so a later field is named by it once it passed.
+                    label = values.get("id", f"at position {position}")
+                    raise ValueError(f"{name} {label}: {f.name} must be {want}, got {value!r}")
+                values[f.name] = tuple(value) if type(value) is list else value
             out.append(cls(**values))
         return out
 
@@ -396,18 +388,18 @@ def _published_span(graph: DualGraph, data) -> SpanningData:
     if any(type(x) is not int for x in tree + [v for ch in chords for v in astuple(ch)]):
         raise ValueError("tree lines and chord index, line, tail and head must be integers")
     if set(tree) | {c.line for c in chords} != set(graph.edges) or set(tree) & {c.line for c in chords}:
-        raise CorruptFixtureError("spanning fixture does not partition the edge set")
+        raise ValueError("spanning fixture does not partition the edge set")
     if len(tree) != len(graph.vertices) - 1:
-        raise CorruptFixtureError("spanning fixture has the wrong tree size")
+        raise ValueError("spanning fixture has the wrong tree size")
     # n - 1 edges whose transpositions generate S_n form a spanning tree.
     n = len(graph.vertices)
     if not generates_full_symmetric(transposition(*graph.edges[e], n) for e in tree):
-        raise CorruptFixtureError("spanning fixture tree has a cycle")
+        raise ValueError("spanning fixture tree has a cycle")
     for ch in chords:
         if set((ch.tail, ch.head)) != set(graph.edges[ch.line]):
-            raise CorruptFixtureError(f"chord {ch.line} endpoints disagree with the graph")
+            raise ValueError(f"chord {ch.line} endpoints disagree with the graph")
     if [ch.index for ch in chords] != list(range(1, len(chords) + 1)):
-        raise CorruptFixtureError("chord indices are not 1..t")
+        raise ValueError("chord indices are not 1..t")
     span = SpanningData(tree_edges=tree, chords=chords)
     span.published = True
     return span
@@ -430,7 +422,7 @@ def is_paper_labeling(x0: DegenerationComplex) -> bool:
     """Whether x0 passes check_paper_fixture; reads no fixture file."""
     try:
         check_paper_fixture(x0)
-    except (CorruptFixtureError, ValueError, KeyError):
+    except (ValueError, KeyError):
         return False
     return True
 
@@ -449,23 +441,24 @@ WITNESS_TRANSPOSITIONS = {"tau1": (2, 7), "tau2": (7, 10), "tau3": (1, 7), "tau4
 
 def check_paper_fixture(x0: DegenerationComplex) -> DegenerationComplex:
     """Every textual anchor of the published labeling, checked at once; returns
-    x0.  Reads no fixture: the 43-pair table is checked by its own loader."""
+    x0, or raises ValueError naming the first anchor that fails.  Reads no
+    fixture: the 43-pair table is checked by its own loader."""
     if (x0.rows, x0.cols) != (3, 3):
-        raise CorruptFixtureError("published labeling is a 3 x 3 complex")
+        raise ValueError("published labeling is a 3 x 3 complex")
     links = {link.point: link for link in hexagon_links(x0)}
     for point, expected in HEXAGON_ANCHORS.items():
         got = set(links[point].cycle)
         if got != expected:
-            raise CorruptFixtureError(f"hexagon of point {point}: {sorted(got)} != {sorted(expected)}")
+            raise ValueError(f"hexagon of point {point}: {sorted(got)} != {sorted(expected)}")
     for point, role, line in ROLE_ANCHORS:
         if links[point].roles[role] != line:
-            raise CorruptFixtureError(
+            raise ValueError(
                 f"role {role} at point {point} is line {links[point].roles[role]}, expected {line}")
 
     for name, expected in WITNESS_TRANSPOSITIONS.items():
         got = psi_image(x0, witness_words()[name]).as_transposition()
         if got is None or set(got) != set(expected):
-            raise CorruptFixtureError(f"witness image {name} is {got}, expected {expected}")
+            raise ValueError(f"witness image {name} is {got}, expected {expected}")
     return x0
 
 

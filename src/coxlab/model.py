@@ -46,8 +46,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .complexes import CorruptFixtureError, DualGraph, SpanningData
+from .complexes import CorruptFixtureError, DualGraph, SpanningData, witness_words
 from .perm import Permutation, transposition
+from .snf import abelian_invariants
 
 # Central letters, in coordinate order: the four single-chord letters,
 # then the four chord-difference letters.
@@ -395,7 +396,6 @@ def kernel_relation_matrix() -> list[list[int]]:
 
 def abelianization(relation_matrix, ngens: int) -> tuple[int, list[int]]:
     """(free rank, torsion) of the presented abelian group."""
-    from .snf import abelian_invariants
     return abelian_invariants(relation_matrix, ngens)
 
 
@@ -449,7 +449,6 @@ def nilpotency_class_check(sample_size: int = 100, seed: int = 20040709) -> dict
 
 def center_witness_word() -> tuple[int, ...]:
     """The commutator word whose image generates the centre."""
-    from .complexes import witness_words
     taus = witness_words()
     first = taus["tau1"] + (1,)
     middle = taus["tau3"][::-1] + taus["tau4"] + (4,) + taus["tau3"]
@@ -466,7 +465,6 @@ class CenterWitness:
 def center_witness(span: SpanningData, graph: DualGraph) -> CenterWitness:
     """Evaluate the published commutator word; the result must be z or its
     inverse with trivial permutation part, else the fixture is inconsistent."""
-    from .complexes import witness_words
     require_paper_span(span)
     tau_images = {}
     for name, word in witness_words().items():

@@ -166,7 +166,6 @@ def clean(relators) -> CleanReport:
         survivors: list[Word] = []
         changed = False
         for w in pending:
-            w = as_word(w)
             if len(w) == 2 and w[0] == w[1]:
                 report.squares.add(w[0])
                 changed = True
@@ -177,14 +176,12 @@ def clean(relators) -> CleanReport:
                 continue
             pair = _match_pair_power(w, 2)
             if pair is not None:
-                if pair not in report.commutations:
-                    report.commutations.add(pair)
+                report.commutations.add(pair)
                 changed = True
                 continue
             pair = _match_pair_power(w, 3)
             if pair is not None:
-                if pair not in report.braids:
-                    report.braids.add(pair)
+                report.braids.add(pair)
                 changed = True
                 continue
             survivors.append(w)

@@ -10,6 +10,7 @@ from types import SimpleNamespace
 import pytest
 
 from coxlab.cli import main
+from coxlab.complexes import build_torus_triangulation
 from coxlab.fixtures import BUNDLED, load_json
 
 
@@ -149,6 +150,15 @@ def test_verify_paper_suite_rejected_on_generated_complex(capsys, tmp_path):
     code, _, err = run(capsys, "verify", "--complex", str(complex_file), "--suite", "ax")
     assert code == 2
     assert "published" in err
+
+
+@pytest.mark.parametrize("suite", [[], ["--suite", "all"]], ids=["default_suite", "suite_all"])
+def test_verify_all_rejected_up_front_on_generated_complex(capsys, tmp_path, suite):
+    complex_file = tmp_path / "g44.json"
+    run(capsys, "build", "--rows", "4", "--cols", "4", "--out", str(complex_file))
+    code, out, err = run(capsys, "verify", "--complex", str(complex_file), *suite)
+    assert code == 2 and out == ""
+    assert err == "error: suite 'all' is defined only for the published 3 x 3 labeling\n"
 
 
 def test_verify_relators_on_generated_complex(capsys, tmp_path):
@@ -428,6 +438,9 @@ def _spanning_with_a_cycle(tmp, files):
     return ["verify", "--complex", str(files.complex), "--suite", "relators"]
 
 
+_spanning_with_a_cycle.fixture = "t0_spanning.json"
+
+
 def _nested_presentation(tmp, files):
     path = tmp / "deep.json"
     path.write_text("[" * 100_000 + "]" * 100_000)
@@ -508,6 +521,10 @@ BAD_INPUTS = [
                  id="override_tt33_without_cols"),
     pytest.param(_override("nonrel_pairs.json", _set([1, 99], 0), *VERIFY_PAPER, "tables"),
                  id="override_nonrel_pairs_letter_99"),
+    # Fixtures that fail their consistency oracle are named too.
+    pytest.param(_override("tt33.json", _set(build_torus_triangulation(3, 3).to_json()),
+                           "build", "--paper-fixture"),
+                 id="override_tt33_canonical_numbering"),
 ]
 
 
@@ -535,4 +552,5 @@ def test_bad_input_exits_2_through_python_dash_m(bad_input_env):
     proc = subprocess.run([sys.executable, "-m", "coxlab", *_spanning_with_a_cycle(*bad_input_env)],
                           capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 2 and proc.stdout == ""
-    assert proc.stderr == "error: spanning fixture tree has a cycle\n"
+    spanning = bad_input_env[0] / "override" / "t0_spanning.json"
+    assert proc.stderr == f"error: invalid fixture file {spanning}: spanning fixture tree has a cycle\n"

@@ -26,10 +26,16 @@ def test_generated_counts_and_euler(m, n):
     assert len(x0.points) - len(x0.lines) + len(x0.planes) == 0
 
 
-def test_gen_fixtures_regenerates_bundled_tt33(monkeypatch):
-    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "tools"))
+def test_gen_fixtures_regenerates_bundled_tt33(monkeypatch, tmp_path):
+    """tools/gen_fixtures.py rewrites every bundled fixture byte for byte."""
+    root = Path(__file__).resolve().parent.parent
+    monkeypatch.syspath_prepend(str(root / "tools"))
     gen_fixtures = importlib.import_module("gen_fixtures")
-    assert gen_fixtures.relabeled_tt33() == load_json("tt33.json")
+    monkeypatch.setattr(gen_fixtures, "OUT", str(tmp_path))
+    gen_fixtures.main()
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(fixtures.BUNDLED)
+    for name in fixtures.BUNDLED:
+        assert (tmp_path / name).read_bytes() == (root / "src" / "coxlab" / "fixtures" / name).read_bytes()
 
 
 def test_four_by_three_counts():
