@@ -446,6 +446,9 @@ def check_paper_fixture(x0: DegenerationComplex) -> DegenerationComplex:
     if (x0.rows, x0.cols) != (3, 3):
         raise ValueError("published labeling is a 3 x 3 complex")
     links = {link.point: link for link in hexagon_links(x0)}
+    for point in sorted({*HEXAGON_ANCHORS, *(point for point, _, _ in ROLE_ANCHORS)}):
+        if point not in links:
+            raise ValueError(f"anchor point {point} is not a point of the complex")
     for point, expected in HEXAGON_ANCHORS.items():
         got = set(links[point].cycle)
         if got != expected:

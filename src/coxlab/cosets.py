@@ -6,13 +6,16 @@ table, and the path's end is identified with the coset it started from.
 Every generator is an involution and acts as its own inverse, so defining
 c^g = d sets d^g = c at the same time and no doubled alphabet is needed.
 
-The action table is one flat list, ``table[c * ngens + g]`` the image of
-coset c under generator g (``-1`` while undefined), grown by one blank
-row per defined coset.  Beside it ``labels`` is a union-find forest over
-the cosets: a coincidence merges the larger coset into the smaller one,
-and reads resolve stale entries lazily.  Path tracing is inlined in
-``enumerate_cosets``; it runs ``find`` only on a coset that has been
-merged away.
+The action table is one flat list of rows of ``ngens + 1`` entries,
+grown by one blank row per defined coset, and a coset is named by the
+offset of its row.  Entry 0 of a row is its link in a union-find forest
+over the cosets (``-1`` while the coset is live) and entry g its image
+under generator g (``-1`` while undefined).  A coincidence merges the
+larger coset into the smaller one, and reads resolve stale entries
+lazily.  Path tracing is inlined in ``enumerate_cosets``; it runs
+``find`` only on a coset that has been merged away.  Keeping the links
+in the table leaves one large list to grow, so the enumeration's peak
+memory does not depend on where the allocator places a second one.
 
 The table size cap counts every coset ever allocated, dead or alive.
 Hitting the cap is a distinguished inconclusive outcome, not an error:
@@ -42,47 +45,46 @@ class EnumerationResult:
         return [row[gen - 1] for row in self.table]
 
 
-def _find(labels: list[int], c: int) -> int:
+def _find(table: list[int], c: int) -> int:
     root = c
-    while labels[root] != root:
-        root = labels[root]
-    while labels[c] != root:
-        labels[c], c = root, labels[c]
+    while table[root] != -1:
+        root = table[root]
+    while c != root:
+        table[c], c = root, table[c]
     return root
 
 
-def _unify(table: list[int], labels: list[int], ngens: int, c1: int, c2: int):
+def _unify(table: list[int], ngens: int, c1: int, c2: int):
     """Merge two cosets and every coincidence their rows imply."""
     pending = [(c1, c2)]
     while pending:
         a, b = pending.pop()
-        a, b = _find(labels, a), _find(labels, b)
+        a, b = _find(table, a), _find(table, b)
         if a == b:
             continue
         if b < a:
             a, b = b, a
-        labels[b] = a
-        row_a, row_b = a * ngens, b * ngens
-        for g in range(ngens):
-            nb = table[row_b + g]
+        table[b] = a
+        for g in range(1, ngens + 1):
+            nb = table[b + g]
             if nb == -1:
                 continue
-            na = table[row_a + g]
+            na = table[a + g]
             if na == -1:
-                table[row_a + g] = nb
+                table[a + g] = nb
             else:
                 pending.append((na, nb))
 
 
-def _scans(subs, rels, labels):
+def _scans(subs, rels, table, width):
     """The (coset, words) passes in definition order: the subgroup words
     at coset 0, then every relator at each coset still live when reached."""
     yield 0, subs
     scan = 0
-    while scan < len(labels):
-        if labels[scan] == scan:
+    while scan < len(table):
+        if table[scan] == -1:
             yield scan, rels
-        scan += 1
+        scan += width
 
 
 def enumerate_cosets(ngens: int, relators, subgroup_gens=(),
@@ -92,48 +94,46 @@ def enumerate_cosets(ngens: int, relators, subgroup_gens=(),
     Relators and subgroup words are sequences of 1-based generator
     indices; signs are ignored since generators are involutions.
     """
-    rels = [tuple(abs(x) - 1 for x in w) for w in relators]
-    subs = [tuple(abs(x) - 1 for x in w) for w in subgroup_gens]
+    rels = [tuple(map(abs, w)) for w in relators]
+    subs = [tuple(map(abs, w)) for w in subgroup_gens]
     for w in rels + subs:
-        if any(not 0 <= g < ngens for g in w):
+        if any(not 1 <= g <= ngens for g in w):
             raise ValueError("generator index out of range")
     if capacity < 1:
         raise ValueError("capacity must be positive")
     # Every generator is an involution; scanning its square at each coset
     # also guarantees the final table is total.
-    rels = [(g, g) for g in range(ngens)] + rels
+    rels = [(g, g) for g in range(1, ngens + 1)] + rels
 
-    blank = [-1] * ngens
+    width = ngens + 1
+    blank = [-1] * width
     table = list(blank)         # row 0 is the subgroup's own coset
-    labels = [0]
-    for scan, words in _scans(subs, rels, labels):
+    for scan, words in _scans(subs, rels, table, width):
         for word in words:
             # No coincidence is processed while a word is traced, so every
             # coset the path reaches stays a root until its end.
-            c = scan if labels[scan] == scan else _find(labels, scan)
+            c = scan if table[scan] == -1 else _find(table, scan)
             for g in word:
-                slot = c * ngens + g
-                d = table[slot]
+                d = table[c + g]
                 if d == -1:
-                    d = len(labels)
-                    if d >= capacity:
+                    d = len(table)
+                    if d >= capacity * width:
                         return EnumerationResult(status="capacity-exceeded", index=None,
-                                                 allocated=d, table=None)
-                    labels.append(d)
+                                                 allocated=capacity, table=None)
                     table.extend(blank)
-                    table[slot] = d
-                    table[d * ngens + g] = c
-                elif labels[d] != d:
-                    d = _find(labels, d)
+                    table[c + g] = d
+                    table[d + g] = c
+                elif table[d] != -1:
+                    d = _find(table, d)
                 c = d
-            if c != scan or labels[scan] != scan:
-                _unify(table, labels, ngens, c, scan)
-    std = _standardize(table, labels, ngens)
+            if c != scan or table[scan] != -1:
+                _unify(table, ngens, c, scan)
+    std = _standardize(table, width)
     return EnumerationResult(status="finite", index=len(std),
-                             allocated=len(labels), table=std)
+                             allocated=len(table) // width, table=std)
 
 
-def _standardize(table: list[int], labels: list[int], ngens: int) -> list[list[int]]:
+def _standardize(table: list[int], width: int) -> list[list[int]]:
     """Renumber live cosets in breadth-first order from the subgroup coset.
 
     Coset 0 is always live, since a coincidence keeps the smaller coset.
@@ -142,17 +142,16 @@ def _standardize(table: list[int], labels: list[int], ngens: int) -> list[list[i
     queue = deque([0])
     while queue:
         c = queue.popleft()
-        for d in table[c * ngens:(c + 1) * ngens]:
+        for d in table[c + 1:c + width]:
             if d == -1:
                 raise ValueError("closed table expected after successful enumeration")
-            d = _find(labels, d)
+            d = _find(table, d)
             if d not in order:
                 order[d] = len(order) + 1
                 queue.append(d)
-    if len(order) != sum(1 for c, label in enumerate(labels) if label == c):
+    if len(order) != table[::width].count(-1):
         raise ValueError("live cosets are not all reachable from the start")
-    return [[order[_find(labels, d)] for d in table[c * ngens:(c + 1) * ngens]]
-            for c in order]
+    return [[order[_find(table, d)] for d in table[c + 1:c + width]] for c in order]
 
 
 def check_result(result: EnumerationResult, ngens: int, relators, subgroup_gens=()) -> bool:

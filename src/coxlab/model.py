@@ -346,8 +346,7 @@ def require_paper_span(span: SpanningData):
         raise ValueError("reduction is defined only for the published spanning data")
 
 
-def relator_report(relator_words, span: SpanningData, graph: DualGraph,
-                   table: dict[int, SemidirectElement] | None = None) -> list[dict]:
+def relator_report(relator_words, span: SpanningData, graph: DualGraph) -> list[dict]:
     """Per-relator verification records {relator, status, value}.
 
     status is "pass" when the relator reduces to the identity of the
@@ -355,7 +354,7 @@ def relator_report(relator_words, span: SpanningData, graph: DualGraph,
     """
     out = []
     for w in relator_words:
-        v = rho_hat(evaluate_word_semidirect(w, span, graph, table), span)
+        v = rho_hat(evaluate_word_semidirect(w, span, graph), span)
         out.append({
             "relator": [int(x) for x in w],
             "status": "pass" if v.is_identity() else "fail",

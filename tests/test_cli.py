@@ -470,6 +470,17 @@ def _set(value, *path):
     return edit
 
 
+def _shift_point_ids(data):
+    """The published complex with every point id raised by 10, so 11 to 19."""
+    for point in data["points"]:
+        point["id"] += 10
+    for line in data["lines"]:
+        line["points"] = [p + 10 for p in line["points"]]
+    return data
+
+
+_tt33_with_point_ids_11_to_19 = _override("tt33.json", _shift_point_ids, "build", "--paper-fixture")
+
 VERIFY_PAPER = ("verify", "--complex", "{complex}", "--suite")
 
 
@@ -525,6 +536,7 @@ BAD_INPUTS = [
     pytest.param(_override("tt33.json", _set(build_torus_triangulation(3, 3).to_json()),
                            "build", "--paper-fixture"),
                  id="override_tt33_canonical_numbering"),
+    pytest.param(_tt33_with_point_ids_11_to_19, id="override_tt33_point_ids_11_to_19"),
 ]
 
 
@@ -543,6 +555,12 @@ def test_bad_input_exits_2_with_one_error_line(capsys, bad_input_env, case):
     assert "Traceback" not in err
     if hasattr(case, "fixture"):
         assert f"invalid fixture file {bad_input_env[0] / 'override' / case.fixture}: " in err
+
+
+def test_missing_anchor_point_is_named(capsys, bad_input_env):
+    code, _, err = run(capsys, *_tt33_with_point_ids_11_to_19(*bad_input_env))
+    assert code == 2
+    assert err.endswith("tt33.json: anchor point 1 is not a point of the complex\n")
 
 
 def test_bad_input_exits_2_through_python_dash_m(bad_input_env):

@@ -372,8 +372,8 @@ def test_reduced_layer_full_suite(paper, paper_phi):
         assert rho_hat(v, paper.span).is_identity()
 
 
-def test_relator_report_records(paper, paper_phi):
-    records = relator_report([ax_fixture()["AX1"], (1,)], paper.span, paper.graph, paper_phi)
+def test_relator_report_records(paper):
+    records = relator_report([ax_fixture()["AX1"], (1,)], paper.span, paper.graph)
     assert records[0]["status"] == "pass"
     assert records[1]["status"] == "fail"
     assert records[1]["value"]["sigma"] != list(range(1, 19))

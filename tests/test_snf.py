@@ -1,6 +1,12 @@
 import random
+import time
+from itertools import combinations
+from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
+from sympy import Matrix, ZZ
+from sympy.matrices.normalforms import smith_normal_form as sympy_smith_normal_form
 
 from coxlab.snf import abelian_invariants, smith_normal_form
 
@@ -43,21 +49,71 @@ def _det(m):
     return total
 
 
+def _maximal_minor_gcd(m):
+    # The product of the Smith diagonal is the gcd of the maximal minors;
+    # for a square matrix that is |det|.
+    k = min(len(m), len(m[0]))
+    g = 0
+    for rows in combinations(m, k):
+        for cols in combinations(range(len(m[0])), k):
+            g = gcd(g, _det([[row[c] for c in cols] for row in rows]))
+    return g
+
+
 def test_divisibility_chain_and_determinant_random():
     rng = random.Random(3)
-    for _ in range(30):
-        n = rng.randint(1, 4)
-        m = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)]
-        diag = smith_normal_form(m)
-        for a, b in zip(diag, diag[1:]):
-            if a and b:
-                assert b % a == 0
-        assert all(d >= 0 for d in diag)
-        det = _det(m)
-        prod = 1
-        for d in diag:
-            prod *= d
-        assert prod == abs(det)
+    for _ in range(60):
+        n = rng.randint(1, 7)
+        shapes = [(n, n), (n, rng.randint(1, 7)), (rng.randint(1, 7), n)]
+        for rows, cols in shapes:
+            m = [[rng.randint(-6, 6) for _ in range(cols)] for _ in range(rows)]
+            diag = smith_normal_form(m)
+            assert len(diag) == min(rows, cols)
+            for a, b in zip(diag, diag[1:]):
+                if a:
+                    assert b % a == 0
+                else:
+                    assert b == 0
+            assert all(d >= 0 for d in diag)
+            prod = 1
+            for d in diag:
+                prod *= d
+            assert prod == _maximal_minor_gcd(m)
+
+
+@pytest.mark.parametrize("matrix, expected", [
+    ([[-3, -6, 5, 6, 7], [-8, -1, -6, -7, 6], [4, -4, -8, -2, 8],
+      [6, 2, -4, -1, 5], [3, -7, 5, -9, 7], [-2, 2, -5, 4, -1]],
+     [1, 1, 1, 1, 2]),
+    ([[-4, -5, -4, -1, 4, 6], [5, -2, -4, 4, 7, -8], [-5, -4, 2, 9, -3, -9],
+      [0, -3, 3, -9, -5, 5], [-1, -5, -7, 5, 1, -4], [-7, 8, -3, 5, -3, 2]],
+     [1, 1, 1, 1, 1, 240497]),
+])
+def test_small_matrices_without_entry_blowup(matrix, expected):
+    # A dense elimination that pivots within one row and column at a time
+    # grew these entries past thousands of digits and did not finish.
+    copy = [row[:] for row in matrix]
+    start = time.perf_counter()
+    assert smith_normal_form(matrix) == expected
+    assert time.perf_counter() - start < 1.0
+    assert matrix == copy
+
+
+@st.composite
+def _matrices(draw):
+    # Up to 8 x 8 with entries in -20..20; 0 to 9 tenths of the cells are zero.
+    rows, cols = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    zeros = draw(st.integers(0, 9))
+    return [[draw(st.integers(-20, 20)) if draw(st.integers(0, 9)) >= zeros else 0
+             for _ in range(cols)] for _ in range(rows)]
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(_matrices())
+def test_agrees_with_sympy(m):
+    reference = sympy_smith_normal_form(Matrix(m), domain=ZZ)
+    expected = [abs(int(reference[i, i])) for i in range(min(len(m), len(m[0])))]
+    assert smith_normal_form(m) == expected
 
 
 def test_rectangular_shapes():
@@ -66,5 +122,6 @@ def test_rectangular_shapes():
 
 
 def test_ragged_matrix_rejected():
-    with pytest.raises(ValueError):
-        smith_normal_form([[1, 2], [3]])
+    for matrix in ([[1, 2], [3]], [[], [1]]):
+        with pytest.raises(ValueError):
+            smith_normal_form(matrix)
