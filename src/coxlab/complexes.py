@@ -24,8 +24,7 @@ from collections import deque
 from dataclasses import astuple, dataclass, field, fields
 
 from . import fixtures
-from .fixtures import CorruptFixtureError  # noqa: F401  (re-exported for model and the tests)
-from .perm import Permutation, generates_full_symmetric, identity, transposition
+from .perm import Permutation, identity, transposition
 
 # Endpoints of the line of each kind at cell (r, c), as offsets from (r, c).
 ENDPOINTS = {"h": ((0, 0), (0, 1)), "v": ((0, 0), (1, 0)), "d": ((0, 1), (1, 0))}
@@ -243,20 +242,26 @@ class DualGraph:
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
 
-    def is_connected(self) -> bool:
-        if not self.vertices:
-            return True
-        seen = {self.vertices[0]}
-        stack = [self.vertices[0]]
-        while stack:
-            v = stack.pop()
+    def walk(self, lines) -> list[int]:
+        """The lines, among the given ones, by which a breadth-first walk from
+        the lowest vertex, taking edges in id order, first reaches each other
+        vertex; it spans the graph when it returns len(vertices) - 1 lines."""
+        root = min(self.vertices)
+        seen = {root}
+        tree: list[int] = []
+        queue = deque([root])
+        while queue:
+            v = queue.popleft()
             for e in self.adjacency[v]:
-                f, g = self.edges[e]
-                w = g if f == v else f
-                if w not in seen:
+                w = self.other_end(e, v)
+                if e in lines and w not in seen:
                     seen.add(w)
-                    stack.append(w)
-        return len(seen) == len(self.vertices)
+                    tree.append(e)
+                    queue.append(w)
+        return tree
+
+    def is_connected(self) -> bool:
+        return len(self.walk(self.edges)) == len(self.vertices) - 1
 
     def cycle_rank(self) -> int:
         return len(self.edges) - len(self.vertices) + 1
@@ -349,21 +354,10 @@ def spanning_data(graph: DualGraph, mode: str = "canonical") -> SpanningData:
     the 3 x 3 instance, validated against the graph and marked published;
     this branch is the only place that marks a span.
     """
-    if not graph.is_connected():
+    tree = graph.walk(graph.edges)
+    if len(tree) != len(graph.vertices) - 1:
         raise ValueError("spanning tree requires a connected graph")
     if mode == "canonical":
-        root = min(graph.vertices)
-        seen = {root}
-        tree: list[int] = []
-        queue = deque([root])
-        while queue:
-            v = queue.popleft()
-            for e in graph.adjacency[v]:
-                w = graph.other_end(e, v)
-                if w not in seen:
-                    seen.add(w)
-                    tree.append(e)
-                    queue.append(w)
         tree_set = set(tree)
         chords = []
         for e in sorted(graph.edges):
@@ -391,9 +385,8 @@ def _published_span(graph: DualGraph, data) -> SpanningData:
         raise ValueError("spanning fixture does not partition the edge set")
     if len(tree) != len(graph.vertices) - 1:
         raise ValueError("spanning fixture has the wrong tree size")
-    # n - 1 edges whose transpositions generate S_n form a spanning tree.
-    n = len(graph.vertices)
-    if not generates_full_symmetric(transposition(*graph.edges[e], n) for e in tree):
+    # n - 1 lines that reach every plane form a spanning tree.
+    if len(graph.walk(set(tree))) != len(tree):
         raise ValueError("spanning fixture tree has a cycle")
     for ch in chords:
         if set((ch.tail, ch.head)) != set(graph.edges[ch.line]):

@@ -4,13 +4,16 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
+from coxlab import presentation, verify
 from coxlab.cli import main
-from coxlab.complexes import build_torus_triangulation
+from coxlab.complexes import (build_torus_triangulation, dual_graph, load_paper_labeling,
+                              spanning_data)
 from coxlab.fixtures import BUNDLED, load_json
 
 
@@ -555,6 +558,57 @@ def test_bad_input_exits_2_with_one_error_line(capsys, bad_input_env, case):
     assert "Traceback" not in err
     if hasattr(case, "fixture"):
         assert f"invalid fixture file {bad_input_env[0] / 'override' / case.fixture}: " in err
+
+
+# Fixtures that load but make a published claim fail.  The claim is judged by
+# its report entry alone: the whole report goes to stdout, stderr stays empty
+# and the exit code is 1.
+
+def _canonical_span(data):
+    """The canonical span of the published dual graph: a spanning tree with
+    oriented chords, so its oracle passes, but not the published tree."""
+    span = spanning_data(dual_graph(load_paper_labeling()), "canonical")
+    return {"tree": span.tree_edges, "chords": [asdict(ch) for ch in span.chords]}
+
+
+FAILED_CLAIMS = [
+    pytest.param(_override("t0_spanning.json", _canonical_span, *VERIFY_PAPER, "all"), 45,
+                 {"ax.AX1", "ax.AX4", "ax.AX6", "ax.AX8", "ax.AX12", "ax.AX19", "ax.AX20",
+                  "center.tau_images", "center.witness_value",
+                  "relators.cycle_orientations_agree", "relators.reduced_identity"},
+                 id="override_spanning_canonical_tree"),
+    # Lines 1 and 6 meet at point 1 in roles c and d, a column the table lacks.
+    pytest.param(_override("nonrel_pairs.json", _set([1, 6], 0), *VERIFY_PAPER, "tables"), 6,
+                 {"tables.given_split", "tables.missing_split", "tables.no_diagonal_roles",
+                  "tables.role_table"},
+                 id="override_nonrel_pairs_diagonal_role"),
+    # Lines 1 and 27 share no point, so the pair fills no cell of the table.
+    pytest.param(_override("nonrel_pairs.json", _set([1, 27], 0), *VERIFY_PAPER, "tables"), 6,
+                 {"tables.role_table"}, id="override_nonrel_pairs_pair_without_a_point"),
+]
+
+
+@pytest.mark.parametrize("case,entries,failed", FAILED_CLAIMS)
+def test_fixture_failing_a_claim_exits_1_with_the_whole_report(capsys, bad_input_env, case,
+                                                               entries, failed):
+    code, out, err = run(capsys, *case(*bad_input_env), "--json")
+    assert code == 1 and err == ""
+    report = json.loads(out)
+    assert len(report["entries"]) == entries
+    assert {e["name"] for e in report["entries"] if e["status"] == "fail"} == failed
+
+
+def test_relator_census_is_checked_against_the_graph(paper, monkeypatch):
+    generate = presentation.generate
+
+    def without_a_braid(*args):
+        p = generate(*args)
+        p.braids.pop()
+        return p
+
+    monkeypatch.setattr(presentation, "generate", without_a_braid)
+    report = verify.run_suite(paper.x0, "relators")
+    assert [e.name for e in report.entries if e.status == "fail"] == ["relators.counts"]
 
 
 def test_missing_anchor_point_is_named(capsys, bad_input_env):

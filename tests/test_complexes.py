@@ -5,11 +5,10 @@ from pathlib import Path
 import pytest
 
 from coxlab import fixtures
-from coxlab.complexes import (CorruptFixtureError, build_torus_triangulation,
-                              complex_from_json, dual_graph, hexagon_links,
-                              is_paper_labeling, load_paper_labeling,
-                              spanning_data)
-from coxlab.fixtures import load_json
+from coxlab.complexes import (build_torus_triangulation, complex_from_json,
+                              dual_graph, hexagon_links, is_paper_labeling,
+                              load_paper_labeling, spanning_data)
+from coxlab.fixtures import CorruptFixtureError, load_json
 from coxlab.perm import generates_full_symmetric, transposition
 
 
