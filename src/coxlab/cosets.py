@@ -5,17 +5,20 @@ relator traced from it, defining new cosets where the path runs off the
 table, and the path's end is identified with the coset it started from.
 Every generator is an involution and acts as its own inverse, so defining
 c^g = d sets d^g = c at the same time and no doubled alphabet is needed.
+So squares are not traced: each live coset first defines its undefined
+entries in generator order, as tracing every g g would.  A relator equal,
+up to signs, to a square or to an earlier one is dropped, as its path
+stays closed at a coset once it has closed there.
 
 The action table is one flat list of rows of ``ngens + 1`` entries,
 grown by one blank row per defined coset, and a coset is named by the
 offset of its row.  Entry 0 of a row is its link in a union-find forest
 over the cosets (``-1`` while the coset is live) and entry g its image
 under generator g (``-1`` while undefined).  A coincidence merges the
-larger coset into the smaller one, and reads resolve stale entries
-lazily.  Path tracing is inlined in ``enumerate_cosets``; it runs
-``find`` only on a coset that has been merged away.  Keeping the links
-in the table leaves one large list to grow, so the enumeration's peak
-memory does not depend on where the allocator places a second one.
+larger coset into the smaller one.  A trace that meets an entry naming
+a merged coset writes the root back, so each stale entry is resolved
+once.  Keeping the links in the table leaves one large list to grow, so
+peak memory does not depend on where the allocator places a second one.
 
 The table size cap counts every coset ever allocated, dead or alive.
 Hitting the cap is a distinguished inconclusive outcome, not an error:
@@ -57,9 +60,13 @@ def _find(table: list[int], c: int) -> int:
 def _unify(table: list[int], ngens: int, c1: int, c2: int):
     """Merge two cosets and every coincidence their rows imply."""
     pending = [(c1, c2)]
+    pop, push = pending.pop, pending.append
     while pending:
-        a, b = pending.pop()
-        a, b = _find(table, a), _find(table, b)
+        a, b = pop()
+        while table[a] != -1:
+            a = table[a]
+        while table[b] != -1:
+            b = table[b]
         if a == b:
             continue
         if b < a:
@@ -67,24 +74,12 @@ def _unify(table: list[int], ngens: int, c1: int, c2: int):
         table[b] = a
         for g in range(1, ngens + 1):
             nb = table[b + g]
-            if nb == -1:
-                continue
-            na = table[a + g]
-            if na == -1:
-                table[a + g] = nb
-            else:
-                pending.append((na, nb))
-
-
-def _scans(subs, rels, table, width):
-    """The (coset, words) passes in definition order: the subgroup words
-    at coset 0, then every relator at each coset still live when reached."""
-    yield 0, subs
-    scan = 0
-    while scan < len(table):
-        if table[scan] == -1:
-            yield scan, rels
-        scan += width
+            if nb != -1:
+                na = table[a + g]
+                if na == -1:
+                    table[a + g] = nb
+                elif na != nb:
+                    push((na, nb))
 
 
 def enumerate_cosets(ngens: int, relators, subgroup_gens=(),
@@ -101,14 +96,15 @@ def enumerate_cosets(ngens: int, relators, subgroup_gens=(),
             raise ValueError("generator index out of range")
     if capacity < 1:
         raise ValueError("capacity must be positive")
-    # Every generator is an involution; scanning its square at each coset
-    # also guarantees the final table is total.
-    rels = [(g, g) for g in range(1, ngens + 1)] + rels
+    rels = [w for w in dict.fromkeys(rels) if not (len(w) == 2 and w[0] == w[1])]
 
     width = ngens + 1
+    limit = capacity * width
+    capped = EnumerationResult(status="capacity-exceeded", index=None, allocated=capacity, table=None)
     blank = [-1] * width
     table = list(blank)         # row 0 is the subgroup's own coset
-    for scan, words in _scans(subs, rels, table, width):
+    scan, words = 0, subs       # the subgroup words at coset 0 come first
+    while True:
         for word in words:
             # No coincidence is processed while a word is traced, so every
             # coset the path reaches stays a root until its end.
@@ -117,17 +113,31 @@ def enumerate_cosets(ngens: int, relators, subgroup_gens=(),
                 d = table[c + g]
                 if d == -1:
                     d = len(table)
-                    if d >= capacity * width:
-                        return EnumerationResult(status="capacity-exceeded", index=None,
-                                                 allocated=capacity, table=None)
+                    if d >= limit:
+                        return capped
                     table.extend(blank)
                     table[c + g] = d
                     table[d + g] = c
-                elif table[d] != -1:
-                    d = _find(table, d)
+                elif table[d] != -1:   # stale: store the root in its place
+                    table[c + g] = d = _find(table, d)
                 c = d
             if c != scan or table[scan] != -1:
                 _unify(table, ngens, c, scan)
+        if words is rels:
+            scan += width
+            while scan < len(table) and table[scan] != -1:
+                scan += width
+            if scan == len(table):
+                break
+        words = rels
+        for g in range(1, width):   # the squares at this coset: fill its row
+            if table[scan + g] == -1:
+                d = len(table)
+                if d >= limit:
+                    return capped
+                table.extend(blank)
+                table[scan + g] = d
+                table[d + g] = scan
     std = _standardize(table, width)
     return EnumerationResult(status="finite", index=len(std),
                              allocated=len(table) // width, table=std)

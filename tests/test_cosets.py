@@ -6,7 +6,8 @@ import tracemalloc
 
 import pytest
 
-from coxlab.cosets import DEFAULT_CAPACITY, EnumerationResult, check_result, enumerate_cosets
+from coxlab.cosets import (DEFAULT_CAPACITY, EnumerationResult, _find, _standardize, check_result,
+                           enumerate_cosets)
 from coxlab.fixtures import load_json
 from coxlab.perm import compose, generates_full_symmetric, identity, transposition
 from coxlab.presentation import generate
@@ -225,3 +226,144 @@ def test_table_grows_per_coset_not_to_capacity():
     finally:
         tracemalloc.stop()
     assert peak < 10 ** 6
+
+
+def test_capacity_fires_at_the_same_definition():
+    for name, allocated in (("s4_remark.json", 53), ("hexagon_quotient.json", 5225)):
+        data = load_json(name)
+        closed = enumerate_cosets(data["generators"], data["relators"], capacity=allocated)
+        assert closed.status == "finite" and closed.allocated == allocated
+        capped = enumerate_cosets(data["generators"], data["relators"], capacity=allocated - 1)
+        assert capped.status == "capacity-exceeded" and capped.allocated == allocated - 1
+    assert enumerate_cosets(1, [(1,)], capacity=1).status == "capacity-exceeded"
+    single = enumerate_cosets(1, [(1,)], capacity=2)
+    assert single.status == "finite" and single.index == 1 and single.allocated == 2
+
+
+@pytest.mark.parametrize("rewrite", [
+    pytest.param(lambda ngens, rels: [w for w in rels if not (len(w) == 2 and w[0] == w[1])],
+                 id="without_squares"),
+    pytest.param(lambda ngens, rels: rels + rels, id="doubled"),
+    pytest.param(lambda ngens, rels: rels + [[g, g] for g in range(1, ngens + 1)],
+                 id="squares_again")])
+def test_redundant_relators_change_nothing(rewrite):
+    data = load_json("hexagon_quotient.json")
+    ngens, relators = data["generators"], data["relators"]
+    assert any(len(w) == 2 and w[0] == w[1] for w in relators)
+    base = enumerate_cosets(ngens, relators)
+    result = enumerate_cosets(ngens, rewrite(ngens, relators))
+    assert result.allocated == base.allocated == 5225 and result.table == base.table
+
+
+# A frozen copy of the enumerator the pinned outcomes above were computed
+# with: it traces every square as a relator word, keeps duplicate relators
+# and re-resolves stale entries on every pass.  The enumerator proper must
+# match it exactly on every input.
+
+def _reference_unify(table, ngens, c1, c2):
+    pending = [(c1, c2)]
+    while pending:
+        a, b = pending.pop()
+        a, b = _find(table, a), _find(table, b)
+        if a == b:
+            continue
+        if b < a:
+            a, b = b, a
+        table[b] = a
+        for g in range(1, ngens + 1):
+            nb = table[b + g]
+            if nb == -1:
+                continue
+            na = table[a + g]
+            if na == -1:
+                table[a + g] = nb
+            else:
+                pending.append((na, nb))
+
+
+def _reference_scans(subs, rels, table, width):
+    yield 0, subs
+    scan = 0
+    while scan < len(table):
+        if table[scan] == -1:
+            yield scan, rels
+        scan += width
+
+
+def _reference_enumerate(ngens, relators, subgroup_gens=(), capacity=DEFAULT_CAPACITY):
+    rels = [tuple(map(abs, w)) for w in relators]
+    subs = [tuple(map(abs, w)) for w in subgroup_gens]
+    rels = [(g, g) for g in range(1, ngens + 1)] + rels
+    width = ngens + 1
+    blank = [-1] * width
+    table = list(blank)
+    for scan, words in _reference_scans(subs, rels, table, width):
+        for word in words:
+            c = scan if table[scan] == -1 else _find(table, scan)
+            for g in word:
+                d = table[c + g]
+                if d == -1:
+                    d = len(table)
+                    if d >= capacity * width:
+                        return EnumerationResult(status="capacity-exceeded", index=None,
+                                                 allocated=capacity, table=None)
+                    table.extend(blank)
+                    table[c + g] = d
+                    table[d + g] = c
+                elif table[d] != -1:
+                    d = _find(table, d)
+                c = d
+            if c != scan or table[scan] != -1:
+                _reference_unify(table, ngens, c, scan)
+    std = _standardize(table, width)
+    return EnumerationResult(status="finite", index=len(std),
+                             allocated=len(table) // width, table=std)
+
+
+DIFFERENTIAL_CAPACITIES = (1, 2, 5, 30, 200, 2000)
+
+
+def _differential_cases(count=300, seed=13):
+    """Seeded (ngens, relators, subgroup words, capacity) cases: Coxeter-type
+    and arbitrary involutive presentations on 1 to 5 generators, with signed
+    letters, explicit squares, duplicated relators and subgroup words with
+    repeated letters.  Only rng.random() is drawn, as in _pinned_cases."""
+    rng = random.Random(seed)
+
+    def pick(n):
+        return int(rng.random() * n)
+
+    def letter(ngens):
+        return (pick(ngens) + 1) * (-1 if rng.random() < 0.2 else 1)
+
+    cases = []
+    for k in range(count):
+        ngens = 1 + pick(5)
+        if k % 2:
+            # Coxeter type, (ij)^m for each pair with m = 0 leaving it free;
+            # mostly a chain of 3s beside commuting pairs, so often finite.
+            orders = ((2, 2, 2, 2, 3, 0), (2, 3, 3, 3, 4, 5, 6, 0))
+            relators = [(i, j) * m for i in range(1, ngens + 1) for j in range(i + 1, ngens + 1)
+                        for m in [orders[j == i + 1][pick(6 + 2 * (j == i + 1))]] if m]
+        else:
+            relators = [tuple(letter(ngens) for _ in range(2 + pick(9))) for _ in range(pick(5))]
+        relators += [(g, letter(1) * g) for g in range(1, ngens + 1) if rng.random() < 0.3]
+        relators += [relators[pick(len(relators))] for _ in range(pick(3)) if relators]
+        relators = [relators[i] for i in sorted(range(len(relators)), key=lambda _: rng.random())]
+        subgroup = []
+        for _ in range(pick(3)):
+            word = [letter(ngens) for _ in range(1 + pick(4))]
+            subgroup.append(tuple(word + word[:pick(len(word) + 1)]))
+        cases.append((ngens, relators, subgroup, DIFFERENTIAL_CAPACITIES[pick(6)]))
+    return cases
+
+
+def test_enumerator_matches_frozen_reference():
+    outcomes = set()
+    for ngens, relators, subgroup, capacity in _differential_cases():
+        got = enumerate_cosets(ngens, relators, subgroup, capacity)
+        want = _reference_enumerate(ngens, relators, subgroup, capacity)
+        assert (got.status, got.index, got.allocated, got.table) == \
+            (want.status, want.index, want.allocated, want.table), (ngens, relators, subgroup, capacity)
+        outcomes.add(got.status)
+    assert outcomes == {"finite", "capacity-exceeded"}
