@@ -20,8 +20,7 @@ import sys
 
 from . import cosets, fixtures, presentation, verify
 from .complexes import (build_torus_triangulation, complex_from_json,
-                        dual_graph, hexagon_links, load_paper_labeling,
-                        spanning_data)
+                        dual_graph, hexagon_links, load_paper_labeling)
 
 USAGE_ERROR = 2
 
@@ -113,7 +112,7 @@ def cmd_build(args) -> int:
         except ValueError as exc:
             raise _InputError(str(exc)) from exc
     graph = dual_graph(x0)
-    span = spanning_data(graph, "canonical")
+    tree = graph.walk(graph.edges)
     info = {
         "command": "build",
         "rows": x0.rows,
@@ -123,9 +122,9 @@ def cmd_build(args) -> int:
         "planes": len(x0.planes),
         "euler_characteristic": len(x0.points) - len(x0.lines) + len(x0.planes),
         "dual_regular_degree": 3,
-        "dual_connected": graph.is_connected(),
+        "dual_connected": len(tree) == len(graph.vertices) - 1,
         "cycle_rank": graph.cycle_rank(),
-        "tree_edges": len(span.tree_edges),
+        "tree_edges": len(tree),
     }
     if args.out:
         _write_json(args.out, x0.to_json())

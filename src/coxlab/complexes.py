@@ -86,7 +86,7 @@ class DegenerationComplex:
         return self._line_at[(kind, row % self.rows, col % self.cols)]
 
     def validate(self):
-        """Counts, unique ids, grid geometry and incidence; ValueError if not."""
+        """Counts, ids, grid geometry and incidence; ValueError if not."""
         m, n = self.rows, self.cols
         if type(m) is not int or type(n) is not int or min(m, n) < 3:
             raise ValueError(f"rows and cols must be integers of at least 3, got {m!r} and {n!r}")
@@ -94,8 +94,12 @@ class DegenerationComplex:
         if counts != (m * n, 3 * m * n, 2 * m * n):
             raise ValueError(f"expected {m * n} points, {3 * m * n} lines and {2 * m * n} planes, "
                              f"got {counts[0]}, {counts[1]} and {counts[2]}")
-        if len(self.point_by_id) + len(self.line_by_id) + len(self.plane_by_id) != 6 * m * n:
-            raise ValueError("point, line and plane ids must be unique")
+        if len(self.point_by_id) != m * n:
+            raise ValueError("point ids must be unique")
+        for kind, ids, count in (("line", self.line_by_id, 3 * m * n),
+                                 ("plane", self.plane_by_id, 2 * m * n)):
+            if set(ids) != set(range(1, count + 1)):
+                raise ValueError(f"{kind} ids must be exactly 1..{count}")
         at = {(p.row, p.col): p.id for p in self.points}
         if len(at) != m * n or not all(_on_grid(cell, m, n) for cell in at):
             raise ValueError(f"point (row, col) values must be distinct cells of the {m} x {n} grid")
@@ -156,7 +160,7 @@ def complex_from_json(data: dict) -> DegenerationComplex:
     Each element is an object holding every field of its class.  Ids,
     coordinates and incidence entries are integers (bools rejected), kind
     and half are strings, and tuple-typed fields are lists, which become
-    tuples.  Counts, unique ids and geometry are left to validate.
+    tuples.  Counts, ids and geometry are left to validate.
     """
     if type(data) is not dict:
         raise ValueError(f"a complex file holds one object, got {type(data).__name__}")

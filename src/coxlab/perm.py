@@ -51,31 +51,6 @@ class Permutation:
             return (moved[0], moved[1])
         return None
 
-    def cycles(self) -> list[tuple[int, ...]]:
-        """Nontrivial cycles, each starting at its smallest point."""
-        seen = [False] * self.degree
-        out = []
-        for start in range(1, self.degree + 1):
-            if seen[start - 1]:
-                continue
-            cyc = [start]
-            seen[start - 1] = True
-            k = self(start)
-            while k != start:
-                cyc.append(k)
-                seen[k - 1] = True
-                k = self(k)
-            if len(cyc) > 1:
-                out.append(tuple(cyc))
-        return out
-
-    def __repr__(self):
-        cyc = self.cycles()
-        if not cyc:
-            return f"Permutation(id, n={self.degree})"
-        body = "".join("(" + " ".join(map(str, c)) + ")" for c in cyc)
-        return f"Permutation({body}, n={self.degree})"
-
     def to_json(self) -> list[int]:
         return list(self.images)
 
@@ -101,35 +76,3 @@ def compose(p: Permutation, q: Permutation) -> Permutation:
         raise ValueError(f"degree mismatch: {p.degree} != {q.degree}")
     return Permutation(tuple(p.images[v - 1] for v in q.images))
 
-
-def generates_full_symmetric(gens) -> bool:
-    """Whether a set of transpositions generates the full symmetric group.
-
-    True iff the graph with an edge per transposition is connected on all
-    of {1..n}.  Defined only for transposition inputs; anything else is
-    rejected rather than silently mishandled.
-    """
-    gens = list(gens)
-    if not gens:
-        raise ValueError("empty generating set")
-    n = gens[0].degree
-    parent = list(range(n + 1))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for g in gens:
-        if g.degree != n:
-            raise ValueError("mixed degrees in generating set")
-        pair = g.as_transposition()
-        if pair is None:
-            raise ValueError(f"not a transposition: {g!r}")
-        a, b = find(pair[0]), find(pair[1])
-        if a != b:
-            parent[a] = b
-
-    root = find(1)
-    return all(find(i) == root for i in range(2, n + 1))

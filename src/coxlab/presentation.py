@@ -53,7 +53,6 @@ class Presentation:
     braids: list[Word]
     forks: list[Word]
     cycles: list[Word]
-    variant: str
 
     def relator_words(self) -> list[Word]:
         return self.squares + self.commutations + self.braids + self.forks + self.cycles
@@ -141,7 +140,6 @@ def generate(graph: DualGraph, links: list[HexagonLink], variant: str) -> Presen
         braids=braids,
         forks=forks,
         cycles=cycles,
-        variant=variant,
     )
 
 

@@ -20,6 +20,7 @@ from .complexes import (WITNESS_TRANSPOSITIONS, DegenerationComplex, dual_graph,
                         hexagon_links, is_paper_labeling, spanning_data)
 from .perm import identity, transposition
 from .presentation import cycle_relator
+from .words import rotations
 
 SUITES = ("relators", "ax", "tables", "center", "structure", "all")
 
@@ -147,11 +148,9 @@ def _suite_relators(ctx: _Context) -> Report:
         ok = True
         for link in ctx.links:
             images = set()
-            for k in range(6):
-                rot = link.cycle[k:] + link.cycle[:k]
-                for orient in (rot, (rot[0],) + rot[:0:-1]):
-                    v = ctx.reduced(cycle_relator(orient))
-                    images.add((v.sigma.images, v.part))
+            for orient in (*rotations(link.cycle), *rotations(link.cycle[::-1])):
+                v = ctx.reduced(cycle_relator(orient))
+                images.add((v.sigma.images, v.part))
             if len(images) != 1 or not v.is_identity():
                 ok = False
         rep.add("relators.cycle_orientations_agree", ok, 12 * len(ctx.links),

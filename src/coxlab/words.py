@@ -19,10 +19,6 @@ Word = tuple[int, ...]
 Pair = tuple[int, int]
 
 
-class TrivialRelatorError(ValueError):
-    """Raised when a word reduces to the empty relator."""
-
-
 def as_word(letters) -> Word:
     """Normalise a letter sequence to a positive involutive word."""
     w = []
@@ -51,19 +47,11 @@ def free_reduce_involutive(word) -> Word:
     return tuple(stack)
 
 
-def normalise_pair(i: int, j: int) -> Pair:
-    return (i, j) if i < j else (j, i)
-
-
 def reduce_with_commutations(word, comm) -> Word:
     """Fixpoint of u.u -> empty and u_i u_j u_i -> u_j for commuting pairs.
 
-    comm holds unordered pairs in either order.  A set or frozenset is
-    used as given, so a caller holding one pays nothing per call; any
-    other iterable of pairs is copied into a set of tuples first.
+    comm is a set of unordered pairs, each as a tuple in either order.
     """
-    if not isinstance(comm, (set, frozenset)):
-        comm = {tuple(p) for p in comm}
     w = free_reduce_involutive(word)
     changed = True
     while changed:
@@ -90,24 +78,6 @@ def canonical_form(word) -> Word:
     return min(min(rotations(w)), min(rotations(w[::-1])))
 
 
-@dataclass(frozen=True)
-class Relator:
-    """A nonempty involutively reduced word together with its canonical form."""
-
-    word: Word
-    canonical: Word
-
-    def __len__(self):
-        return len(self.word)
-
-
-def canonical_relator(word) -> Relator:
-    w = free_reduce_involutive(word)
-    if not w:
-        raise TrivialRelatorError(f"word reduces to the empty relator: {tuple(word)}")
-    return Relator(word=w, canonical=canonical_form(w))
-
-
 def _match_pair_power(word: Word, copies: int) -> Pair | None:
     # (u_i u_j)^copies as a reduced word: alternating i, j of length 2*copies.
     if len(word) != 2 * copies:
@@ -116,7 +86,7 @@ def _match_pair_power(word: Word, copies: int) -> Pair | None:
     if i == j:
         return None
     if word == (i, j) * copies:
-        return normalise_pair(i, j)
+        return (i, j) if i < j else (j, i)
     return None
 
 
@@ -125,27 +95,24 @@ class CleanReport:
     """Fixpoint classification of a relator list.
 
     squares: generators seen as square relators (dropped), commutations and
-    braids as unordered pairs, misc the surviving relators deduplicated by
-    canonical form.  Every commutation discovered along the way was fed
-    back into the rewriting until nothing changed; `passes` counts the
-    sweeps that took.
+    braids as unordered pairs, misc the surviving relators keyed by
+    canonical form, each key keeping its least word.  Every commutation
+    discovered along the way was fed back into the rewriting until nothing
+    changed; `passes` counts the sweeps that took.
     """
 
     squares: set[int] = field(default_factory=set)
     commutations: set[Pair] = field(default_factory=set)
     braids: set[Pair] = field(default_factory=set)
-    misc: dict[Word, Relator] = field(default_factory=dict)
+    misc: dict[Word, Word] = field(default_factory=dict)
     passes: int = 0
-
-    def misc_relators(self) -> list[Relator]:
-        return [self.misc[k] for k in sorted(self.misc)]
 
     def to_json(self) -> dict:
         return {
             "squares": sorted(self.squares),
             "commutations": [list(p) for p in sorted(self.commutations)],
             "braids": [list(p) for p in sorted(self.braids)],
-            "misc": [list(r.word) for r in self.misc_relators()],
+            "misc": [list(self.misc[k]) for k in sorted(self.misc)],
             "passes": self.passes,
         }
 
@@ -192,10 +159,10 @@ def clean(relators) -> CleanReport:
         overlap = sorted(report.commutations & report.braids)
         raise ValueError(f"degenerate input: pairs both commute and braid: {overlap}")
     for w in pending:
-        rel = canonical_relator(w)
-        kept = report.misc.get(rel.canonical)
-        if kept is None or rel.word < kept.word:
-            report.misc[rel.canonical] = rel
+        key = canonical_form(w)
+        kept = report.misc.get(key)
+        if kept is None or w < kept:
+            report.misc[key] = w
     return report
 
 

@@ -12,6 +12,13 @@ from coxlab.complexes import (DualGraph, HexagonLink, dual_graph, hexagon_links,
 from coxlab.fixtures import load_json
 
 
+def graph_of(edges, vertices=None) -> DualGraph:
+    """A dual graph from {line: (a, b)}; the vertices default to the endpoints."""
+    vertices = sorted(vertices or {v for pair in edges.values() for v in pair})
+    adjacency = {v: sorted(e for e, pair in edges.items() if v in pair) for v in vertices}
+    return DualGraph(vertices=vertices, edges=dict(edges), adjacency=adjacency)
+
+
 @pytest.fixture(scope="session")
 def paper():
     """The published 3 x 3 instance with all derived structure, built once."""
@@ -37,8 +44,7 @@ def spanning_with_cycle(paper):
         # Trading tree line t for the chord leaves n - 1 edges that no longer
         # connect the planes, so they close a cycle.
         kept = {e: edges[e] for e in data["tree"] if e != t} | {chord["line"]: edges[chord["line"]]}
-        adjacency = {v: [e for e, pair in kept.items() if v in pair] for v in paper.graph.vertices}
-        return not DualGraph(paper.graph.vertices, kept, adjacency).is_connected()
+        return not graph_of(kept, paper.graph.vertices).is_connected()
 
     t = next(t for t in data["tree"] if breaks_tree(t))
     data["tree"] = sorted(set(data["tree"]) - {t} | {chord["line"]})
@@ -59,9 +65,7 @@ def hexagon_graph():
     are no fork relators; the quotient variant is the cycle-extended
     presentation whose finite image is checked by coset enumeration.
     """
-    edges = {i: (i, i % 6 + 1) for i in range(1, 7)}
-    adjacency = {v: sorted(e for e, pair in edges.items() if v in pair) for v in range(1, 7)}
-    graph = DualGraph(vertices=list(range(1, 7)), edges=edges, adjacency=adjacency)
+    graph = graph_of({i: (i, i % 6 + 1) for i in range(1, 7)})
     link = HexagonLink(point=1, cycle=(1, 2, 3, 4, 5, 6),
                        roles=dict(zip("defabc", (1, 2, 3, 4, 5, 6))))
     return graph, [link]

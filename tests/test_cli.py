@@ -218,6 +218,16 @@ def _lines_1_27_trade_planes_7_18(data):
     _trade_planes(data, 1, 7, 27, 18)
 
 
+def _shift_ids(items, incident, shift):
+    """A mutation adding shift to every line or plane id, in both element lists."""
+    def mutate(data):
+        for element in data[items]:
+            element["id"] += shift
+        for element in data[incident]:
+            element[items] = [x + shift for x in element[items]]
+    return mutate
+
+
 def _field(items, ident, key, value, entry=None):
     """A mutation setting a field (or one entry of a list field) of one element."""
     def mutate(data):
@@ -268,6 +278,13 @@ def _assert_malformed_exits_2(capsys, complex_file, needle):
                                            (_lines_1_27_trade_planes_7_18,
                                             "plane 7 is bounded by lines [27, 13, 14], "
                                             "but its half and cell give [1, 13, 14]"),
+    # Line and plane ids index the letters and the permutations downstream.
+    pytest.param(_shift_ids("planes", "lines", 100), "plane ids must be exactly 1..18",
+                 id="plane_ids_from_101"),
+    pytest.param(_shift_ids("planes", "lines", -1), "plane ids must be exactly 1..18",
+                 id="plane_ids_from_0"),
+    pytest.param(_shift_ids("lines", "planes", 100), "line ids must be exactly 1..27",
+                 id="line_ids_from_101"),
     # Wrongly typed fields are named before any lookup dict hashes them.
     pytest.param(_field("lines", 17, "id", [34, 12]),
                  "line at position 17: id must be an integer, got [34, 12]", id="line_id_list"),
@@ -310,6 +327,16 @@ def test_verify_malformed_complex_exits_2(capsys, tmp_path, mutate, needle):
     complex_file = tmp_path / "bad.json"
     complex_file.write_text(json.dumps(data))
     _assert_malformed_exits_2(capsys, complex_file, needle)
+
+
+def test_present_rejects_shifted_line_ids(capsys, tmp_path):
+    data = load_json("tt33.json")
+    _shift_ids("lines", "planes", 100)(data)
+    complex_file = tmp_path / "bad.json"
+    complex_file.write_text(json.dumps(data))
+    code, out, err = run(capsys, "present", "--complex", str(complex_file), "--out", str(tmp_path / "p.json"))
+    assert code == 2 and out == "" and not (tmp_path / "p.json").exists()
+    assert err == f"error: invalid complex file {complex_file}: line ids must be exactly 1..27\n"
 
 
 def test_verify_complex_file_not_an_object_exits_2(capsys, tmp_path):

@@ -3,13 +3,13 @@ import json
 from pathlib import Path
 
 import pytest
+from conftest import graph_of
 
 from coxlab import fixtures
 from coxlab.complexes import (build_torus_triangulation, complex_from_json,
                               dual_graph, hexagon_links, is_paper_labeling,
                               load_paper_labeling, spanning_data)
 from coxlab.fixtures import CorruptFixtureError, load_json
-from coxlab.perm import generates_full_symmetric, transposition
 
 
 def test_paper_instance_counts(paper):
@@ -83,12 +83,8 @@ def test_hexagon_cycle_adjacency(paper):
 
 def test_hexagon_transpositions_generate_local_symmetric(paper):
     for link in paper.links:
-        local_planes = sorted({p for e in link.cycle for p in paper.x0.line_by_id[e].planes})
-        assert len(local_planes) == 6
-        relabel = {p: i + 1 for i, p in enumerate(local_planes)}
-        gens = [transposition(*(relabel[p] for p in paper.x0.line_by_id[e].planes), 6)
-                for e in link.cycle]
-        assert generates_full_symmetric(gens)
+        local = graph_of({e: paper.x0.line_by_id[e].planes for e in link.cycle})
+        assert len(local.vertices) == 6 and local.is_connected()
 
 
 @pytest.mark.parametrize("m,n", [(3, 3), (4, 3), (3, 4), (5, 5)])
@@ -122,21 +118,14 @@ def test_canonical_spanning_deterministic(paper):
 
 
 def test_spanning_of_tree_has_no_chords():
-    from coxlab.complexes import DualGraph
     # A path on four vertices.
-    edges = {1: (1, 2), 2: (2, 3), 3: (3, 4)}
-    adjacency = {1: [1], 2: [1, 2], 3: [2, 3], 4: [3]}
-    g = DualGraph(vertices=[1, 2, 3, 4], edges=edges, adjacency=adjacency)
-    span = spanning_data(g, "canonical")
+    span = spanning_data(graph_of({1: (1, 2), 2: (2, 3), 3: (3, 4)}), "canonical")
     assert span.chords == [] and sorted(span.tree_edges) == [1, 2, 3]
 
 
 def test_disconnected_graph_rejected():
-    from coxlab.complexes import DualGraph
-    g = DualGraph(vertices=[1, 2, 3, 4], edges={1: (1, 2), 2: (3, 4)},
-                  adjacency={1: [1], 2: [1], 3: [2], 4: [2]})
     with pytest.raises(ValueError):
-        spanning_data(g, "canonical")
+        spanning_data(graph_of({1: (1, 2), 2: (3, 4)}), "canonical")
 
 
 def test_json_round_trip(paper):

@@ -9,7 +9,7 @@ import pytest
 from coxlab.cosets import (DEFAULT_CAPACITY, EnumerationResult, _find, _standardize, check_result,
                            enumerate_cosets)
 from coxlab.fixtures import load_json
-from coxlab.perm import compose, generates_full_symmetric, identity, transposition
+from coxlab.perm import compose, identity, transposition
 from coxlab.presentation import generate
 
 
@@ -46,8 +46,8 @@ def test_hexagon_with_cycle_is_finite_720(paper, hexagon_graph):
     # Independent lower bound: the edge-to-transposition map is a surjection
     # onto the symmetric group on the six surrounding vertices, and every
     # relator dies under it.
+    assert graph.is_connected()
     images = {e: transposition(*graph.edges[e], 6) for e in graph.edges}
-    assert generates_full_symmetric(list(images.values()))
     for w in pres.relator_words():
         acc = identity(6)
         for letter in w:

@@ -1,8 +1,9 @@
 """Byte-identity gate: the sha256 of every `verify --json` report is pinned.
 
 The paper and 4 x 3 digests were taken before the exact and reduced
-models were merged into one semidirect product; the 6 x 6 relators and
-CleanReport digests are the benchmark's goldens, made from the seed code.
+models were merged into one semidirect product; the 6 x 6 relators digest
+and the 6 x 6 and paper CleanReport digests are the benchmark's goldens,
+made from the seed code.
 The `build --out` digests were taken before the torus builder was
 rewritten over the grid-geometry tables.  A refactor that changes any
 byte of these reports or files fails here.
@@ -15,6 +16,7 @@ import pytest
 
 from coxlab.cli import main
 from coxlab.fixtures import load_json
+from coxlab.presentation import ax_fixture
 from coxlab.words import clean
 
 PAPER_DIGESTS = {
@@ -29,6 +31,7 @@ PAPER_DIGESTS = {
 GRID_4X3_RELATORS_DIGEST = "d221dae180704c563194d303806ae6be3dddf32638cb7b4f39294a845ddfbe42"
 GRID_6X6_RELATORS_DIGEST = "c69a10e4427762473eb9ee41c3a2dcbdd4a816a8e3875afa68e3a07adbdb3a66"
 GRID_6X6_CLEAN_DIGEST = "07f3c92a660ece17dd68cda61bbb98b145340fddb3d25bc0d31e48a8e38fe9d3"
+PAPER_CLEAN_DIGEST = "bdcf1d1bd9c1045eb3dd812ae6893d42ffa2a1b6cebbe61691552f3572c0e07c"
 
 BUILD_DIGESTS = {
     (3, 3): "1d496f025dd4910100e59eac8faabffb29a0cab1b79e80bce21693473cf8b199",
@@ -48,6 +51,8 @@ def _verify_digest(capsys, complex_file, suite):
 def complex_files(tmp_path_factory):
     root = tmp_path_factory.mktemp("golden")
     assert main(["build", "--paper-fixture", "--out", str(root / "tt.json")]) == 0
+    assert main(["present", "--complex", str(root / "tt.json"), "--variant", "quotient",
+                 "--out", str(root / "qtt.json")]) == 0
     assert main(["build", "--rows", "4", "--cols", "3", "--out", str(root / "g43.json")]) == 0
     assert main(["build", "--rows", "6", "--cols", "6", "--out", str(root / "g66.json")]) == 0
     assert main(["present", "--complex", str(root / "g66.json"), "--variant", "quotient",
@@ -86,6 +91,13 @@ def test_grid_6x6_clean_digest(complex_files):
     relators = [tuple(w) for w in json.loads((complex_files / "q66.json").read_text())["relators"]]
     text = json.dumps(clean(relators).to_json(), sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == GRID_6X6_CLEAN_DIGEST
+
+
+def test_paper_clean_digest(complex_files):
+    # The quotient relators plus the 25 fixed AX relators: 70 misc relators, 2 passes.
+    relators = [tuple(w) for w in json.loads((complex_files / "qtt.json").read_text())["relators"]]
+    text = json.dumps(clean(relators + list(ax_fixture().values())).to_json(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == PAPER_CLEAN_DIGEST
 
 
 @pytest.mark.parametrize("rows,cols", sorted(BUILD_DIGESTS))

@@ -6,8 +6,7 @@ from hypothesis import strategies as st
 
 from coxlab import model
 from coxlab.presentation import ax_fixture, generate
-from coxlab.words import (TrivialRelatorError, canonical_form,
-                          canonical_relator, clean, derive_bounded,
+from coxlab.words import (canonical_form, clean, derive_bounded,
                           free_reduce_involutive, reduce_with_commutations)
 
 words_st = st.lists(st.integers(min_value=1, max_value=9), max_size=14).map(tuple)
@@ -33,7 +32,6 @@ def test_free_reduce_idempotent_and_shrinking(w):
 def test_reduce_with_commutations_examples():
     assert reduce_with_commutations((1, 2, 1), {(1, 2)}) == (2,)
     assert reduce_with_commutations((1, 2, 1), {(2, 1)}) == (2,)
-    assert reduce_with_commutations((1, 2, 1), [[2, 1]]) == (2,)
     assert reduce_with_commutations((1, 2, 1), frozenset({(1, 2)})) == (2,)
     assert reduce_with_commutations((1, 2, 1), set()) == (1, 2, 1)
     ax5 = ax_fixture()["AX5"]
@@ -48,7 +46,7 @@ def test_canonical_form_rotation_and_reversal():
 def test_canonical_ax7_rotated():
     ax7 = ax_fixture()["AX7"]
     rotated = ax7[4:] + ax7[:4]
-    assert canonical_relator(ax7).canonical == canonical_relator(rotated).canonical
+    assert canonical_form(ax7) == canonical_form(rotated)
 
 
 @given(words_st.filter(lambda w: free_reduce_involutive(w)), st.integers(0, 20))
@@ -57,11 +55,6 @@ def test_canonical_invariance(w, k):
     k %= len(w)
     assert canonical_form(w[k:] + w[:k]) == canonical_form(w)
     assert canonical_form(w[::-1]) == canonical_form(w)
-
-
-def test_empty_relator_rejected():
-    with pytest.raises(TrivialRelatorError):
-        canonical_relator((3, 3))
 
 
 def test_clean_basic_classification():
@@ -100,7 +93,7 @@ def test_clean_on_paper_relators(paper):
 def test_clean_idempotent(paper):
     plain = generate(paper.graph, paper.links, "plain")
     rep = clean(plain.squares + plain.commutations + plain.braids + list(ax_fixture().values()))
-    again = clean([r.word for r in rep.misc_relators()]
+    again = clean(list(rep.misc.values())
                   + [(i, j) * 2 for i, j in rep.commutations]
                   + [(i, j) * 3 for i, j in rep.braids])
     assert again.commutations == rep.commutations
