@@ -7,8 +7,8 @@
 
 Human-readable summaries go to stdout; --json switches to a canonical
 machine-readable report (sorted keys, no timestamps).  Exit codes:
-0 success or inconclusive, 1 verification failure, 2 usage or input
-error.
+0 success or inconclusive, 1 verification failure (a failed entry, or a
+coset table that fails its check), 2 usage or input error.
 """
 
 from __future__ import annotations
@@ -197,6 +197,8 @@ def cmd_enumerate(args) -> int:
     except ValueError as exc:
         raise _InputError(f"bad subgroup {args.subgroup!r}: {exc}") from exc
     status = "finite" if result.status == "finite" else "inconclusive"
+    if status == "finite" and not cosets.check_result(result, ngens, relators, subgroup):
+        status = "check-failed"
     info = {
         "command": "enumerate",
         "status": status,
@@ -204,16 +206,18 @@ def cmd_enumerate(args) -> int:
         "table_size": result.allocated,
         "capacity": args.capacity,
     }
-    if args.table_out and result.table is not None:
+    if args.table_out and status == "finite":
         _write_json(args.table_out, {"index": result.index, "table": result.table})
         info["table_out"] = args.table_out
     _emit(info, args.as_json, [
         f"index {result.index} (allocated {result.allocated} cosets)"
         if status == "finite" else
+        f"check-failed: the table of index {result.index} fails cosets.check_result"
+        if status == "check-failed" else
         f"inconclusive: capacity {args.capacity} exceeded "
         f"(allocated {result.allocated} cosets); the group may be infinite",
     ])
-    return 0
+    return 1 if status == "check-failed" else 0
 
 
 if __name__ == "__main__":

@@ -181,19 +181,20 @@ def check_result(result: EnumerationResult, ngens: int, relators, subgroup_gens=
         return False
     if not set(map(type, chain.from_iterable(table))) <= {int}:
         return False
-    # Each column a permutation of 1..n also confines every entry to 1..n.
-    for g in range(1, ngens + 1):
-        images = result.action_permutation(g)
-        if sorted(images) != list(range(1, n + 1)):
-            return False
-        if any(images[images[c - 1] - 1] != c for c in range(1, n + 1)):
-            return False
+    # columns[g][c] is the image of coset c under generator g.  Each column a
+    # permutation of 1..n also confines every entry to 1..n.
+    columns = [None] + [[0] + result.action_permutation(g) for g in range(1, ngens + 1)]
+    every = list(range(1, n + 1))
 
-    def act(c, word):
+    def images(start, word):
         for g in word:
-            c = table[c - 1][abs(g) - 1]
-        return c
+            column = columns[abs(g)]
+            start = [column[c] for c in start]
+        return start
 
-    if any(act(c, w) != c for w in relators for c in range(1, n + 1)):
+    if any(sorted(columns[g][1:]) != every or images(every, (g, g)) != every
+           for g in range(1, ngens + 1)):
         return False
-    return all(act(1, w) == 1 for w in subgroup_gens)
+    if any(images(every, w) != every for w in relators):
+        return False
+    return all(images([1], w) == [1] for w in subgroup_gens)

@@ -16,24 +16,26 @@ appends at most two chord letters, so a word costs O(letters) rather than
 O(n) per letter.  The dense product over phi_table stays as the reference
 the tests compare against.
 
-The reduced layer M collapses the chord letters of the 3 x 3 instance:
-four chords become central letters, four more become central letters
-times p_i or q_i, and the two remaining chords give p_i and q_i with
+The reduced layer M keeps, at plane i, chords 1, 2 and 3 as p_i and
+chords 6, 7 and 8 as q_i; chords 4, 5, 9 and 10 map to the identity, and
 [p_i, q_i] = z for a single central z.  A normal form
 
-    y^c p^a q^b z^zeta      (c in Z^8, a and b in Z^PLANES = Z^18, zeta in Z)
+    p^a q^b z^zeta      (a and b in Z^PLANES = Z^18, zeta in Z)
 
 is unique, with cocycle multiplication
 
-    (c,a,b,z)(c',a',b',z') = (c+c', a+a', b+b', z+z' - sum_i b_i a'_i)
+    (a,b,z)(a',b',z') = (a+a', b+b', z+z' - sum_i b_i a'_i)
 
 derived from q_i p_i = p_i q_i z^-1, i.e. the commutator convention
 [g, h] = g^-1 h^-1 g h gives [p_i, q_i] = z exactly.  rho_hat sends the
 exact (sigma, f) to the reduced (sigma, rho(f)) in the same product.  All
-arithmetic is plain Python integers, hence exact at every size.
+arithmetic is plain Python integers, hence exact at every size.  No
+central block per chord is needed: a chord letter enters an image at its
+tail and leaves, inverted, at its head, so its exponent summed over the
+planes is 0 on every image.
 
-The substitution table holds only for the published spanning tree and
-chord orientations.  complexes.spanning_data(graph, "paper-fixture")
+The chord weights hold only for the published spanning tree and chord
+orientations.  complexes.spanning_data(graph, "paper-fixture")
 is the one place that decides this: it checks t0_spanning.json against
 its oracle and marks the span it returns as published.  rho_hat,
 relator_report and center_witness accept only a marked span, so a
@@ -50,18 +52,9 @@ from .complexes import DualGraph, SpanningData, witness_words
 from .perm import Permutation, transposition
 from .snf import abelian_invariants
 
-# Central letters, in coordinate order: the four single-chord letters,
-# then the four chord-difference letters.
-CENTRAL_LETTERS = ("y4", "y5", "y9", "y10", "y7_8", "y6_8", "y3_1", "y2_1")
-
-# Substitution per chord index: (central coordinate or None, tail letter).
-# Tail "p" or "q" carries the coordinate index; None is purely central.
-CHORD_SUBSTITUTION = {
-    4: (0, None), 5: (1, None), 9: (2, None), 10: (3, None),
-    7: (4, "q"), 6: (5, "q"),
-    3: (6, "p"), 2: (7, "p"),
-    1: (None, "p"), 8: (None, "q"),
-}
+# Published chords giving p_i and q_i at plane i; the other four map to 1.
+P_CHORDS = frozenset({1, 2, 3})
+Q_CHORDS = frozenset({6, 7, 8})
 
 # Planes of the published complex: the reduced layer's only size.
 PLANES = 18
@@ -231,9 +224,8 @@ def evaluate_word_semidirect(word, span: SpanningData, graph: DualGraph,
 
 @dataclass(frozen=True)
 class ReducedElement:
-    """Normal form y^c p^a q^b z^zeta over the PLANES planes."""
+    """Normal form p^a q^b z^zeta over the PLANES planes."""
 
-    c: tuple[int, ...]
     a: tuple[int, ...]
     b: tuple[int, ...]
     zeta: int
@@ -244,24 +236,23 @@ class ReducedElement:
 
     @staticmethod
     def z(power: int = 1) -> "ReducedElement":
-        return ReducedElement(_IDENTITY.c, _IDENTITY.a, _IDENTITY.b, power)
+        return ReducedElement(_IDENTITY.a, _IDENTITY.b, power)
 
     @staticmethod
     def p(i: int, power: int = 1) -> "ReducedElement":
         a = [0] * PLANES
         a[i - 1] = power
-        return ReducedElement(_IDENTITY.c, tuple(a), _IDENTITY.b, 0)
+        return ReducedElement(tuple(a), _IDENTITY.b, 0)
 
     @staticmethod
     def q(i: int, power: int = 1) -> "ReducedElement":
         b = [0] * PLANES
         b[i - 1] = power
-        return ReducedElement(_IDENTITY.c, _IDENTITY.a, tuple(b), 0)
+        return ReducedElement(_IDENTITY.a, tuple(b), 0)
 
     def __mul__(self, other: "ReducedElement") -> "ReducedElement":
         cross = sum(bi * ai for bi, ai in zip(self.b, other.a))
         return ReducedElement(
-            tuple(x + y for x, y in zip(self.c, other.c)),
             tuple(x + y for x, y in zip(self.a, other.a)),
             tuple(x + y for x, y in zip(self.b, other.b)),
             self.zeta + other.zeta - cross,
@@ -269,65 +260,55 @@ class ReducedElement:
 
     def inverse(self) -> "ReducedElement":
         cross = sum(ai * bi for ai, bi in zip(self.a, self.b))
-        return ReducedElement(
-            tuple(-x for x in self.c),
-            tuple(-x for x in self.a),
-            tuple(-x for x in self.b),
-            -self.zeta - cross,
-        )
+        return ReducedElement(tuple(-x for x in self.a), tuple(-x for x in self.b),
+                              -self.zeta - cross)
 
     def commutator(self, other: "ReducedElement") -> "ReducedElement":
         return self.inverse() * other.inverse() * self * other
 
     def act(self, sigma: Permutation) -> "ReducedElement":
-        """Permute the p and q indices; the central block is fixed."""
-        return ReducedElement(
-            self.c,
-            tuple(self.a[i - 1] for i in sigma.images),
-            tuple(self.b[i - 1] for i in sigma.images),
-            self.zeta,
-        )
+        """Permute the p and q indices; z is fixed."""
+        return ReducedElement(tuple(self.a[i - 1] for i in sigma.images),
+                              tuple(self.b[i - 1] for i in sigma.images), self.zeta)
 
     def is_identity(self) -> bool:
         return self == _IDENTITY
 
     def is_central_power(self) -> bool:
         """Whether the element lies in the cyclic group generated by z."""
-        return self.c == _IDENTITY.c and self.a == _IDENTITY.a and self.b == _IDENTITY.b
+        return self.a == _IDENTITY.a and self.b == _IDENTITY.b
 
     def to_json(self) -> dict:
-        return {"c": list(self.c), "a": list(self.a), "b": list(self.b), "zeta": self.zeta}
+        return {"a": list(self.a), "b": list(self.b), "zeta": self.zeta}
 
 
-_IDENTITY = ReducedElement((0,) * len(CENTRAL_LETTERS), (0,) * PLANES, (0,) * PLANES, 0)
+_IDENTITY = ReducedElement((0,) * PLANES, (0,) * PLANES, 0)
 
 
 def rho(f: FreeTuple) -> ReducedElement:
     """Collapse a chord-letter tuple into the reduced normal form.
 
     Defined against the published chord indexing only; coordinate i sends
-    letter t to its substitute times p_i or q_i as the table dictates.
-    Distinct coordinates commute in M, so the product over coordinates is
-    taken in index order without loss.  A letter image has a . b = 0, so
-    its inverse is its negation and each letter updates the exponents once.
+    a letter of P_CHORDS to p_i, one of Q_CHORDS to q_i and any other to
+    the identity.  Distinct coordinates commute in M, so the product over
+    coordinates is taken in index order without loss.  A letter image has
+    a . b = 0, so its inverse is its negation and each letter updates the
+    exponents once.
     """
     if f.n != PLANES:
-        raise ValueError(f"the substitution table is pinned to {PLANES} coordinates, got {f.n}")
-    c, a, b, zeta = [0] * len(CENTRAL_LETTERS), [0] * PLANES, [0] * PLANES, 0
+        raise ValueError(f"the chord weights are pinned to {PLANES} coordinates, got {f.n}")
+    a, b, zeta = [0] * PLANES, [0] * PLANES, 0
     for i, word in enumerate(f.coords):
         for letter in word:
-            if abs(letter) not in CHORD_SUBSTITUTION:
+            x, sign = abs(letter), (1 if letter > 0 else -1)
+            if not 1 <= x <= 10:
                 raise ValueError(f"letter {letter} is outside the published chord range")
-            central, tail = CHORD_SUBSTITUTION[abs(letter)]
-            sign = 1 if letter > 0 else -1
-            if central is not None:
-                c[central] += sign
-            if tail == "p":
+            if x in P_CHORDS:
                 zeta -= b[i] * sign
                 a[i] += sign
-            elif tail == "q":
+            elif x in Q_CHORDS:
                 b[i] += sign
-    return ReducedElement(tuple(c), tuple(a), tuple(b), zeta)
+    return ReducedElement(tuple(a), tuple(b), zeta)
 
 
 def rho_hat(g: SemidirectElement, span: SpanningData) -> SemidirectElement:
@@ -338,7 +319,7 @@ def rho_hat(g: SemidirectElement, span: SpanningData) -> SemidirectElement:
 def require_paper_span(span: SpanningData):
     """Reject every span that the paper-fixture loader did not mark.
 
-    CHORD_SUBSTITUTION holds only for the span that
+    P_CHORDS and Q_CHORDS hold only for the span that
     complexes.spanning_data(graph, "paper-fixture") loads, checks against
     the fixture's oracle and marks published; no fixture is read here.
     """
@@ -396,13 +377,13 @@ def abelianization(relation_matrix, ngens: int) -> tuple[int, list[int]]:
 
 
 def random_kernel_element(rng: random.Random) -> ReducedElement:
-    """A random element with zero exponent sums and no central-letter part."""
+    """A random element with zero exponent sums."""
     def balanced():
         v = [rng.randint(-5, 5) for _ in range(PLANES - 1)]
         v.append(-sum(v))
         return tuple(v)
 
-    return ReducedElement(_IDENTITY.c, balanced(), balanced(), rng.randint(-5, 5))
+    return ReducedElement(balanced(), balanced(), rng.randint(-5, 5))
 
 
 def nilpotency_class_check(sample_size: int = 100, seed: int = 20040709) -> dict:
@@ -454,7 +435,6 @@ def center_witness_word() -> tuple[int, ...]:
 @dataclass
 class CenterWitness:
     value: SemidirectElement
-    zeta: int
     tau_images: dict[str, tuple[int, int] | None]
 
 
@@ -471,4 +451,4 @@ def center_witness(span: SpanningData, graph: DualGraph) -> CenterWitness:
         image = evaluate_word_semidirect(word, span, graph)
         tau_images[name] = image.sigma.as_transposition() if image.part.is_identity() else None
     value = rho_hat(evaluate_word_semidirect(center_witness_word(), span, graph), span)
-    return CenterWitness(value=value, zeta=value.part.zeta, tau_images=tau_images)
+    return CenterWitness(value=value, tau_images=tau_images)

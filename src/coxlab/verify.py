@@ -203,9 +203,9 @@ def _suite_center(ctx: _Context) -> Report:
     rep = Report(command="verify:center")
     witness = model.center_witness(ctx.span, ctx.graph)
     part, sigma = witness.value.part, witness.value.sigma
-    generates = part.is_central_power() and witness.zeta in (1, -1)
+    generates = part.is_central_power() and part.zeta in (1, -1)
     rep.add("center.witness_value", generates,
-            {"zeta": witness.zeta} if generates else part.to_json(),
+            {"zeta": part.zeta} if generates else part.to_json(),
             "the commutator word evaluates to a generator of the centre")
     rep.add("center.witness_permutation", sigma.is_identity(),
             "identity" if sigma.is_identity() else sigma.to_json(),

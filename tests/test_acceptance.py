@@ -157,7 +157,7 @@ def test_criterion_6_center_witness():
     graph = dual_graph(x0)
     span = spanning_data(graph, "paper-fixture")
     witness = model.center_witness(span, graph)
-    assert witness.zeta in (1, -1)
+    assert witness.value.part.zeta in (1, -1)
     assert witness.value.sigma.is_identity()
     assert witness.value.part.is_central_power()
     assert witness.tau_images == {"tau1": (2, 7), "tau2": (7, 10),

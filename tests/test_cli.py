@@ -10,7 +10,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from coxlab import presentation, verify
+from coxlab import cosets, presentation, verify
 from coxlab.cli import main
 from coxlab.complexes import (build_torus_triangulation, dual_graph, load_paper_labeling,
                               spanning_data)
@@ -359,8 +359,8 @@ def test_verify_grid_with_traded_planes_exits_2(capsys, tmp_path):
 def test_enumerate_bundled_small_group(capsys, paper_files):
     fx = paper_files.fixtures
     code, out, _ = run(capsys, "enumerate", "--presentation", str(fx / "s4_remark.json"), "--json")
-    info = json.loads(out)
-    assert code == 0 and info["status"] == "finite" and info["index"] == 24
+    assert code == 0 and json.loads(out) == {"capacity": 1000000, "command": "enumerate", "index": 24,
+                                             "status": "finite", "table_size": 53}
 
 
 def test_enumerate_hexagons(capsys, paper_files):
@@ -398,6 +398,26 @@ def test_enumerate_table_out(capsys, tmp_path, paper_files):
         "--table-out", str(table_file))
     table = json.loads(table_file.read_text())
     assert table["index"] == 24 and len(table["table"]) == 24
+
+
+def test_enumerate_table_failing_its_check_exits_1(capsys, tmp_path, monkeypatch, paper_files):
+    enumerate_cosets = cosets.enumerate_cosets
+
+    def with_a_broken_table(*args):
+        result = enumerate_cosets(*args)
+        result.table[0][0] = result.table[1][0]   # generator 1 no longer permutes the cosets
+        return result
+
+    monkeypatch.setattr(cosets, "enumerate_cosets", with_a_broken_table)
+    argv = ["enumerate", "--presentation", str(paper_files.fixtures / "s4_remark.json"),
+            "--table-out", str(tmp_path / "table.json")]
+    code, out, err = run(capsys, *argv, "--json")
+    assert code == 1 and err == "" and not (tmp_path / "table.json").exists()
+    info = json.loads(out)
+    assert (info["status"], info["index"]) == ("check-failed", 24) and "table_out" not in info
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and err == ""
+    assert out == "check-failed: the table of index 24 fails cosets.check_result\n"
 
 
 def test_enumerate_bad_word(capsys, paper_files):
@@ -623,6 +643,9 @@ def test_fixture_failing_a_claim_exits_1_with_the_whole_report(capsys, bad_input
     report = json.loads(out)
     assert len(report["entries"]) == entries
     assert {e["name"] for e in report["entries"] if e["status"] == "fail"} == failed
+    for e in report["entries"]:
+        if e["status"] == "fail" and (e["name"].startswith("ax.") or e["name"] == "center.witness_value"):
+            assert set(e["value"]) == {"a", "b", "zeta"}, e["name"]
 
 
 def test_relator_census_is_checked_against_the_graph(paper, monkeypatch):

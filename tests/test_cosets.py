@@ -97,7 +97,11 @@ def test_relator_action_check_validates(paper):
     pytest.param(lambda table: [row + [1] for row in table], id="rows_with_extra_column"),
     pytest.param(lambda table: table[:-1], id="fewer_rows_than_index"),
     pytest.param(lambda table: [[0] + row[1:] for row in table], id="entry_outside_1_to_index"),
-    pytest.param(lambda table: [[float(x) for x in row] for row in table], id="entries_not_int")])
+    pytest.param(lambda table: [[float(x) for x in row] for row in table], id="entries_not_int"),
+    pytest.param(lambda table: [[table[c % len(table)][0]] + row[1:] for c, row in enumerate(table, 1)],
+                 id="generator_not_an_involution"),
+    pytest.param(lambda table: [[c] + row[1:] for c, row in enumerate(table, 1)],
+                 id="involution_breaking_a_relator")])
 def test_check_result_rejects_malformed_tables(malform):
     data = load_json("s4_remark.json")
     result = enumerate_cosets(data["generators"], data["relators"])
