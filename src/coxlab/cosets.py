@@ -11,7 +11,7 @@ up to signs, to a square or to an earlier one is dropped, as its path
 stays closed at a coset once it has closed there.
 
 The action table is one flat list of rows of ``ngens + 1`` entries,
-grown by one blank row per defined coset, and a coset is named by the
+grown by one blank row per stored coset, and a coset is named by the
 offset of its row.  Entry 0 of a row is its link in a union-find forest
 over the cosets (``-1`` while the coset is live) and entry g its image
 under generator g (``-1`` while undefined).  A coincidence merges the
@@ -20,7 +20,16 @@ a merged coset writes the root back, so each stale entry is resolved
 once.  Keeping the links in the table leaves one large list to grow, so
 peak memory does not depend on where the allocator places a second one.
 
-The table size cap counts every coset ever allocated, dead or alive.
+A row is stored only for a coset that outlives its own trace.  Where a
+trace runs off the table, HLT defines one coset per letter left and then
+identifies the path's end with its start.  That identification merges
+the last of those cosets straight back into the cosets met by reading
+the word backwards from the start, so they are counted, never stored.
+The survivors are the first ones the trace defines, so the stored rows
+keep HLT's order, and each coincidence keeps the same coset as in HLT.
+
+The table size cap counts every coset HLT defines, dead or alive, stored
+or only counted, and fires at the same definition as in HLT.
 Hitting the cap is a distinguished inconclusive outcome, not an error:
 the presented group may simply be infinite.
 """
@@ -97,32 +106,92 @@ def enumerate_cosets(ngens: int, relators, subgroup_gens=(),
     if capacity < 1:
         raise ValueError("capacity must be positive")
     rels = [w for w in dict.fromkeys(rels) if not (len(w) == 2 and w[0] == w[1])]
+    # Flag the words in which no letter repeats the one before it.  Any
+    # other word doubles back onto a coset its own trace has just defined,
+    # so it defines fewer cosets than it has letters left, and it is always
+    # traced the long way.
+    rels, subs = ([(w, all(map(int.__ne__, w, w[1:]))) for w in ws] for ws in (rels, subs))
 
     width = ngens + 1
-    limit = capacity * width
     capped = EnumerationResult(status="capacity-exceeded", index=None, allocated=capacity, table=None)
     blank = [-1] * width
     table = list(blank)         # row 0 is the subgroup's own coset
+    allocated = 1
     scan, words = 0, subs       # the subgroup words at coset 0 come first
     while True:
-        for word in words:
+        for word, plain in words:
             # No coincidence is processed while a word is traced, so every
             # coset the path reaches stays a root until its end.
-            c = scan if table[scan] == -1 else _find(table, scan)
+            c = s = scan if table[scan] == -1 else _find(table, scan)
+            i = 0
             for g in word:
                 d = table[c + g]
                 if d == -1:
-                    d = len(table)
-                    if d >= limit:
+                    break
+                if table[d] != -1:     # stale: store the root in its place
+                    table[c + g] = d = _find(table, d)
+                c = d
+                i += 1
+            else:
+                if c != s:
+                    _unify(table, ngens, c, s)
+                continue
+            # The path runs off the table after i letters: HLT defines one
+            # coset per letter left, e_{i+1} .. e_k, and identifies e_k with
+            # s.  That identification merges e_k .. e_q into the cosets b met
+            # by tracing the word backwards from s, so those are counted but
+            # never stored.
+            k = len(word)
+            if plain:
+                if allocated + k - i > capacity:
+                    return capped
+                b, q = s, k
+                while q > i + 1:       # b = s w[k-1] w[k-2] ... w[q-1]
+                    h = word[q - 1]
+                    d = table[b + h]
+                    if d == -1:
+                        break
+                    if table[d] != -1:
+                        table[b + h] = d = _find(table, d)
+                    b = d
+                    q -= 1
+                if q == i + 1:         # every e merges: c^g = b is a deduction
+                    allocated += k - i
+                    d = table[b + g]
+                    table[c + g] = b
+                    if d == -1:
+                        table[b + g] = c
+                    elif d != c:
+                        _unify(table, ngens, c, d)
+                    continue
+                if b != c or h != g:   # store e_{i+1} .. e_{q-1}, joined to b
+                    allocated += k - i
+                    for g in word[i:q - 1]:
+                        d = len(table)
+                        table.extend(blank)
+                        table[c + g] = d
+                        table[d + g] = c
+                        c = d
+                    table[c + h] = b
+                    table[b + h] = c
+                    continue
+            # The long way, as HLT has it: define every coset, then identify.
+            # It also takes the fold b = c, h = g, where the merge runs back
+            # along the path just defined.
+            for g in word[i:]:
+                d = table[c + g]
+                if d == -1:
+                    if allocated >= capacity:
                         return capped
+                    allocated += 1
+                    d = len(table)
                     table.extend(blank)
                     table[c + g] = d
                     table[d + g] = c
-                elif table[d] != -1:   # stale: store the root in its place
+                elif table[d] != -1:
                     table[c + g] = d = _find(table, d)
                 c = d
-            if c != scan or table[scan] != -1:
-                _unify(table, ngens, c, scan)
+            _unify(table, ngens, c, s)
         if words is rels:
             scan += width
             while scan < len(table) and table[scan] != -1:
@@ -132,15 +201,15 @@ def enumerate_cosets(ngens: int, relators, subgroup_gens=(),
         words = rels
         for g in range(1, width):   # the squares at this coset: fill its row
             if table[scan + g] == -1:
-                d = len(table)
-                if d >= limit:
+                if allocated >= capacity:
                     return capped
+                allocated += 1
+                d = len(table)
                 table.extend(blank)
                 table[scan + g] = d
                 table[d + g] = scan
     std = _standardize(table, width)
-    return EnumerationResult(status="finite", index=len(std),
-                             allocated=len(table) // width, table=std)
+    return EnumerationResult(status="finite", index=len(std), allocated=allocated, table=std)
 
 
 def _standardize(table: list[int], width: int) -> list[list[int]]:

@@ -371,3 +371,51 @@ def test_enumerator_matches_frozen_reference():
             (want.status, want.index, want.allocated, want.table), (ngens, relators, subgroup, capacity)
         outcomes.add(got.status)
     assert outcomes == {"finite", "capacity-exceeded"}
+
+
+def _closing_subgroups(count=2, seed=17):
+    """Seeded finite-index subgroups of the affine hexagon group: five of its
+    six generators and the square of the translation through the sixth, a.
+    The hexagon is the cycle 1-2-...-6-1, so with a = 6 the translation is
+    6 times the reflection 1 2 3 4 5 4 3 2 1; the index is 2^5 = 32."""
+    rng = random.Random(seed)
+    subgroups = []
+    for _ in range(count):
+        a = int(rng.random() * 6)
+        ring = [(a + j) % 6 + 1 for j in range(6)]
+        translation = tuple(ring + ring[-2:0:-1])
+        subgroups.append([(g,) for g in ring[1:]] + [translation * 2])
+    return subgroups
+
+
+def test_capacity_fires_at_the_reference_definition_on_every_cap():
+    # A cap met inside a trace must fire at the very definition the frozen
+    # reference stops at, also where that definition is only counted.  On
+    # the infinite group every cap is met; the finite-index subgroups close
+    # after a few hundred cosets, so their sweep crosses the closing.
+    data = load_json("hexagon_affine.json")
+    ngens, relators = data["generators"], data["relators"]
+    indices = []
+    for subgroup in [[]] + _closing_subgroups():
+        for capacity in range(1, 401):
+            got = enumerate_cosets(ngens, relators, subgroup, capacity)
+            want = _reference_enumerate(ngens, relators, subgroup, capacity)
+            assert (got.status, got.allocated) == (want.status, want.allocated), (subgroup, capacity)
+            assert (got.index, got.table) == (want.index, want.table), (subgroup, capacity)
+            if got.status == "finite":
+                break
+        indices.append(got.index)
+    assert indices == [None, 32, 32]
+
+
+@pytest.mark.parametrize("subgroup", [[], [(1, 2, 3)]])
+def test_capped_enumeration_stores_only_the_cosets_that_outlive_their_trace(subgroup):
+    data = load_json("hexagon_affine.json")
+    tracemalloc.start()
+    try:
+        result = enumerate_cosets(data["generators"], data["relators"], subgroup, capacity=20000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.status == "capacity-exceeded" and result.allocated == 20000
+    assert peak < 10 ** 6
