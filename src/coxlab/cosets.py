@@ -20,13 +20,16 @@ a merged coset writes the root back, so each stale entry is resolved
 once.  Keeping the links in the table leaves one large list to grow, so
 peak memory does not depend on where the allocator places a second one.
 
-A row is stored only for a coset that outlives its own trace.  Where a
-trace runs off the table, HLT defines one coset per letter left and then
-identifies the path's end with its start.  That identification merges
-the last of those cosets straight back into the cosets met by reading
-the word backwards from the start, so they are counted, never stored.
-The survivors are the first ones the trace defines, so the stored rows
-keep HLT's order, and each coincidence keeps the same coset as in HLT.
+Where a trace runs off the table, HLT defines one coset per letter left
+and then identifies the path's end with its start.  That identification
+merges the last of those cosets straight back into the cosets met by
+reading the word backwards from the start, so they are counted, never
+stored; the first ones are stored, the last joined to where that reading
+stopped.  The stored rows keep HLT's order, and each coincidence keeps
+the same coset as in HLT.  In a fold the reading stops where the trace
+ran off, so the join doubles the stored path back onto itself and
+``_unify`` merges that part.  Only a word with two equal adjacent
+letters is traced the long way, storing every coset it defines.
 
 The table size cap counts every coset HLT defines, dead or alive, stored
 or only counted, and fires at the same definition as in HLT.
@@ -72,10 +75,7 @@ def _unify(table: list[int], ngens: int, c1: int, c2: int):
     pop, push = pending.pop, pending.append
     while pending:
         a, b = pop()
-        while table[a] != -1:
-            a = table[a]
-        while table[b] != -1:
-            b = table[b]
+        a, b = _find(table, a), _find(table, b)
         if a == b:
             continue
         if b < a:
@@ -145,6 +145,7 @@ def enumerate_cosets(ngens: int, relators, subgroup_gens=(),
             if plain:
                 if allocated + k - i > capacity:
                     return capped
+                allocated += k - i
                 b, q = s, k
                 while q > i + 1:       # b = s w[k-1] w[k-2] ... w[q-1]
                     h = word[q - 1]
@@ -155,29 +156,24 @@ def enumerate_cosets(ngens: int, relators, subgroup_gens=(),
                         table[b + h] = d = _find(table, d)
                     b = d
                     q -= 1
-                if q == i + 1:         # every e merges: c^g = b is a deduction
-                    allocated += k - i
-                    d = table[b + g]
-                    table[c + g] = b
-                    if d == -1:
-                        table[b + g] = c
-                    elif d != c:
-                        _unify(table, ngens, c, d)
-                    continue
-                if b != c or h != g:   # store e_{i+1} .. e_{q-1}, joined to b
-                    allocated += k - i
-                    for g in word[i:q - 1]:
-                        d = len(table)
-                        table.extend(blank)
-                        table[c + g] = d
-                        table[d + g] = c
-                        c = d
-                    table[c + h] = b
+                # Store e_{i+1} .. e_{q-1} (none for a deduction, q = i + 1)
+                # and join the last to b by h = w[q-1].  If b^h is defined,
+                # as in a fold (b = c, h = g), the two are one coset.
+                for g in word[i:q - 1]:
+                    d = len(table)
+                    table.extend(blank)
+                    table[c + g] = d
+                    table[d + g] = c
+                    c = d
+                h = word[q - 1]
+                d = table[b + h]
+                table[c + h] = b
+                if d == -1:
                     table[b + h] = c
-                    continue
-            # The long way, as HLT has it: define every coset, then identify.
-            # It also takes the fold b = c, h = g, where the merge runs back
-            # along the path just defined.
+                else:
+                    _unify(table, ngens, c, d)
+                continue
+            # A doubled letter: the long way, define every coset, then identify.
             for g in word[i:]:
                 d = table[c + g]
                 if d == -1:

@@ -91,9 +91,6 @@ class FreeTuple:
             raise ValueError(f"coordinate count mismatch: {self.n} != {other.n}")
         return FreeTuple(tuple(_reduce_free(u + v) for u, v in zip(self.coords, other.coords)))
 
-    def inverse(self) -> "FreeTuple":
-        return FreeTuple(tuple(tuple(-x for x in u[::-1]) for u in self.coords))
-
     def act(self, sigma: Permutation) -> "FreeTuple":
         """(f^sigma)_i = f_{sigma(i)}."""
         return FreeTuple(tuple(self.coords[sigma(i) - 1] for i in range(1, self.n + 1)))
@@ -107,8 +104,8 @@ class SemidirectElement:
     """(sigma, part) in S_n acting on coordinates: (s, f)(t, g) = (st, f^t g).
 
     part is a FreeTuple (the exact layer) or a ReducedElement (the reduced
-    layer); either answers part * part, part.inverse(), part.act(sigma)
-    and part.is_identity().
+    layer); either answers part * part, part.act(sigma) and
+    part.is_identity().
     """
 
     sigma: Permutation
@@ -117,10 +114,6 @@ class SemidirectElement:
     def __mul__(self, other: "SemidirectElement") -> "SemidirectElement":
         return SemidirectElement(self.sigma * other.sigma,
                                  self.part.act(other.sigma) * other.part)
-
-    def inverse(self) -> "SemidirectElement":
-        inv = self.sigma.inverse()
-        return SemidirectElement(inv, self.part.inverse().act(inv))
 
     def is_identity(self) -> bool:
         return self.sigma.is_identity() and self.part.is_identity()

@@ -392,11 +392,12 @@ def test_capacity_fires_at_the_reference_definition_on_every_cap():
     # A cap met inside a trace must fire at the very definition the frozen
     # reference stops at, also where that definition is only counted.  On
     # the infinite group every cap is met; the finite-index subgroups close
-    # after a few hundred cosets, so their sweep crosses the closing.
+    # after a few hundred cosets, so their sweep crosses the closing.  The
+    # last subgroup never closes, and its traces fold back onto themselves.
     data = load_json("hexagon_affine.json")
     ngens, relators = data["generators"], data["relators"]
     indices = []
-    for subgroup in [[]] + _closing_subgroups():
+    for subgroup in [[]] + _closing_subgroups() + [[(1, 2, 3), (4, 5)]]:
         for capacity in range(1, 401):
             got = enumerate_cosets(ngens, relators, subgroup, capacity)
             want = _reference_enumerate(ngens, relators, subgroup, capacity)
@@ -405,10 +406,10 @@ def test_capacity_fires_at_the_reference_definition_on_every_cap():
             if got.status == "finite":
                 break
         indices.append(got.index)
-    assert indices == [None, 32, 32]
+    assert indices == [None, 32, 32, None]
 
 
-@pytest.mark.parametrize("subgroup", [[], [(1, 2, 3)]])
+@pytest.mark.parametrize("subgroup", [[], [(1, 2, 3)], [(1, 2, 3), (4, 5)]])
 def test_capped_enumeration_stores_only_the_cosets_that_outlive_their_trace(subgroup):
     data = load_json("hexagon_affine.json")
     tracemalloc.start()

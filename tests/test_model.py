@@ -93,15 +93,6 @@ def test_semidirect_associativity_random(paper, paper_phi):
         assert (x * y) * z == x * (y * z)
 
 
-def test_semidirect_inverse(paper, paper_phi):
-    rng = random.Random(14)
-    for _ in range(30):
-        w = tuple(rng.randint(1, 27) for _ in range(rng.randint(0, 10)))
-        v = evaluate_word_semidirect(w, paper.span, paper.graph, paper_phi)
-        assert (v * v.inverse()).is_identity()
-        assert (v.inverse() * v).is_identity()
-
-
 def test_witness_conjugate_tuples_match_recorded_values(paper, paper_phi):
     # tau1 . 1 lands on the kernel with the first chord letter at plane 7
     # and its inverse at plane 2; similarly for tau4 . 4 at planes 1 and 3.
