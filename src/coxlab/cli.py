@@ -33,6 +33,9 @@ def main(argv=None) -> int:
     except (_InputError, OSError, fixtures.CorruptFixtureError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    except MemoryError:
+        print("error: out of memory for this input", file=sys.stderr)
+        return USAGE_ERROR
 
 
 class _InputError(Exception):

@@ -11,6 +11,8 @@ Three nested variants over the same generators (one involution per line):
 A cycle u_1 ... u_m contributes the relator encoding
 u_1 ... u_{m-1} = u_2 ... u_m.  Only the hexagon cycles enter the quotient
 variant; the remaining cycles of the graph are deliberately left out.
+Each hexagon is oriented by words.canonical_form: on six distinct lines
+that starts at the smallest and runs toward its smaller neighbour.
 
 The fixed data of the 3 x 3 instance, the 25 miscellaneous relators (no AX9)
 and the 43 pairs with no order relation given up front, is loaded and checked
@@ -24,7 +26,7 @@ from itertools import combinations
 
 from . import fixtures
 from .complexes import DualGraph, HexagonLink
-from .words import Word, word_from_json
+from .words import Word, canonical_form, word_from_json
 
 VARIANTS = ("plain", "fork", "quotient")
 
@@ -94,15 +96,6 @@ def cycle_relator(cycle) -> Word:
     return cycle[:-1] + cycle[:0:-1]
 
 
-def _canonical_cycle_orientation(cycle) -> tuple[int, ...]:
-    # Start at the smallest edge, run toward its smaller neighbour.
-    cycle = tuple(cycle)
-    k = cycle.index(min(cycle))
-    rotated = cycle[k:] + cycle[:k]
-    reverse = (rotated[0],) + rotated[:0:-1]
-    return rotated if rotated[1] <= reverse[1] else reverse
-
-
 def generate(graph: DualGraph, links: list[HexagonLink], variant: str) -> Presentation:
     """The presentation of the given variant from a dual graph and its hexagons."""
     if variant not in VARIANTS:
@@ -132,7 +125,7 @@ def generate(graph: DualGraph, links: list[HexagonLink], variant: str) -> Presen
     cycles: list[Word] = []
     if variant == "quotient":
         for link in sorted(links, key=lambda l: l.point):
-            cycles.append(cycle_relator(_canonical_cycle_orientation(link.cycle)))
+            cycles.append(cycle_relator(canonical_form(link.cycle)))
     return Presentation(
         generator_count=len(edges),
         squares=squares,

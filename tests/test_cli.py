@@ -449,6 +449,16 @@ def test_enumerate_malformed_presentation_exits_2(capsys, tmp_path, doc, needle)
     assert needle in err
 
 
+def test_enumerate_presentation_too_large_for_memory_exits_2(capsys, tmp_path):
+    # A table row for 10^18 generators needs 8 * 10^18 bytes, more than any
+    # 64-bit address space, so the allocation fails at once.
+    presentation_file = tmp_path / "huge.json"
+    presentation_file.write_text(json.dumps({"generators": 10 ** 18, "relators": []}))
+    code, out, err = run(capsys, "enumerate", "--presentation", str(presentation_file))
+    assert code == 2 and out == ""
+    assert err == "error: out of memory for this input\n"
+
+
 def test_python_dash_m_runs_the_command_line():
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(

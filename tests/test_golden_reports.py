@@ -5,8 +5,9 @@ models were merged into one semidirect product; the 6 x 6 relators digest
 and the 6 x 6 and paper CleanReport digests are the benchmark's goldens,
 made from the seed code.
 The `build --out` digests were taken before the torus builder was
-rewritten over the grid-geometry tables.  A refactor that changes any
-byte of these reports or files fails here.
+rewritten over the grid-geometry tables, and the `present --variant
+quotient --out` digests while hexagons had their own orientation code.
+A refactor that changes any byte of these reports or files fails here.
 """
 
 import hashlib
@@ -32,6 +33,11 @@ GRID_4X3_RELATORS_DIGEST = "d221dae180704c563194d303806ae6be3dddf32638cb7b4f3929
 GRID_6X6_RELATORS_DIGEST = "c69a10e4427762473eb9ee41c3a2dcbdd4a816a8e3875afa68e3a07adbdb3a66"
 GRID_6X6_CLEAN_DIGEST = "07f3c92a660ece17dd68cda61bbb98b145340fddb3d25bc0d31e48a8e38fe9d3"
 PAPER_CLEAN_DIGEST = "bdcf1d1bd9c1045eb3dd812ae6893d42ffa2a1b6cebbe61691552f3572c0e07c"
+
+QUOTIENT_FILE_DIGESTS = {
+    "qtt.json": "5ab909f118bca05a6041f1dfba623649ded47a9f6819a80923c078abd5cc842e",
+    "q66.json": "3708515ec8558776eabaaf4ae5dbff8aff0a836f876cac781c0c804fccd5b683",
+}
 
 BUILD_DIGESTS = {
     (3, 3): "1d496f025dd4910100e59eac8faabffb29a0cab1b79e80bce21693473cf8b199",
@@ -98,6 +104,13 @@ def test_paper_clean_digest(complex_files):
     relators = [tuple(w) for w in json.loads((complex_files / "qtt.json").read_text())["relators"]]
     text = json.dumps(clean(relators + list(ax_fixture().values())).to_json(), sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == PAPER_CLEAN_DIGEST
+
+
+@pytest.mark.parametrize("name", sorted(QUOTIENT_FILE_DIGESTS))
+def test_quotient_presentation_file_digest(complex_files, name):
+    # The CleanReport digests see neither relator order nor orientation; these do.
+    data = (complex_files / name).read_bytes()
+    assert hashlib.sha256(data).hexdigest() == QUOTIENT_FILE_DIGESTS[name]
 
 
 @pytest.mark.parametrize("rows,cols", sorted(BUILD_DIGESTS))

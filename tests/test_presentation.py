@@ -42,6 +42,17 @@ def test_quotient_adds_nine_cycles(paper):
     assert quotient.counts()["total"] == 27 + 297 + 54 + 54 + 9
 
 
+@pytest.mark.parametrize("m", [3, 4, 5, 6])
+def test_cycle_relators_start_at_their_least_line_toward_the_smaller_neighbour(m):
+    # The orientation rule, stated apart from the code: a hexagon u_1 .. u_6
+    # gives w = u_1 .. u_5 u_6 .. u_2 with u_1 least and u_2 < u_6.
+    x0 = build_torus_triangulation(m, m)
+    quotient = generate(dual_graph(x0), hexagon_links(x0), "quotient")
+    assert len(quotient.cycles) == m * m
+    for w in quotient.cycles:
+        assert w[0] == min(w) and w[1] < w[5]
+
+
 def test_fork_adds_three_per_vertex(paper):
     plain = generate(paper.graph, paper.links, "plain")
     fork = generate(paper.graph, paper.links, "fork")

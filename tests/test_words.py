@@ -156,14 +156,18 @@ def test_derive_certificate_steps_are_single_rewrites():
 
 
 def test_derive_hexagon_relation_from_fixture(paper):
-    # Around the point with hexagon {4,5,8,11,15,19}: local graph relators
-    # plus the matching fixed relator derive the cyclic relator.
+    # The benchmark's four replays: around each point, local graph relators
+    # plus the matching fixed relator derive the cyclic relator.  The explored
+    # counts and chain lengths pin the search order.
     from coxlab.presentation import cycle_relator
-    link = next(l for l in paper.links if l.point == 4)
-    local = set(link.cycle)
     plain = generate(paper.graph, paper.links, "plain")
-    known = [(e, e) for e in local]
-    known += [w for w in plain.commutations + plain.braids if set(w) <= local]
-    known.append(ax_fixture()["AX3"])
-    result = derive_bounded(known, cycle_relator(link.cycle), max_len=40)
-    assert result.found
+    for label, point, explored in (("AX1", 1, 9), ("AX3", 4, 8), ("AX4", 6, 8), ("AX2", 9, 7)):
+        link = next(l for l in paper.links if l.point == point)
+        local = set(link.cycle)
+        known = [(e, e) for e in local]
+        known += [w for w in plain.commutations + plain.braids if set(w) <= local]
+        known.append(ax_fixture()[label])
+        target = cycle_relator(link.cycle)
+        result = derive_bounded(known, target, max_len=40)
+        assert (result.found, result.explored, len(result.chain)) == (True, explored, 6), label
+        assert result.chain[0] == canonical_form(target) and result.chain[-1] == ()
