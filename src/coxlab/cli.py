@@ -14,6 +14,7 @@ coset table that fails its check), 2 usage or input error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -21,8 +22,32 @@ import sys
 from . import cosets, fixtures, presentation, verify
 from .complexes import (build_torus_triangulation, complex_from_json,
                         dual_graph, hexagon_links, load_paper_labeling)
+from .words import Word, word_from_json
 
 USAGE_ERROR = 2
+# glibc's mallopt parameter and its default value.
+M_MMAP_THRESHOLD = -3
+MMAP_THRESHOLD = 128 * 1024
+
+
+@functools.cache
+def _fix_mmap_threshold():
+    """Turn off glibc's sliding mmap threshold for this process.
+
+    glibc maps blocks above the threshold and, when it frees one, raises
+    the threshold to that block's size.  After one enumeration's coset
+    table is freed, the next one would grow on the heap, where a realloc
+    may copy it, and the peak memory of a process that runs many
+    enumerations would depend on what else lies on the heap.  Setting the
+    threshold explicitly, at its default, keeps every large table mapped.
+    Other C libraries are left as they are.  Only enumerate calls this,
+    so no other command loads ctypes.
+    """
+    import ctypes
+    try:
+        ctypes.CDLL(None).mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD)
+    except (AttributeError, OSError, TypeError):
+        pass
 
 
 def main(argv=None) -> int:
@@ -179,26 +204,30 @@ def cmd_verify(args) -> int:
     return report.exit_code()
 
 
-def _parse_subgroup(text: str) -> list[tuple[int, ...]]:
+def _parse_subgroup(text: str, ngens: int) -> list[Word]:
+    """Words space-separated, letters comma-separated, each letter in 1..ngens.
+
+    A letter is plain decimal digits: a sign or an empty field is kept as
+    text, which word_from_json rejects like a letter out of range.
+    """
     words = []
     for chunk in text.split():
+        letters = [int(x) if x.isascii() and x.isdigit() else x for x in chunk.split(",")]
         try:
-            words.append(tuple(int(x) for x in chunk.split(",") if x))
+            words.append(word_from_json(letters, ngens, "subgroup word"))
         except ValueError as exc:
-            raise _InputError(f"bad subgroup word {chunk!r}: {exc}") from exc
+            raise _InputError(str(exc)) from exc
     return words
 
 
 def cmd_enumerate(args) -> int:
+    _fix_mmap_threshold()
     ngens, relators = _read(args.presentation_file, "presentation",
                             presentation.presentation_from_json)
-    subgroup = _parse_subgroup(args.subgroup)
+    subgroup = _parse_subgroup(args.subgroup, ngens)
     if args.capacity < 1:
         raise _InputError("capacity must be positive")
-    try:
-        result = cosets.enumerate_cosets(ngens, relators, subgroup, args.capacity)
-    except ValueError as exc:
-        raise _InputError(f"bad subgroup {args.subgroup!r}: {exc}") from exc
+    result = cosets.enumerate_cosets(ngens, relators, subgroup, args.capacity)
     status = "finite" if result.status == "finite" else "inconclusive"
     if status == "finite" and not cosets.check_result(result, ngens, relators, subgroup):
         status = "check-failed"

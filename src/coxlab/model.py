@@ -27,12 +27,19 @@ is unique, with cocycle multiplication
     (a,b,z)(a',b',z') = (a+a', b+b', z+z' - sum_i b_i a'_i)
 
 derived from q_i p_i = p_i q_i z^-1, i.e. the commutator convention
-[g, h] = g^-1 h^-1 g h gives [p_i, q_i] = z exactly.  rho_hat sends the
-exact (sigma, f) to the reduced (sigma, rho(f)) in the same product.  All
-arithmetic is plain Python integers, hence exact at every size.  No
-central block per chord is needed: a chord letter enters an image at its
-tail and leaves, inverted, at its head, so its exponent summed over the
-planes is 0 on every image.
+[g, h] = g^-1 h^-1 g h gives [p_i, q_i] = z exactly.  Every commutator
+is central, in closed form
+
+    [(a,b,z), (a',b',z')] = z^(a.b' - b.a')
+
+because [g, h] = (hg)^-1 (gh), where gh and hg share a and b and their
+zeta values differ by b'.a - b.a'.
+
+rho_hat sends the exact (sigma, f) to the reduced (sigma, rho(f)) in the
+same product.  All arithmetic is plain Python integers, hence exact at
+every size.  No central block per chord is needed: a chord letter enters
+an image at its tail and leaves, inverted, at its head, so its exponent
+summed over the planes is 0 on every image.
 
 The chord weights hold only for the published spanning tree and chord
 orientations.  complexes.spanning_data(graph, "paper-fixture")
@@ -45,6 +52,7 @@ reads no fixture.
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass
 
@@ -257,7 +265,14 @@ class ReducedElement:
                               -self.zeta - cross)
 
     def commutator(self, other: "ReducedElement") -> "ReducedElement":
-        return self.inverse() * other.inverse() * self * other
+        """[g, h] = g^-1 h^-1 g h = z^(a.b' - b.a').
+
+        [g, h] = (hg)^-1 (gh), and gh and hg have the same a and b while
+        their zeta values differ by b'.a - b.a'.
+        """
+        return ReducedElement(_IDENTITY.a, _IDENTITY.b,
+                              sum(map(operator.mul, self.a, other.b))
+                              - sum(map(operator.mul, self.b, other.a)))
 
     def act(self, sigma: Permutation) -> "ReducedElement":
         """Permute the p and q indices; z is fixed."""

@@ -72,10 +72,15 @@ def rotations(word: Word):
 
 
 def canonical_form(word: Word) -> Word:
-    """Lexicographic minimum over all rotations of the word and its reversal."""
+    """Lexicographic minimum over all rotations of the word and its reversal.
+
+    That minimum begins with the word's least letter, so only the
+    rotations starting with it are compared.
+    """
     if not word:
         return word
-    return min(min(rotations(word)), min(rotations(word[::-1])))
+    least, n = min(word), len(word)
+    return min(w[k:] + w[:k] for w in (word, word[::-1]) for k in range(n) if w[k] == least)
 
 
 @dataclass
@@ -217,6 +222,9 @@ def derive_bounded(known, target: Word, max_len: int) -> Derivation:
         explored += 1
         # Rules apply at every rotation, so scan the doubled word once.
         doubled = state + state
+        # A successor this state already produced has its canonical form
+        # in parents, so it is skipped before canonical_form runs.
+        produced: set[Word] = set()
         for pos in range(len(state)):
             for lhs, repl in rules.get(doubled[pos], ()):
                 if len(lhs) > len(state):
@@ -225,8 +233,9 @@ def derive_bounded(known, target: Word, max_len: int) -> Derivation:
                     continue
                 rotated = doubled[pos:pos + len(state)]
                 nxt = free_reduce_involutive(repl + rotated[len(lhs):])
-                if len(nxt) > max_len:
+                if len(nxt) > max_len or nxt in produced:
                     continue
+                produced.add(nxt)
                 nxt = canonical_form(nxt)
                 if nxt in parents:
                     continue

@@ -391,6 +391,17 @@ def test_enumerate_subgroup_letter_out_of_range(capsys, paper_files):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("subgroup", ["-1,2", "1,,2", "+1", "0", "1,2,"])
+def test_enumerate_subgroup_signed_zero_or_empty_letter_exits_2(capsys, paper_files, subgroup):
+    # Letters are plain decimals in 1..ngens, as in a presentation file:
+    # "-1,2" and "1,,2" are not the word 1,2.
+    fx = paper_files.fixtures
+    code, out, err = run(capsys, "enumerate", "--presentation", str(fx / "s4_remark.json"),
+                         f"--subgroup={subgroup}")
+    assert code == 2 and out == ""
+    assert err.startswith("error: subgroup word") and err.count("\n") == 1
+
+
 def test_enumerate_table_out(capsys, tmp_path, paper_files):
     fx = paper_files.fixtures
     table_file = tmp_path / "table.json"
@@ -457,6 +468,43 @@ def test_enumerate_presentation_too_large_for_memory_exits_2(capsys, tmp_path):
     code, out, err = run(capsys, "enumerate", "--presentation", str(presentation_file))
     assert code == 2 and out == ""
     assert err == "error: out of memory for this input\n"
+
+
+_HEAP_AFTER_EACH_ENUMERATION = """
+import contextlib, ctypes, io, sys
+from coxlab.cli import main
+
+class MallInfo2(ctypes.Structure):
+    _fields_ = [(name, ctypes.c_size_t) for name in
+                "arena ordblks smblks hblks hblkhd usmblks fsmblks uordblks fordblks keepcost".split()]
+
+libc = ctypes.CDLL(None)
+if not hasattr(libc, "mallinfo2"):
+    sys.exit(3)
+libc.mallinfo2.restype = MallInfo2
+for _ in range(3):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["enumerate", "--presentation", sys.argv[1], "--subgroup", "1,2",
+                     "--capacity", "60000"]) == 0
+    print(libc.mallinfo2().arena)
+"""
+
+
+def test_repeated_enumerations_keep_their_tables_off_the_heap(paper_files):
+    # Each capped enumeration frees a table of about 1.4 MB.  Without a fixed
+    # mmap threshold glibc would raise its threshold past that size, and the
+    # second table would grow the heap by as much.
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", _HEAP_AFTER_EACH_ENUMERATION,
+                           str(paper_files.fixtures / "hexagon_affine.json")],
+                          capture_output=True, text=True, env=env, timeout=120)
+    if proc.returncode == 3:
+        pytest.skip("the C library has no mallinfo2")
+    assert proc.returncode == 0, proc.stderr
+    first, *later = map(int, proc.stdout.split())
+    assert all(arena - first < 256 * 1024 for arena in later), proc.stdout
 
 
 def test_python_dash_m_runs_the_command_line():

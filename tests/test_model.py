@@ -5,6 +5,8 @@ from functools import reduce
 from operator import mul
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from coxlab import fixtures
 from coxlab.complexes import (SpanningData, build_torus_triangulation,
@@ -204,6 +206,29 @@ def test_single_pair_heisenberg_abelianization():
     # Generators x, y, z with the relator [x, y] z^-1: abelianized rank 2.
     rank, torsion = abelianization([[0, 0, -1]], 3)
     assert rank == 2 and torsion == []
+
+
+def _product_commutator(g, h):
+    # The definition [g, h] = g^-1 h^-1 g h, through the group law.
+    return g.inverse() * h.inverse() * g * h
+
+
+_vectors = st.lists(st.integers(-50, 50), min_size=18, max_size=18).map(tuple)
+_reduced = st.builds(ReducedElement, _vectors, _vectors, st.integers(-10**6, 10**6))
+
+
+@given(_reduced, _reduced)
+def test_commutator_closed_form_matches_the_product(g, h):
+    assert g.commutator(h) == _product_commutator(g, h)
+
+
+def test_kernel_relation_matrix_matches_the_product_form():
+    gens = kernel_generators()
+    expected = []
+    for i in range(len(gens)):
+        for j in range(i + 1, len(gens)):
+            expected.append([0] * (len(gens) - 1) + [_product_commutator(gens[i], gens[j]).zeta])
+    assert kernel_relation_matrix() == expected
 
 
 def test_kernel_commutators_by_hand():

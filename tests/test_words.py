@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 
 import pytest
@@ -55,6 +57,25 @@ def test_canonical_invariance(w, k):
     k %= len(w)
     assert canonical_form(w[k:] + w[:k]) == canonical_form(w)
     assert canonical_form(w[::-1]) == canonical_form(w)
+
+
+def _orbit_minimum(w):
+    # The definition: the least of all 2n rotations of w and of its reversal.
+    return min((v[k:] + v[:k] for v in (w, w[::-1]) for k in range(len(w))), default=w)
+
+
+@pytest.mark.parametrize("word", [(), (5,), (3, 3), (2, 1, 2, 1), (1, 2, 1, 3, 1, 2),
+                                  (1, 2, 3, 2, 1), (4, 1, 4, 1, 4), (2, 1, 3, 1, 2, 1, 3, 1)])
+def test_canonical_form_is_the_orbit_minimum_examples(word):
+    # Repeated least letters, palindromes, and words of length 0 and 1.
+    assert canonical_form(word) == _orbit_minimum(word)
+
+
+@given(st.lists(st.integers(min_value=1, max_value=4), max_size=12).map(tuple))
+def test_canonical_form_is_the_orbit_minimum(w):
+    # Few letters, so the least letter repeats in most words.
+    assert canonical_form(w) == _orbit_minimum(w)
+    assert canonical_form(w + w[::-1]) == _orbit_minimum(w + w[::-1])
 
 
 def test_clean_basic_classification():
@@ -158,10 +179,16 @@ def test_derive_certificate_steps_are_single_rewrites():
 def test_derive_hexagon_relation_from_fixture(paper):
     # The benchmark's four replays: around each point, local graph relators
     # plus the matching fixed relator derive the cyclic relator.  The explored
-    # counts and chain lengths pin the search order.
+    # counts, chain lengths and chain digests pin the search order and every
+    # parent pointer on the chain.
     from coxlab.presentation import cycle_relator
     plain = generate(paper.graph, paper.links, "plain")
-    for label, point, explored in (("AX1", 1, 9), ("AX3", 4, 8), ("AX4", 6, 8), ("AX2", 9, 7)):
+    for label, point, explored, chain_sha256 in (
+        ("AX1", 1, 9, "731ce9b8d19b8b4edd8d19e3bacd80c34c43c75c0f31d89f6489bc50a67aa1b7"),
+        ("AX3", 4, 8, "9cf833425529e77c1677d6de4e1b653e42aa861d3136e899528d8bb9b20e3e9f"),
+        ("AX4", 6, 8, "0618f0e06e33687dc059ea5c4c0ddbc0151ebbb8d0815c6462f776c96862109d"),
+        ("AX2", 9, 7, "7a7807893ebc1140a812a08e71e5b824d16e3a2286b39db731e139c5205dd7ac"),
+    ):
         link = next(l for l in paper.links if l.point == point)
         local = set(link.cycle)
         known = [(e, e) for e in local]
@@ -171,3 +198,5 @@ def test_derive_hexagon_relation_from_fixture(paper):
         result = derive_bounded(known, target, max_len=40)
         assert (result.found, result.explored, len(result.chain)) == (True, explored, 6), label
         assert result.chain[0] == canonical_form(target) and result.chain[-1] == ()
+        chain_json = json.dumps([list(w) for w in result.chain]).encode()
+        assert hashlib.sha256(chain_json).hexdigest() == chain_sha256, label
