@@ -67,6 +67,7 @@ class _InputError(Exception):
     """The user's input is unusable; main reports it and exits 2."""
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="coxlab", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)

@@ -31,6 +31,25 @@ ran off, so the join doubles the stored path back onto itself and
 ``_unify`` merges that part.  Only a word with two equal adjacent
 letters is traced the long way, storing every coset it defines.
 
+Most relators of a Coxeter-type presentation are dihedral words
+w = (x y)^m with x != y, and once a trace of w has closed at a coset r,
+every coset in the <x, y>-orbit of r has both entries defined and is
+fixed by w: the closed path runs through the whole orbit, and <(xy)^m>
+is normal in <x, y | x^2, y^2>, as x (xy)^m x = (xy)^-m, so what fixes
+one point of a transitive orbit fixes all of them.  Later definitions
+and coincidences keep this true.  So two kinds of trace are skipped, as
+HLT would close them at their start coset without a definition or a
+coincidence:
+
+* once a coset's row is filled, a dihedral relator in a generator g
+  with c^g < c, since the root of c^g was scanned and w closed there;
+* every relator left at a coset merged into an earlier one, since each
+  has closed at that root.
+
+Subgroup words are never skipped.  A skipped trace only leaves stale
+entries unresolved, and every reader resolves them, so the definition
+order, the cap and every coincidence stay those of HLT.
+
 The table size cap counts every coset HLT defines, dead or alive, stored
 or only counted, and fires at the same definition as in HLT.
 Hitting the cap is a distinguished inconclusive outcome, not an error:
@@ -58,6 +77,13 @@ class EnumerationResult:
         if self.table is None:
             raise ValueError("no table: enumeration was inconclusive")
         return [row[gen - 1] for row in self.table]
+
+
+def _pair_bits(word) -> int:
+    """1<<x | 1<<y for a dihedral word (x y)^m with x != y, else 0."""
+    if not word or len(word) % 2 or word[0] == word[1] or word != word[:2] * (len(word) // 2):
+        return 0
+    return 1 << word[0] | 1 << word[1]
 
 
 def _find(table: list[int], c: int) -> int:
@@ -109,8 +135,10 @@ def enumerate_cosets(ngens: int, relators, subgroup_gens=(),
     # Flag the words in which no letter repeats the one before it.  Any
     # other word doubles back onto a coset its own trace has just defined,
     # so it defines fewer cosets than it has letters left, and it is always
-    # traced the long way.
-    rels, subs = ([(w, all(map(int.__ne__, w, w[1:]))) for w in ws] for ws in (rels, subs))
+    # traced the long way.  Mark each dihedral relator (x y)^m by the bits
+    # of x and y; every other word, and every subgroup word, gets 0.
+    rels = [(w, all(map(int.__ne__, w, w[1:])), _pair_bits(w)) for w in rels]
+    subs = [(w, all(map(int.__ne__, w, w[1:])), 0) for w in subs]
 
     width = ngens + 1
     capped = EnumerationResult(status="capacity-exceeded", index=None, allocated=capacity, table=None)
@@ -118,11 +146,16 @@ def enumerate_cosets(ngens: int, relators, subgroup_gens=(),
     table = list(blank)         # row 0 is the subgroup's own coset
     allocated = 1
     scan, words = 0, subs       # the subgroup words at coset 0 come first
+    early = 0
     while True:
-        for word, plain in words:
+        for word, plain, pair in words:
+            if pair & early:        # closed at an earlier coset of its orbit
+                continue
+            if table[scan] != -1:   # merged: every relator closes at its root
+                break
             # No coincidence is processed while a word is traced, so every
             # coset the path reaches stays a root until its end.
-            c = s = scan if table[scan] == -1 else _find(table, scan)
+            c = s = scan
             i = 0
             for g in word:
                 d = table[c + g]
@@ -195,8 +228,10 @@ def enumerate_cosets(ngens: int, relators, subgroup_gens=(),
             if scan == len(table):
                 break
         words = rels
+        early = 0
         for g in range(1, width):   # the squares at this coset: fill its row
-            if table[scan + g] == -1:
+            d = table[scan + g]
+            if d == -1:
                 if allocated >= capacity:
                     return capped
                 allocated += 1
@@ -204,6 +239,8 @@ def enumerate_cosets(ngens: int, relators, subgroup_gens=(),
                 table.extend(blank)
                 table[scan + g] = d
                 table[d + g] = scan
+            elif d < scan:          # its root has been scanned
+                early |= 1 << g
     std = _standardize(table, width)
     return EnumerationResult(status="finite", index=len(std), allocated=allocated, table=std)
 

@@ -388,16 +388,14 @@ def _closing_subgroups(count=2, seed=17):
     return subgroups
 
 
-def test_capacity_fires_at_the_reference_definition_on_every_cap():
-    # A cap met inside a trace must fire at the very definition the frozen
-    # reference stops at, also where that definition is only counted.  On
-    # the infinite group every cap is met; the finite-index subgroups close
-    # after a few hundred cosets, so their sweep crosses the closing.  The
-    # last subgroup never closes, and its traces fold back onto themselves.
-    data = load_json("hexagon_affine.json")
+def _sweep_capacities(name, subgroups):
+    """Enumerate each subgroup of a fixture's group under every cap from 1
+    to 400, or until the enumeration closes, against the frozen reference;
+    return the index each sweep ends with."""
+    data = load_json(name)
     ngens, relators = data["generators"], data["relators"]
     indices = []
-    for subgroup in [[]] + _closing_subgroups() + [[(1, 2, 3), (4, 5)]]:
+    for subgroup in subgroups:
         for capacity in range(1, 401):
             got = enumerate_cosets(ngens, relators, subgroup, capacity)
             want = _reference_enumerate(ngens, relators, subgroup, capacity)
@@ -406,7 +404,77 @@ def test_capacity_fires_at_the_reference_definition_on_every_cap():
             if got.status == "finite":
                 break
         indices.append(got.index)
-    assert indices == [None, 32, 32, None]
+    return indices
+
+
+def test_capacity_fires_at_the_reference_definition_on_every_cap():
+    # A cap met inside a trace must fire at the very definition the frozen
+    # reference stops at, also where that definition is only counted.  On
+    # the infinite group every cap is met; the finite-index subgroups close
+    # after a few hundred cosets, so their sweep crosses the closing.  The
+    # last subgroup never closes, and its traces fold back onto themselves.
+    subgroups = [[]] + _closing_subgroups() + [[(1, 2, 3), (4, 5)]]
+    assert _sweep_capacities("hexagon_affine.json", subgroups) == [None, 32, 32, None]
+
+
+def test_capacity_fires_at_the_reference_definition_on_every_cap_of_the_quotient():
+    # The same sweep where one relator, the hexagon cycle, is not dihedral
+    # and so is traced at every coset.  The whole group needs more than 400
+    # cosets; the two subgroups close after 95 and 370.
+    subgroups = [[], [(1, 2), (3, 4)], [(1, 2, 1), (4, 5, 6)]]
+    assert _sweep_capacities("hexagon_quotient.json", subgroups) == [None, 12, 6]
+
+
+def _dihedral_cases(count=200, seed=31):
+    """Seeded (ngens, relators, subgroup words, capacity) cases in which
+    dihedral relators (x y)^m, some of them signed and some of length 2,
+    stand beside relators that are never dihedral: a hexagon-style cycle
+    word running out along a ring of generators and back, and odd
+    alternating words x y x.  Drawn from their own seed, so the cases of
+    _differential_cases stay as they are."""
+    rng = random.Random(seed)
+
+    def pick(n):
+        return int(rng.random() * n)
+
+    # Mostly a chain of 3s beside commuting pairs, as in a Coxeter diagram.
+    orders = ((1, 2, 2, 2, 2, 2, 3, 0), (1, 2, 3, 3, 3, 4, 6, 0))
+    cases = []
+    for _ in range(count):
+        ngens = 2 + pick(5)
+        relators = []
+        for i in range(1, ngens + 1):
+            for j in range(i + 1, ngens + 1):
+                m = orders[j == i + 1][pick(8)]
+                if m:
+                    x, y = (i, j) if rng.random() < 0.5 else (j, i)
+                    relators.append((x, y * (-1 if rng.random() < 0.2 else 1)) * m)
+        if rng.random() < 0.5:
+            ring = sorted(range(1, ngens + 1), key=lambda _: rng.random())
+            relators.append(tuple(ring + ring[-2:0:-1]))
+        if rng.random() < 0.3:
+            x, y = 1 + pick(ngens), 1 + pick(ngens)
+            relators.append((x, y, x))
+        relators = [relators[i] for i in sorted(range(len(relators)), key=lambda _: rng.random())]
+        subgroup = []
+        for _ in range(pick(3)):
+            x, y = 1 + pick(ngens), 1 + pick(ngens)
+            subgroup.append((x, y) * (1 + pick(3)) if rng.random() < 0.5
+                            else tuple(1 + pick(ngens) for _ in range(1 + pick(5))))
+        cases.append((ngens, relators, subgroup, (3, 40, 400, 4000)[pick(4)]))
+    return cases
+
+
+def test_dihedral_skips_match_frozen_reference():
+    outcomes = set()
+    for ngens, relators, subgroup, capacity in _dihedral_cases():
+        got = enumerate_cosets(ngens, relators, subgroup, capacity)
+        want = _reference_enumerate(ngens, relators, subgroup, capacity)
+        assert (got.status, got.index, got.allocated, got.table) == \
+            (want.status, want.index, want.allocated, want.table), (ngens, relators, subgroup, capacity)
+        if got.index != 1:
+            outcomes.add(got.status)
+    assert outcomes == {"finite", "capacity-exceeded"}
 
 
 @pytest.mark.parametrize("subgroup", [[], [(1, 2, 3)], [(1, 2, 3), (4, 5)]])
