@@ -18,6 +18,8 @@ import functools
 import json
 import os
 import sys
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 
 from . import cosets, fixtures, presentation, verify
 from .complexes import (build_torus_triangulation, complex_from_json,
@@ -25,6 +27,8 @@ from .complexes import (build_torus_triangulation, complex_from_json,
 from .words import Word, word_from_json
 
 USAGE_ERROR = 2
+# Rows of a relator list or coset table encoded by one json.dumps call.
+ROWS_PER_CHUNK = 256
 # glibc's mallopt parameter and its default value.
 M_MMAP_THRESHOLD = -3
 MMAP_THRESHOLD = 128 * 1024
@@ -107,9 +111,98 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _json_text(value, pad: str = ""):
+    """The text of json.dumps(value, sort_keys=True, indent=1), in pieces.
+
+    pad is the indent of the line on which value starts.  A non-empty
+    list of non-empty int rows (relators, coset tables) is encoded
+    ROWS_PER_CHUNK rows at a time by json.dumps without indent, which
+    runs in the C encoder, and the row breaks are then indented.  Other
+    dicts and lists recurse, with sorted keys; strings, ints and flat int
+    lists are encoded in place; any other scalar, and any key that is not
+    a str, goes to json.dumps itself.  So the text is byte for byte what
+    json.dump writes, and it is never held whole.
+    """
+    text = _leaf_text(value, pad)
+    if text is None:
+        yield from _container_text(value, pad)
+    else:
+        yield text
+
+
+def _leaf_text(value, pad: str):
+    """The text of a scalar, empty container or flat int list; None for other containers."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if type(value) is int:
+        return int.__repr__(value)
+    if not isinstance(value, (dict, list, tuple)) or not value:
+        return json.dumps(value)
+    if isinstance(value, dict) or {*map(type, value)} != {int}:
+        return None
+    inner = pad + " "
+    return "[\n" + inner + (",\n" + inner).join(map(int.__repr__, value)) + "\n" + pad + "]"
+
+
+def _container_text(value, pad: str):
+    """The pieces of a dict or list that _leaf_text leaves, one member per line."""
+    if isinstance(value, dict):
+        members = [(_key_text(key), item) for key, item in sorted(value.items())]
+        brackets = "{}"
+    elif _int_rows(value):
+        yield from _row_text(value, pad)
+        return
+    else:
+        members, brackets = (("", item) for item in value), "[]"
+    inner = pad + " "
+    head = brackets[0] + "\n" + inner
+    for label, item in members:
+        text = _leaf_text(item, inner)
+        if text is None:
+            yield head + label
+            yield from _container_text(item, inner)
+        else:
+            yield head + label + text
+        head = ",\n" + inner
+    yield "\n" + pad + brackets[1]
+
+
+def _key_text(key) -> str:
+    """A dict key and the separator after it; json.dumps converts a key that is not a str."""
+    if isinstance(key, str):
+        return encode_basestring_ascii(key) + ": "
+    return json.dumps({key: 0})[1:-2]
+
+
+def _int_rows(items) -> bool:
+    """Whether items are non-empty lists or tuples of plain ints (no bools)."""
+    return ({*map(type, items)} <= {list, tuple} and all(items)
+            and {*map(type, chain.from_iterable(items))} == {int})
+
+
+def _row_text(rows, pad: str):
+    """The text of a list of int rows, ROWS_PER_CHUNK rows per json.dumps call."""
+    inner = pad + " "
+    cell = inner + " "
+    row_break = "\n" + inner + "],\n" + inner + "[\n" + cell
+    joined = "],\n" + cell + "["
+    head = "[\n" + inner + "[\n" + cell
+    for start in range(0, len(rows), ROWS_PER_CHUNK):
+        text = json.dumps(rows[start:start + ROWS_PER_CHUNK], separators=(",\n" + cell, ": "))
+        yield head + text[2:-2].replace(joined, row_break)
+        head = row_break
+    yield "\n" + inner + "]\n" + pad + "]"
+
+
+def _dump(data, handle) -> None:
+    """Write data as json.dump(data, handle, sort_keys=True, indent=1) does, then a newline."""
+    handle.writelines(_json_text(data))
+    handle.write("\n")
+
+
 def _emit(data: dict, as_json: bool, lines) -> None:
     if as_json:
-        print(json.dumps(data, sort_keys=True, indent=1))
+        _dump(data, sys.stdout)
     else:
         for line in lines:
             print(line)
@@ -117,8 +210,7 @@ def _emit(data: dict, as_json: bool, lines) -> None:
 
 def _write_json(path: str, data: dict) -> None:
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(data, handle, sort_keys=True, indent=1)
-        handle.write("\n")
+        _dump(data, handle)
 
 
 def _read(path: str, kind: str, parse):

@@ -170,15 +170,16 @@ def complex_from_json(data: dict) -> DegenerationComplex:
         if type(items) is not list:
             raise ValueError(f"{key} must be a list of objects, got {items!r}")
         name = cls.__name__.lower()
+        cls_fields = fields(cls)
         out = []
         for position, item in enumerate(items, start=1):
             if type(item) is not dict:
                 raise ValueError(f"{name} at position {position} must be an object, got {item!r}")
-            missing = next((f.name for f in fields(cls) if f.name not in item), None)
+            missing = next((f.name for f in cls_fields if f.name not in item), None)
             if missing:
                 raise ValueError(f"{name} at position {position}: missing key {missing!r}")
             values = {}
-            for f in fields(cls):
+            for f in cls_fields:
                 value = item[f.name]
                 if f.type == "str":
                     ok, want = type(value) is str, "a string"

@@ -130,6 +130,12 @@ def clean(relators) -> CleanReport:
                 report.squares.add(w[0])
                 changed = True
                 continue
+            if len(w) == 4 and w[0] == w[2] != w[1] == w[3]:
+                # (u_i u_j)^2, i != j: the rewrite below would leave it to
+                # register {i, j}, or empty it once {i, j} is known.
+                report.commutations.add((w[0], w[1]) if w[0] < w[1] else (w[1], w[0]))
+                changed = True
+                continue
             w = reduce_with_commutations(w, report.commutations)
             if not w:
                 changed = True

@@ -4,16 +4,19 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import asdict
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from coxlab import cosets, presentation, verify
-from coxlab.cli import main
-from coxlab.complexes import (build_torus_triangulation, dual_graph, load_paper_labeling,
-                              spanning_data)
+from coxlab import cli, cosets, presentation, verify
+from coxlab.cli import ROWS_PER_CHUNK, main
+from coxlab.complexes import (build_torus_triangulation, dual_graph, hexagon_links,
+                              load_paper_labeling, spanning_data)
 from coxlab.fixtures import BUNDLED, load_json
 
 
@@ -102,6 +105,54 @@ def test_present_exports_fixtures(paper_files):
     for name in BUNDLED:
         assert (paper_files.fixtures / name).read_text(encoding="utf-8") \
             == json.dumps(load_json(name), indent=1, sort_keys=True) + "\n"
+
+
+def _written(value) -> str:
+    return "".join(cli._json_text(value))
+
+
+_int_lists = st.lists(st.integers(), max_size=4)
+_json_leaves = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.text(),
+    st.lists(_int_lists, max_size=5), st.lists(_int_lists.map(tuple), max_size=5).map(tuple),
+    st.lists(st.lists(st.one_of(st.integers(), st.booleans(), st.none(), st.floats()),
+                      min_size=1), max_size=4))
+_json_trees = st.recursive(
+    _json_leaves,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4), st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=4), children, max_size=4),
+        st.dictionaries(st.integers(), children, max_size=4)),
+    max_leaves=16)
+
+
+@given(_json_trees)
+def test_json_writer_matches_json_dumps(value):
+    # Int rows, empty rows and containers, tuples, bools and None in rows,
+    # floats with nan and inf, non-ASCII text and int keys.
+    assert _written(value) == json.dumps(value, sort_keys=True, indent=1)
+
+
+@pytest.mark.parametrize("count", [ROWS_PER_CHUNK - 1, ROWS_PER_CHUNK, ROWS_PER_CHUNK + 1,
+                                   2 * ROWS_PER_CHUNK + 1])
+def test_json_writer_at_the_row_chunk_boundary(count):
+    rows = [[k + 1] * (1 + k % 3) for k in range(count)]
+    for value in (rows, {"generators": 3, "relators": rows}, {"index": count, "t": [{"table": rows}]}):
+        assert _written(value) == json.dumps(value, sort_keys=True, indent=1)
+
+
+def test_json_writer_streams_a_large_presentation():
+    x0 = build_torus_triangulation(10, 10)
+    data = presentation.generate(dual_graph(x0), hexagon_links(x0), "quotient").to_json()
+    assert sum(map(len, cli._json_text(data))) > 1_700_000
+    tracemalloc.start()
+    try:
+        with open(os.devnull, "w", encoding="utf-8") as handle:
+            cli._dump(data, handle)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 512 * 1024
 
 
 def test_verify_all_passes_on_fixture(capsys, paper_files):

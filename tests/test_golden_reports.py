@@ -7,6 +7,8 @@ made from the seed code.
 The `build --out` digests were taken before the torus builder was
 rewritten over the grid-geometry tables, and the `present --variant
 quotient --out` digests while hexagons had their own orientation code.
+The plain and fork presentation files and the `enumerate --table-out`
+files were pinned while every file was still written by `json.dump`.
 A refactor that changes any byte of these reports or files fails here.
 """
 
@@ -39,6 +41,16 @@ QUOTIENT_FILE_DIGESTS = {
     "q66.json": "3708515ec8558776eabaaf4ae5dbff8aff0a836f876cac781c0c804fccd5b683",
 }
 
+VARIANT_FILE_DIGESTS = {
+    "plain": "a686ceffc7fd31f71976bb13de18445a4f3aa2af6e3794da48dd7290de2ee190",
+    "fork": "fef087e0568e95a0491e8dfeeb29c32850ba6a7d8e93f6019571af91c4bf0c7b",
+}
+
+TABLE_FILE_DIGESTS = {
+    "s4_remark.json": "f79cbd25fa3c026903c8f1fa9354669de3fb5b693adfd7b0f0d1ac6dd37313c6",
+    "hexagon_quotient.json": "2a0c182138ed2a2c7ec1ff5de5def22601636bd84669c76538254bfb4fa2b509",
+}
+
 BUILD_DIGESTS = {
     (3, 3): "1d496f025dd4910100e59eac8faabffb29a0cab1b79e80bce21693473cf8b199",
     (4, 6): "debbcdc93acac1fbdb310c5ce7bb213458cc3a71a17a09db8edba5579f81f45d",
@@ -63,6 +75,9 @@ def complex_files(tmp_path_factory):
     assert main(["build", "--rows", "6", "--cols", "6", "--out", str(root / "g66.json")]) == 0
     assert main(["present", "--complex", str(root / "g66.json"), "--variant", "quotient",
                  "--out", str(root / "q66.json")]) == 0
+    for variant in VARIANT_FILE_DIGESTS:
+        assert main(["present", "--complex", str(root / "tt.json"), "--variant", variant,
+                     "--out", str(root / f"{variant}.json"), "--fixtures-out", str(root / "fx")]) == 0
     return root
 
 
@@ -111,6 +126,21 @@ def test_quotient_presentation_file_digest(complex_files, name):
     # The CleanReport digests see neither relator order nor orientation; these do.
     data = (complex_files / name).read_bytes()
     assert hashlib.sha256(data).hexdigest() == QUOTIENT_FILE_DIGESTS[name]
+
+
+@pytest.mark.parametrize("variant", sorted(VARIANT_FILE_DIGESTS))
+def test_variant_presentation_file_digest(complex_files, variant):
+    data = (complex_files / f"{variant}.json").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == VARIANT_FILE_DIGESTS[variant]
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_FILE_DIGESTS))
+def test_coset_table_file_digest(capsys, complex_files, tmp_path, name):
+    out = tmp_path / "table.json"
+    assert main(["enumerate", "--presentation", str(complex_files / "fx" / name),
+                 "--table-out", str(out)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == TABLE_FILE_DIGESTS[name]
 
 
 @pytest.mark.parametrize("rows,cols", sorted(BUILD_DIGESTS))

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from coxlab import model
 from coxlab.presentation import ax_fixture, generate
-from coxlab.words import (canonical_form, clean, derive_bounded,
+from coxlab.words import (CleanReport, canonical_form, clean, derive_bounded,
                           free_reduce_involutive, reduce_with_commutations)
 
 words_st = st.lists(st.integers(min_value=1, max_value=9), max_size=14).map(tuple)
@@ -98,6 +98,64 @@ def test_clean_feeds_discovered_commutations_back():
     assert rep.commutations == {(1, 2), (2, 3)}
     assert not rep.misc
     assert rep.passes >= 2
+
+
+def _clean_before_pair_powers(relators):
+    """clean as it was before pair powers (i j i j) skipped the rewrite; frozen."""
+    pending = [tuple(w) for w in relators]
+    report = CleanReport()
+    while True:
+        report.passes += 1
+        survivors = []
+        changed = False
+        for w in pending:
+            if len(w) == 2 and w[0] == w[1]:
+                report.squares.add(w[0])
+                changed = True
+                continue
+            w = reduce_with_commutations(w, report.commutations)
+            if not w:
+                changed = True
+                continue
+            if len(w) in (4, 6) and w == w[:2] * (len(w) // 2):
+                pairs = report.commutations if len(w) == 4 else report.braids
+                pairs.add(tuple(sorted(w[:2])))
+                changed = True
+                continue
+            survivors.append(w)
+        pending = survivors
+        if not changed:
+            break
+    if report.commutations & report.braids:
+        overlap = sorted(report.commutations & report.braids)
+        raise ValueError(f"degenerate input: pairs both commute and braid: {overlap}")
+    for w in pending:
+        key = canonical_form(w)
+        kept = report.misc.get(key)
+        if kept is None or w < kept:
+            report.misc[key] = w
+    return report
+
+
+def _outcome(clean_fn, relators):
+    try:
+        return clean_fn(relators).to_json()
+    except ValueError as exc:
+        return str(exc)
+
+
+_letters = st.integers(min_value=1, max_value=5)
+_pair_powers = st.tuples(_letters, _letters, st.sampled_from([2, 3])).map(lambda t: t[:2] * t[2])
+_relator_lists = st.lists(st.one_of(_pair_powers, st.tuples(_letters, _letters),
+                                    st.lists(_letters, max_size=9).map(tuple)), max_size=24)
+
+
+@given(_relator_lists, st.randoms(use_true_random=False))
+def test_clean_matches_its_frozen_copy_on_pair_powers(relators, rng):
+    # Repeats and reversals of the pair powers, (i, i, i, i) among them.
+    relators = relators + [w[::-1] for w in relators if len(w) == 4] + relators[:3]
+    rng.shuffle(relators)
+    assert _outcome(clean, relators) == _outcome(_clean_before_pair_powers, relators)
 
 
 def test_clean_on_paper_relators(paper):
