@@ -155,6 +155,21 @@ def test_json_writer_streams_a_large_presentation():
     assert peak < 512 * 1024
 
 
+def test_json_writer_streams_the_records_of_a_large_complex():
+    # 1,728 line records: a writer that holds a record list whole peaks
+    # near 2.5 MB here.
+    data = build_torus_triangulation(24, 24).to_json()
+    assert len(data["lines"]) == 1728
+    tracemalloc.start()
+    try:
+        with open(os.devnull, "w", encoding="utf-8") as handle:
+            cli._dump(data, handle)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1024 * 1024
+
+
 def test_verify_all_passes_on_fixture(capsys, paper_files):
     code, out, _ = run(capsys, "verify", "--complex", str(paper_files.complex), "--suite", "all")
     assert code == 0

@@ -8,12 +8,12 @@ them.  Run from the repository root:
     python tools/gen_fixtures.py
 """
 
-import json
 import os
 import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
+from coxlab.cli import _write_json  # noqa: E402
 from coxlab.complexes import build_torus_triangulation  # noqa: E402
 
 OUT = os.path.join(os.path.dirname(__file__), "..", "src", "coxlab", "fixtures")
@@ -133,9 +133,7 @@ def hexagon_presentation(with_cycle):
 
 def dump(name, data):
     path = os.path.join(OUT, name)
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(data, handle, indent=1, sort_keys=True)
-        handle.write("\n")
+    _write_json(path, data)
     print("wrote", path)
 
 
