@@ -14,7 +14,10 @@ permutation convention (p q)(i) = p(q(i)).  Words are evaluated sparsely
 by word_action: right-multiplying by one edge image swaps two planes and
 appends at most two chord letters, so a word costs O(letters) rather than
 O(n) per letter.  The dense product over phi_table stays as the reference
-the tests compare against.
+the tests compare against.  coxeter_failures decides most commutation
+relators without evaluating them: two involutions whose supports (the
+planes their images move or write on) are disjoint commute, and only
+when both squares evaluated to the identity is that lemma used.
 
 The reduced layer M keeps, at plane i, chords 1, 2 and 3 as p_i and
 chords 6, 7 and 8 as q_i; chords 4, 5, 9 and 10 map to the identity, and
@@ -198,6 +201,43 @@ def word_is_identity(word, span: SpanningData, graph: DualGraph) -> bool:
     """Whether the word evaluates to the identity of the exact model."""
     sigma, coords = word_action(word, span, graph)
     return not coords and all(plane == image for plane, image in sigma.items())
+
+
+def coxeter_failures(p, span: SpanningData, graph: DualGraph) -> list[tuple[int, ...]]:
+    """The square, commutation, braid and fork relators of the presentation
+    p whose exact image is not the identity, in that order.  Every
+    commutation is read as (x, y, x, y), the shape presentation.generate
+    builds.
+
+    Support lemma.  The support of a line is the set of planes its image
+    moves or writes a chord letter on, read from word_action((e,)) rather
+    than from graph.edges, so a chord placed off its edge still shows.
+    Let phi(x) = (s, f) and phi(y) = (t, g) have disjoint supports.  Then
+    t fixes every plane where f is nonempty, so f^t = f, and likewise
+    g^s = g; s and t commute, and f and g are never both nonempty at one
+    plane, so (s, f)(t, g) = (st, fg) = (t, g)(s, f).  If both images are
+    also involutions, x y x y = x x y y is the identity.
+
+    Squares guard: a commutation (x y)^2 passes unevaluated only when the
+    squares (x x) and (y y) evaluated to the identity here and the two
+    supports are disjoint.  Every other relator goes through
+    word_is_identity, so the result is the same as evaluating them all.
+    """
+    failed, supports = [], {}
+    for w in p.squares:
+        if not word_is_identity(w, span, graph):
+            failed.append(w)
+        else:
+            sigma, coords = word_action(w[:1], span, graph)
+            supports[w[0]] = frozenset(a for a, b in sigma.items() if a != b).union(coords)
+    for w in p.commutations:
+        x, y = w[0], w[1]
+        if x in supports and y in supports and supports[x].isdisjoint(supports[y]):
+            continue
+        if not word_is_identity(w, span, graph):
+            failed.append(w)
+    failed += [w for w in p.braids + p.forks if not word_is_identity(w, span, graph)]
+    return failed
 
 
 def evaluate_word_semidirect(word, span: SpanningData, graph: DualGraph,

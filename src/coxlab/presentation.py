@@ -104,11 +104,13 @@ def generate(graph: DualGraph, links: list[HexagonLink], variant: str) -> Presen
     squares = [(e, e) for e in edges]
     commutations = []
     braids = []
-    for i, j in combinations(edges, 2):
-        if set(graph.edges[i]) & set(graph.edges[j]):
-            braids.append((i, j) * 3)
-        else:
+    # Pairs stay in combinations order: the relator lists' order is output.
+    ends = [(e, set(graph.edges[e])) for e in edges]
+    for (i, a), (j, b) in combinations(ends, 2):
+        if a.isdisjoint(b):
             commutations.append((i, j) * 2)
+        else:
+            braids.append((i, j) * 3)
     forks: list[Word] = []
     if variant in ("fork", "quotient"):
         degrees = {v: graph.degree(v) for v in graph.vertices}

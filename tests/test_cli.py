@@ -785,6 +785,30 @@ def test_relator_census_is_checked_against_the_graph(paper, monkeypatch):
     assert [e.name for e in report.entries if e.status == "fail"] == ["relators.counts"]
 
 
+@pytest.mark.parametrize("suite,built", [
+    ("structure", set()),
+    ("ax", {"dual_graph", "spanning_data"}),
+    ("relators", {"dual_graph", "hexagon_links", "spanning_data", "generate"}),
+])
+def test_verify_builds_only_what_the_suite_reads(capsys, monkeypatch, paper_files, suite, built):
+    calls = {}
+
+    def counted(module, name):
+        real = getattr(module, name)
+
+        def wrapper(*args):
+            calls[name] = calls.get(name, 0) + 1
+            return real(*args)
+        monkeypatch.setattr(module, name, wrapper)
+
+    for name in ("dual_graph", "hexagon_links", "spanning_data"):
+        counted(verify, name)
+    counted(presentation, "generate")
+    code, _, _ = run(capsys, "verify", "--complex", str(paper_files.complex), "--suite", suite)
+    assert code == 0
+    assert calls == dict.fromkeys(built, 1)
+
+
 def test_missing_anchor_point_is_named(capsys, bad_input_env):
     code, _, err = run(capsys, *_tt33_with_point_ids_11_to_19(*bad_input_env))
     assert code == 2

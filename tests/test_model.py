@@ -5,11 +5,11 @@ from functools import reduce
 from operator import mul
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coxlab import fixtures
-from coxlab.complexes import (SpanningData, build_torus_triangulation,
+from coxlab import fixtures, model, presentation, verify
+from coxlab.complexes import (Chord, SpanningData, build_torus_triangulation,
                               dual_graph, hexagon_links, spanning_data,
                               witness_words)
 from coxlab.model import (P_CHORDS, Q_CHORDS, FreeTuple, ReducedElement,
@@ -404,3 +404,130 @@ def test_relator_report_records(paper):
     assert records[1]["status"] == "fail"
     assert records[1]["value"]["sigma"] != list(range(1, 19))
     assert records[0]["relator"] == list(ax_fixture()["AX1"])
+
+
+# -- the support lemma ---------------------------------------------------------
+
+def _coxeter(p):
+    return p.squares + p.commutations + p.braids + p.forks
+
+
+def _misplaced(span, graph, which):
+    """span with chord number `which` (mod the chord count) moved off its
+    edge: its head goes to the next plane, so its image is still an
+    involution but its support is not the edge's two planes."""
+    chords = list(span.chords)
+    k = which % len(chords)
+    ch = chords[k]
+    planes = sorted(graph.vertices)
+    head = next(v for v in planes[planes.index(ch.head) + 1:] + planes if v not in (ch.tail, ch.head))
+    chords[k] = Chord(ch.index, ch.line, ch.tail, head)
+    return SpanningData(tree_edges=span.tree_edges, chords=chords)
+
+
+def _lemma_agrees_with_evaluation(x0, graph, span, dense_too):
+    p = generate(graph, hexagon_links(x0), "quotient")
+    expected = [w for w in _coxeter(p) if not word_is_identity(w, span, graph)]
+    assert model.coxeter_failures(p, span, graph) == expected
+    if dense_too:
+        table = phi_table(span, graph)
+        n = len(graph.vertices)
+        unit = SemidirectElement(identity(n), FreeTuple.trivial(n))
+        assert expected == [w for w in _coxeter(p)
+                            if not reduce(mul, (table[e] for e in w), unit).is_identity()]
+    return p, expected
+
+
+@pytest.mark.parametrize("rows,cols", [(0, 0), (4, 3), (3, 8), (6, 6)])
+def test_coxeter_failures_equal_evaluating_every_relator(paper, rows, cols):
+    """On the published span and the canonical grid spans nothing fails, as
+    the suite reports; with a chord moved off its edge some commutations
+    fail.  Both times the lemma, the sparse evaluation of every word and the
+    dense reference agree."""
+    if rows:
+        x0 = build_torus_triangulation(rows, cols)
+        graph = dual_graph(x0)
+        span = spanning_data(graph, "canonical")
+    else:
+        x0, graph, span = paper.x0, paper.graph, paper.span
+    report = verify.run_suite(x0, "relators")
+    entry = next(e for e in report.entries if e.name == "relators.coxeter_identity")
+    p, expected = _lemma_agrees_with_evaluation(x0, graph, span, dense_too=True)
+    assert expected == [] and entry.value == {"checked": len(_coxeter(p)), "failed": 0}
+    _, expected = _lemma_agrees_with_evaluation(x0, graph, _misplaced(span, graph, 0), dense_too=True)
+    assert any(w in p.commutations for w in expected)
+
+
+@settings(max_examples=30, derandomize=True, deadline=None, database=None)
+@given(rows=st.integers(3, 6), cols=st.integers(3, 6), which=st.integers(-1, 200))
+def test_coxeter_failures_on_grids_property(rows, cols, which):
+    x0 = build_torus_triangulation(rows, cols)
+    graph = dual_graph(x0)
+    span = spanning_data(graph, "canonical")
+    if which >= 0:
+        span = _misplaced(span, graph, which)
+    _lemma_agrees_with_evaluation(x0, graph, span, dense_too=False)
+
+
+def test_commutation_of_adjacent_lines_fails_by_evaluation(monkeypatch):
+    x0 = build_torus_triangulation(4, 3)
+    graph = dual_graph(x0)
+    span = spanning_data(graph, "canonical")
+    p = generate(graph, hexagon_links(x0), "quotient")
+    x, y = p.braids[0][:2]
+    p.commutations.append((x, y, x, y))
+    assert model.coxeter_failures(p, span, graph) == [(x, y, x, y)]
+
+    real = presentation.generate
+
+    def with_an_adjacent_commutation(*args):
+        q = real(*args)
+        q.commutations.append((x, y, x, y))
+        return q
+
+    monkeypatch.setattr(presentation, "generate", with_an_adjacent_commutation)
+    entry = next(e for e in verify.run_suite(x0, "relators").entries
+                 if e.name == "relators.coxeter_identity")
+    assert entry.value == {"checked": len(_coxeter(p)), "failed": 1}
+
+
+def test_broken_square_sends_its_commutations_back_to_evaluation(monkeypatch):
+    x0 = build_torus_triangulation(4, 3)
+    graph = dual_graph(x0)
+    span = spanning_data(graph, "canonical")
+    p = generate(graph, hexagon_links(x0), "quotient")
+    line = p.commutations[0][0]
+    real = model.word_action
+    seen = []
+
+    def square_broken(word, span, graph):
+        seen.append(tuple(word))
+        if tuple(word) == (line, line):
+            return {}, {1: [1]}
+        return real(word, span, graph)
+
+    monkeypatch.setattr(model, "word_action", square_broken)
+    expected = [w for w in _coxeter(p) if not word_is_identity(w, span, graph)]
+    seen.clear()
+    assert model.coxeter_failures(p, span, graph) == expected == [(line, line)]
+    own = [w for w in p.commutations if line in w]
+    assert own and [w for w in seen if w in p.commutations] == own
+
+
+def test_relators_suite_evaluates_no_commutation_on_a_grid(monkeypatch):
+    """A deterministic work guard: the support of each line plus one
+    evaluation per square, braid, fork and cycle, and none per commutation."""
+    x0 = build_torus_triangulation(6, 6)
+    real = model.word_action
+    calls = []
+
+    def counted(*args):
+        calls.append(args[0])
+        return real(*args)
+
+    monkeypatch.setattr(model, "word_action", counted)
+    report = verify.run_suite(x0, "relators")
+    counts = next(e.value for e in report.entries if e.name == "relators.counts")
+    lines = len(dual_graph(x0).edges)
+    assert not report.failed()
+    assert len(calls) <= lines + counts["squares"] + counts["braids"] + counts["forks"] + counts["cycles"]

@@ -181,6 +181,30 @@ def test_generated_grid_presentations():
     assert counts["commutations"] + counts["braids"] == 36 * 35 // 2
 
 
+def _pairs_by_intersection(graph):
+    """generate's pair loop as it was written before the endpoint sets were
+    built once: a frozen reference that intersects two fresh sets per pair."""
+    commutations, braids = [], []
+    for i, j in combinations(sorted(graph.edges), 2):
+        if set(graph.edges[i]) & set(graph.edges[j]):
+            braids.append((i, j) * 3)
+        else:
+            commutations.append((i, j) * 2)
+    return commutations, braids
+
+
+@pytest.mark.parametrize("rows,cols", [(0, 0), (3, 3), (4, 6), (6, 6)])
+@pytest.mark.parametrize("variant", ["plain", "fork", "quotient"])
+def test_generate_matches_the_frozen_pairwise_generator(paper, rows, cols, variant):
+    if rows:
+        x0 = build_torus_triangulation(rows, cols)
+        graph, links = dual_graph(x0), hexagon_links(x0)
+    else:
+        graph, links = paper.graph, paper.links
+    p = generate(graph, links, variant)
+    assert (p.commutations, p.braids) == _pairs_by_intersection(graph)
+
+
 def test_presentation_json_round_trip(paper):
     quotient = generate(paper.graph, paper.links, "quotient")
     ngens, relators = presentation_from_json(quotient.to_json())
