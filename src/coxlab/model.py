@@ -322,6 +322,11 @@ class ReducedElement:
     def is_identity(self) -> bool:
         return self == _IDENTITY
 
+    def is_permutation_invariant(self) -> bool:
+        """Whether act(sigma) is the element itself for every sigma in
+        S_PLANES, i.e. a and b are both constant."""
+        return len(set(self.a)) == 1 and len(set(self.b)) == 1
+
     def is_central_power(self) -> bool:
         """Whether the element lies in the cyclic group generated by z."""
         return self.a == _IDENTITY.a and self.b == _IDENTITY.b
@@ -425,13 +430,16 @@ def abelianization(relation_matrix, ngens: int) -> tuple[int, list[int]]:
 
 
 def random_kernel_element(rng: random.Random) -> ReducedElement:
-    """A random element with zero exponent sums."""
-    def balanced():
-        v = [rng.randint(-5, 5) for _ in range(PLANES - 1)]
-        v.append(-sum(v))
-        return tuple(v)
+    """A random element with zero exponent sums.
 
-    return ReducedElement(balanced(), balanced(), rng.randint(-5, 5))
+    Sampling law: a and b each take PLANES - 1 = 17 entries uniform in
+    -5..5 and a last entry that brings their sum to 0; zeta is uniform in
+    -5..5.  The 35 uniform entries come from one rng.choices call, in the
+    order a, b, zeta.
+    """
+    draws = rng.choices(range(-5, 6), k=2 * PLANES - 1)
+    a, b = draws[:PLANES - 1], draws[PLANES - 1:-1]
+    return ReducedElement((*a, -sum(a)), (*b, -sum(b)), draws[-1])
 
 
 def nilpotency_class_check(sample_size: int = 100, seed: int = 20040709) -> dict:

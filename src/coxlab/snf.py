@@ -15,15 +15,18 @@ from math import gcd
 def smith_normal_form(matrix) -> list[int]:
     """Nonnegative diagonal d_1 | d_2 | ... of the Smith normal form.
 
-    The input is a rows x cols iterable of exact integers; it is not
-    modified.  Returned diagonal has length min(rows, cols), padded with
-    zeros, and satisfies the divisibility chain.
+    The input is a rows x cols iterable of rows, each an iterable of
+    exact integers (bools count as 0 and 1); it is not modified.  Returned
+    diagonal has length min(rows, cols), padded with zeros, and satisfies
+    the divisibility chain.
     """
-    dense = [list(map(int, row)) for row in matrix]
+    dense = [row if isinstance(row, (list, tuple)) else list(row) for row in matrix]
     cols = len(dense[0]) if dense else 0
     if any(len(row) != cols for row in dense):
         raise ValueError("ragged matrix")
-    rows = [row for row in ({c: x for c, x in enumerate(r) if x} for r in dense) if row]
+    # A zero row is dropped before its dict is built, and int() sees only
+    # nonzero entries.
+    rows = [{c: int(x) for c, x in enumerate(row) if x} for row in dense if any(row)]
 
     diag: list[int] = []
     while rows:
@@ -67,9 +70,10 @@ def smith_normal_form(matrix) -> list[int]:
 def abelian_invariants(matrix, ngens: int) -> tuple[int, list[int]]:
     """(free rank, torsion coefficients) of the abelian group presented
     by the given relation matrix (rows = relators, columns = generators)."""
-    if matrix and any(len(row) != ngens for row in matrix):
+    rows = list(matrix)  # read once: the matrix may be an iterator
+    if any(len(row) != ngens for row in rows):
         raise ValueError("relation matrix width differs from generator count")
-    diag = smith_normal_form(matrix) if matrix else []
+    diag = smith_normal_form(rows) if rows else []
     nonzero = [d for d in diag if d != 0]
     rank = ngens - len(nonzero)
     torsion = [d for d in nonzero if d != 1]

@@ -19,6 +19,17 @@ check takes only the cycles and the failed Coxeter words.
 In process, on a shared 2-vCPU Xeon host with Python 3.11.7, the suite
 takes 0.035-0.049 s at 10 x 10 and 0.20-0.28 s at 16 x 16, against
 0.16-0.27 s and 1.12-1.56 s when every commutation was evaluated.
+
+structure decides structure.noncentral_kernel_elements by the semidirect
+law, without forming a product.  For a transposition t and a reduced m,
+(1, m)(t, 1) = (t, m.act(t)) and (t, 1)(1, m) = (t, m), so (1, m) fails
+to commute with some transposition exactly when a or b is not constant
+(ReducedElement.is_permutation_invariant); the tests compare that with
+the products against all 153 transpositions.  With the kernel samples
+drawn by one rng.choices call and the zero rows of the kernel relation
+matrix skipped by the SNF, the suite takes 6.4-12.5 ms in process
+(min of 45 calls, shared 2-vCPU Xeon host, Python 3.11.7), against
+14-26 ms with the products.
 """
 
 from __future__ import annotations
@@ -30,7 +41,7 @@ from functools import cached_property
 from . import model, presentation
 from .complexes import (WITNESS_TRANSPOSITIONS, DegenerationComplex, dual_graph,
                         hexagon_links, is_paper_labeling, spanning_data)
-from .perm import identity, transposition
+from .perm import identity
 from .presentation import cycle_relator
 from .words import rotations
 
@@ -248,16 +259,11 @@ def _suite_structure(ctx: _Context, rep: Report) -> None:
     rng = random.Random(18)
     samples = 120
     moved = 0
-    planes = range(1, model.PLANES + 1)
     for _ in range(samples):
         m = model.random_kernel_element(rng)
         if m.is_central_power():
             m = m * model.ReducedElement.p(1) * model.ReducedElement.p(2, -1)
-        elem = model.SemidirectElement(identity(model.PLANES), m)
-        if any(not elem.commutes_with(model.SemidirectElement(transposition(i, j, model.PLANES),
-                                                              model.ReducedElement.identity()))
-               for i in planes for j in planes if i < j):
-            moved += 1
+        moved += not m.is_permutation_invariant()
     rep.add("structure.noncentral_kernel_elements", moved == samples,
             {"samples": samples, "moved": moved},
             "every sampled kernel element outside the centre fails to commute with some transposition")

@@ -179,26 +179,35 @@ class Derivation:
     explored: int
 
 
-def _substitution_rules(known) -> dict[int, list[tuple[Word, Word]]]:
+def _substitution_rules(known) -> dict[Word, list[tuple[Word, bool]]]:
     # Every relator r, rotated and reversed, split as r = lhs.rhs, yields the
-    # rewrite lhs -> reversed(rhs) (words are involutive).  Rules are indexed
-    # by their first letter.
-    rules: set[tuple[Word, Word]] = set()
+    # rewrite lhs -> reversed(rhs) (words are involutive).  Rules are keyed
+    # by their whole left side; each key lists its replacements in increasing
+    # order, each with whether it is freely reduced.  Every prefix of a
+    # rotated relator is a key, even one left without a replacement
+    # (lhs == reversed(rhs)), so the keys are closed under prefixes.
+    rules: dict[Word, set[Word]] = {}
     for raw in known:
         w = free_reduce_involutive(raw)
         if not w:
             continue
-        forms = set(rotations(w)) | set(rotations(w[::-1]))
-        for form in forms:
+        for form in set(rotations(w)) | set(rotations(w[::-1])):
             for k in range(1, len(form) + 1):
-                lhs, rhs = form[:k], form[k:]
-                repl = rhs[::-1]
+                lhs, repl = form[:k], form[k:][::-1]
+                repls = rules.setdefault(lhs, set())
                 if lhs != repl:
-                    rules.add((lhs, repl))
-    indexed: dict[int, list[tuple[Word, Word]]] = {}
-    for lhs, repl in sorted(rules):
-        indexed.setdefault(lhs[0], []).append((lhs, repl))
-    return indexed
+                    repls.add(repl)
+    return {lhs: [(repl, free_reduce_involutive(repl) == repl) for repl in sorted(repls)]
+            for lhs, repls in rules.items()}
+
+
+def _join_reduced(u: Word, v: Word) -> Word:
+    """free_reduce_involutive(u + v) for reduced u and v: letters cancel
+    only across the junction."""
+    j, most = 0, min(len(u), len(v))
+    while j < most and u[-1 - j] == v[j]:
+        j += 1
+    return u[:len(u) - j] + v[j:]
 
 
 def derive_bounded(known, target: Word, max_len: int) -> Derivation:
@@ -210,6 +219,33 @@ def derive_bounded(known, target: Word, max_len: int) -> Derivation:
     never exceed max_len.  Short words are explored first, so derivations
     that stay near the target length are found quickly.  The search stops,
     inconclusive, after MAX_STATES states.
+
+    At each rotation of a state the rules are looked up by the rotation's
+    prefixes in increasing length, and each prefix's replacements in
+    increasing order.  That is the order of a scan over all rules sorted
+    as (lhs, replacement) pairs: the left sides matching there are all
+    prefixes of one word, and a prefix sorts before its extensions.  The
+    keys are closed under prefixes, so the first prefix that is not a key
+    ends the lookups at that rotation.  (The order within one state does
+    not change the search anyway: every new successor gets that state as
+    parent, and the heap orders states by (length, depth, word).)
+
+    When no two cyclically adjacent letters of the state are equal, every
+    rotation and every suffix of one is reduced, so a reduced replacement
+    cancels only at its junction with the rest (_join_reduced).  A state
+    that is not cyclically reduced (the canonical form (1, 1, 2) of the
+    target (1, 2, 1)) or a replacement that is not reduced (from a relator
+    such as (1, 2, 3, 1)) goes through free_reduce_involutive.
+
+    Successors wait, by length and in the order produced, until the heap
+    holds no shorter state; only then are they put in canonical form and
+    checked against parents.  The search pops and links the same states
+    as when every successor was canonicalized at once: a state's length
+    is its canonical form's, so the first producer of each form still
+    becomes its parent, and every successor that could be popped next is
+    on the heap before the pop.  The replays of the published hexagons pop
+    no state longer than their targets, so most successors are never
+    canonicalized.
     """
     target_w = free_reduce_involutive(target)
     if max_len < len(target_w):
@@ -221,38 +257,49 @@ def derive_bounded(known, target: Word, max_len: int) -> Derivation:
     start = canonical_form(target_w)
     parents: dict[Word, Word | None] = {start: None}
     heap: list[tuple[int, int, Word]] = [(len(start), 0, start)]
+    # Successors by length, each with its depth and parent, in the order
+    # produced; see the docstring.
+    waiting: dict[int, list[tuple[Word, int, Word]]] = {}
     explored = 0
 
-    while heap and explored < MAX_STATES:
+    while explored < MAX_STATES:
+        for n in sorted(waiting):
+            if heap and n > heap[0][0]:
+                break
+            for word, depth, parent in waiting.pop(n):
+                word = canonical_form(word)
+                if word not in parents:
+                    parents[word] = parent
+                    heapq.heappush(heap, (n, depth, word))
+        if not heap:
+            break
         length, depth, state = heapq.heappop(heap)
         explored += 1
-        # Rules apply at every rotation, so scan the doubled word once.
+        cyclic = length < 2 or all(x != y for x, y in zip(state, state[1:] + state[:1]))
         doubled = state + state
-        # A successor this state already produced has its canonical form
-        # in parents, so it is skipped before canonical_form runs.
         produced: set[Word] = set()
-        for pos in range(len(state)):
-            for lhs, repl in rules.get(doubled[pos], ()):
-                if len(lhs) > len(state):
-                    continue
-                if doubled[pos:pos + len(lhs)] != lhs:
-                    continue
-                rotated = doubled[pos:pos + len(state)]
-                nxt = free_reduce_involutive(repl + rotated[len(lhs):])
-                if len(nxt) > max_len or nxt in produced:
-                    continue
-                produced.add(nxt)
-                nxt = canonical_form(nxt)
-                if nxt in parents:
-                    continue
-                parents[nxt] = state
-                if not nxt:
-                    chain: list[Word] = []
-                    node: Word | None = nxt
-                    while node is not None:
-                        chain.append(node)
-                        node = parents[node]
-                    chain.reverse()
-                    return Derivation(found=True, chain=chain, explored=explored)
-                heapq.heappush(heap, (len(nxt), depth + 1, nxt))
+        for pos in range(length):
+            rotated = doubled[pos:pos + length]
+            for k in range(1, length + 1):
+                repls = rules.get(rotated[:k])
+                if repls is None:
+                    break
+                rest = rotated[k:]
+                for repl, reduced in repls:
+                    if cyclic and reduced:
+                        nxt = _join_reduced(repl, rest)
+                    else:
+                        nxt = free_reduce_involutive(repl + rest)
+                    if len(nxt) > max_len or nxt in produced:
+                        continue
+                    produced.add(nxt)
+                    if not nxt:
+                        chain: list[Word] = [nxt]
+                        node: Word | None = state
+                        while node is not None:
+                            chain.append(node)
+                            node = parents[node]
+                        chain.reverse()
+                        return Derivation(found=True, chain=chain, explored=explored)
+                    waiting.setdefault(len(nxt), []).append((nxt, depth + 1, state))
     return Derivation(found=False, chain=None, explored=explored)

@@ -325,6 +325,56 @@ def test_noncentral_kernel_element_moves():
     assert not m.commutes_with(t)
 
 
+_TRANSPOSITIONS = [SemidirectElement(transposition(i, j, 18), ReducedElement.identity())
+                   for i in range(1, 19) for j in range(i + 1, 19)]
+_constant = st.integers(-5, 5).map(lambda c: (c,) * 18)
+_nearly_constant = st.builds(lambda v, i, d: v[:i] + (v[i] + d,) + v[i + 1:],
+                             _constant, st.integers(0, 17), st.sampled_from((-1, 1)))
+_any_vector = st.one_of(_vectors, _constant, _nearly_constant)
+
+
+@settings(max_examples=120, derandomize=True, deadline=None, database=None)
+@given(st.one_of(
+    st.integers(0, 2**32).map(lambda seed: random_kernel_element(random.Random(seed))),
+    st.builds(ReducedElement, _any_vector, _any_vector, st.integers(-9, 9)),
+    st.integers(-9, 9).map(ReducedElement.z)))
+def test_permutation_invariance_decides_commuting_with_transpositions(m):
+    # The structure suite's semidirect-law test against the dense products
+    # with all 153 transpositions: (1, m) moves under some (t, 1) exactly
+    # when a or b is not constant.
+    elem = SemidirectElement(identity(18), m)
+    moved = any(not elem.commutes_with(t) for t in _TRANSPOSITIONS)
+    assert (not m.is_permutation_invariant()) == moved
+    assert m.is_permutation_invariant() == (len(set(m.a)) == len(set(m.b)) == 1)
+
+
+def test_random_kernel_element_sampling_law():
+    rng = random.Random(41)
+    samples = [random_kernel_element(rng) for _ in range(600)]
+    for m in samples:
+        assert len(m.a) == len(m.b) == 18 and sum(m.a) == sum(m.b) == 0
+        assert all(-5 <= x <= 5 for x in m.a[:17] + m.b[:17] + (m.zeta,))
+    # Every uniform entry takes each of its 11 values.
+    for pick in (lambda m: m.a[0], lambda m: m.a[16], lambda m: m.b[0],
+                 lambda m: m.b[16], lambda m: m.zeta):
+        assert {pick(m) for m in samples} == set(range(-5, 6))
+    assert [random_kernel_element(random.Random(7)) for _ in range(2)] == \
+        [random_kernel_element(random.Random(7))] * 2
+
+
+def test_structure_suite_multiplies_no_semidirect_elements(paper, monkeypatch):
+    # The transposition test reads a and b; it builds no permutation and
+    # forms no semidirect product.
+    def refuse(*args):
+        raise AssertionError("semidirect product in the structure suite")
+
+    monkeypatch.setattr(SemidirectElement, "__mul__", refuse)
+    monkeypatch.setattr(verify, "identity", refuse)
+    report = verify.run_suite(paper.x0, "structure")
+    entry = next(e for e in report.entries if e.name == "structure.noncentral_kernel_elements")
+    assert (entry.status, entry.value) == ("pass", {"samples": 120, "moved": 120})
+
+
 EXACT_UNIT = SemidirectElement(identity(18), FreeTuple.trivial(18))
 
 

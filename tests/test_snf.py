@@ -125,3 +125,42 @@ def test_ragged_matrix_rejected():
     for matrix in ([[1, 2], [3]], [[], [1]]):
         with pytest.raises(ValueError):
             smith_normal_form(matrix)
+
+
+def test_abelian_invariants_reads_an_iterator_of_rows_once():
+    assert abelian_invariants(iter([[2, 0], [0, 3]]), 2) == (0, [6])
+    assert abelian_invariants(iter([]), 3) == (3, [])
+    with pytest.raises(ValueError):
+        abelian_invariants(iter([[2, 0], [0, 3, 0]]), 2)
+
+
+def _sympy_diagonal(m):
+    reference = sympy_smith_normal_form(Matrix(m), domain=ZZ)
+    return [abs(int(reference[i, i])) for i in range(min(len(m), len(m[0])))]
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(st.data())
+def test_mostly_zero_rows_and_other_row_types(data):
+    # Up to 12 x 8, most rows zero; the same matrix is then given with bool,
+    # tuple and generator rows, and none of the inputs is modified.
+    rows, cols = data.draw(st.integers(1, 12)), data.draw(st.integers(1, 8))
+    m = [[data.draw(st.integers(-9, 9)) if data.draw(st.integers(0, 9)) < 3 else 0
+          for _ in range(cols)] if data.draw(st.integers(0, 3)) == 0 else [0] * cols
+         for _ in range(rows)]
+    copy = [row[:] for row in m]
+    expected = _sympy_diagonal(m)
+    assert smith_normal_form(m) == expected
+    tuples = [tuple(row) for row in m]
+    assert smith_normal_form(tuples) == expected
+    assert smith_normal_form(list(row) for row in m) == expected
+    assert smith_normal_form([(x for x in row) for row in m]) == expected
+    assert m == copy and tuples == [tuple(row) for row in copy]
+    bits = [[x % 2 == 1 for x in row] for row in m]
+    assert smith_normal_form(bits) == _sympy_diagonal([[int(x) for x in row] for row in bits])
+
+
+def test_zero_rows_keep_the_diagonal_length():
+    assert smith_normal_form([[0, 0, 0]] * 5) == [0, 0, 0]
+    assert smith_normal_form([[0, 0]] * 3 + [[0, 4]]) == [4, 0]
+    assert smith_normal_form([(True, False), (False, False)]) == [1, 0]

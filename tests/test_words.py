@@ -1,4 +1,5 @@
 import hashlib
+import heapq
 import json
 import random
 
@@ -8,8 +9,9 @@ from hypothesis import strategies as st
 
 from coxlab import model
 from coxlab.presentation import ax_fixture, generate
-from coxlab.words import (CleanReport, canonical_form, clean, derive_bounded,
-                          free_reduce_involutive, reduce_with_commutations)
+from coxlab.words import (MAX_STATES, CleanReport, Derivation, canonical_form, clean,
+                          derive_bounded, free_reduce_involutive,
+                          reduce_with_commutations, rotations)
 
 words_st = st.lists(st.integers(min_value=1, max_value=9), max_size=14).map(tuple)
 
@@ -258,3 +260,103 @@ def test_derive_hexagon_relation_from_fixture(paper):
         assert result.chain[0] == canonical_form(target) and result.chain[-1] == ()
         chain_json = json.dumps([list(w) for w in result.chain]).encode()
         assert hashlib.sha256(chain_json).hexdigest() == chain_sha256, label
+
+
+def _reference_substitution_rules(known):
+    # Frozen reference: every rule as an (lhs, replacement) pair, indexed by
+    # the first letter and sorted.
+    rules = set()
+    for raw in known:
+        w = free_reduce_involutive(raw)
+        if not w:
+            continue
+        for form in set(rotations(w)) | set(rotations(w[::-1])):
+            for k in range(1, len(form) + 1):
+                lhs, repl = form[:k], form[k:][::-1]
+                if lhs != repl:
+                    rules.add((lhs, repl))
+    indexed = {}
+    for lhs, repl in sorted(rules):
+        indexed.setdefault(lhs[0], []).append((lhs, repl))
+    return indexed
+
+
+def _reference_derive_bounded(known, target, max_len):
+    # Frozen reference: at each rotation, scan the sorted rules of its first
+    # letter and free-reduce every successor whole.
+    target_w = free_reduce_involutive(target)
+    if not target_w:
+        return Derivation(found=True, chain=[target], explored=0)
+    rules = _reference_substitution_rules(known)
+    start = canonical_form(target_w)
+    parents = {start: None}
+    heap = [(len(start), 0, start)]
+    explored = 0
+    while heap and explored < MAX_STATES:
+        _, depth, state = heapq.heappop(heap)
+        explored += 1
+        doubled = state + state
+        produced = set()
+        for pos in range(len(state)):
+            for lhs, repl in rules.get(doubled[pos], ()):
+                if len(lhs) > len(state) or doubled[pos:pos + len(lhs)] != lhs:
+                    continue
+                rotated = doubled[pos:pos + len(state)]
+                nxt = free_reduce_involutive(repl + rotated[len(lhs):])
+                if len(nxt) > max_len or nxt in produced:
+                    continue
+                produced.add(nxt)
+                nxt = canonical_form(nxt)
+                if nxt in parents:
+                    continue
+                parents[nxt] = state
+                if not nxt:
+                    chain, node = [], nxt
+                    while node is not None:
+                        chain.append(node)
+                        node = parents[node]
+                    return Derivation(found=True, chain=chain[::-1], explored=explored)
+                heapq.heappush(heap, (len(nxt), depth + 1, nxt))
+    return Derivation(found=False, chain=None, explored=explored)
+
+
+def _derive_case(rng):
+    # 2 to 5 letters; some relators and targets begin and end with the same
+    # letter, so states and replacements that are not cyclically reduced
+    # occur, as do raw relators that are not reduced at all.
+    letters = range(1, rng.randint(2, 5) + 1)
+
+    def word(lo, hi):
+        w = tuple(rng.choice(letters) for _ in range(rng.randint(lo, hi)))
+        return w + w[:1] if rng.random() < 0.35 else w
+
+    known = [(x, x) for x in letters if rng.random() < 0.8]
+    known += [word(2, 7) for _ in range(rng.randint(1, 3))]
+    if rng.random() < 0.3:
+        known.append(rng.choice([(1, 2, 1, 3), (1, 2, 3, 1), (1, 1, 2, 2), (2, 1, 2)]))
+    target = word(1, 6)
+    return known, target, min(len(free_reduce_involutive(target)) + rng.randint(0, 2), 8)
+
+
+# Searches whose chain depends on the order among states of equal length,
+# so successors of the popped state's own length must reach the heap first.
+_EQUAL_LENGTH_ORDER = [
+    ([(2, 2), (3, 3), (4, 4), (5, 5), (5, 5, 5, 1, 3, 2, 2), (3, 1, 4, 3, 2, 5, 3), (5, 3, 4, 3),
+      (1, 2, 1, 3)], (1, 2, 3, 3, 3), 4),
+    ([(1, 1), (2, 2), (3, 3), (4, 4), (5, 5), (4, 5, 4, 3, 4), (5, 3, 1, 1, 4, 5),
+      (4, 3, 1, 2, 4, 5, 5), (1, 2, 1, 3)], (4, 4, 2, 4, 3, 4), 6),
+]
+
+
+def test_derive_bounded_matches_the_sorted_rule_scan():
+    rng = random.Random(25)
+    seen = {"found": 0, "not found": 0, "wrapped target": 0}
+    for known, target, max_len in _EQUAL_LENGTH_ORDER + [_derive_case(rng) for _ in range(320)]:
+        got = derive_bounded(known, target, max_len)
+        want = _reference_derive_bounded(known, target, max_len)
+        assert (got.found, got.chain, got.explored) == (want.found, want.chain, want.explored), \
+            (known, target, max_len)
+        seen["found" if got.found else "not found"] += 1
+        reduced = free_reduce_involutive(target)
+        seen["wrapped target"] += len(reduced) > 1 and reduced[0] == reduced[-1]
+    assert min(seen.values()) >= 40, seen
