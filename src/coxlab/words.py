@@ -179,13 +179,13 @@ class Derivation:
     explored: int
 
 
-def _substitution_rules(known) -> dict[Word, list[tuple[Word, bool]]]:
+def _substitution_rules(known) -> dict[Word, list[Word]]:
     # Every relator r, rotated and reversed, split as r = lhs.rhs, yields the
     # rewrite lhs -> reversed(rhs) (words are involutive).  Rules are keyed
     # by their whole left side; each key lists its replacements in increasing
-    # order, each with whether it is freely reduced.  Every prefix of a
-    # rotated relator is a key, even one left without a replacement
-    # (lhs == reversed(rhs)), so the keys are closed under prefixes.
+    # order.  Every prefix of a rotated relator is a key, even one left
+    # without a replacement (lhs == reversed(rhs)), so the keys are closed
+    # under prefixes.
     rules: dict[Word, set[Word]] = {}
     for raw in known:
         w = free_reduce_involutive(raw)
@@ -197,17 +197,7 @@ def _substitution_rules(known) -> dict[Word, list[tuple[Word, bool]]]:
                 repls = rules.setdefault(lhs, set())
                 if lhs != repl:
                     repls.add(repl)
-    return {lhs: [(repl, free_reduce_involutive(repl) == repl) for repl in sorted(repls)]
-            for lhs, repls in rules.items()}
-
-
-def _join_reduced(u: Word, v: Word) -> Word:
-    """free_reduce_involutive(u + v) for reduced u and v: letters cancel
-    only across the junction."""
-    j, most = 0, min(len(u), len(v))
-    while j < most and u[-1 - j] == v[j]:
-        j += 1
-    return u[:len(u) - j] + v[j:]
+    return {lhs: sorted(repls) for lhs, repls in rules.items()}
 
 
 def derive_bounded(known, target: Word, max_len: int) -> Derivation:
@@ -226,26 +216,19 @@ def derive_bounded(known, target: Word, max_len: int) -> Derivation:
     as (lhs, replacement) pairs: the left sides matching there are all
     prefixes of one word, and a prefix sorts before its extensions.  The
     keys are closed under prefixes, so the first prefix that is not a key
-    ends the lookups at that rotation.  (The order within one state does
-    not change the search anyway: every new successor gets that state as
-    parent, and the heap orders states by (length, depth, word).)
+    ends the lookups at that rotation.
 
-    When no two cyclically adjacent letters of the state are equal, every
-    rotation and every suffix of one is reduced, so a reduced replacement
-    cancels only at its junction with the rest (_join_reduced).  A state
-    that is not cyclically reduced (the canonical form (1, 1, 2) of the
-    target (1, 2, 1)) or a replacement that is not reduced (from a relator
-    such as (1, 2, 3, 1)) goes through free_reduce_involutive.
-
-    Successors wait, by length and in the order produced, until the heap
-    holds no shorter state; only then are they put in canonical form and
-    checked against parents.  The search pops and links the same states
-    as when every successor was canonicalized at once: a state's length
-    is its canonical form's, so the first producer of each form still
-    becomes its parent, and every successor that could be popped next is
-    on the heap before the pop.  The replays of the published hexagons pop
-    no state longer than their targets, so most successors are never
-    canonicalized.
+    Successors wait, by length and in the order first produced, until the
+    heap holds no shorter state; only then are they put in canonical form
+    and checked against parents.  The search pops and links the same
+    states as when every successor was canonicalized at once: a state's
+    length is its canonical form's, so the first producer of each form
+    still becomes its parent, and every successor that could be popped
+    next is on the heap before the pop.  The replays of the published
+    hexagons pop no state longer than their targets, so most successors
+    are never canonicalized.  A search that climbs pays in memory instead:
+    it holds every distinct successor word until the heap reaches its
+    length, where canonicalizing at once would keep only new forms.
     """
     target_w = free_reduce_involutive(target)
     if max_len < len(target_w):
@@ -257,16 +240,16 @@ def derive_bounded(known, target: Word, max_len: int) -> Derivation:
     start = canonical_form(target_w)
     parents: dict[Word, Word | None] = {start: None}
     heap: list[tuple[int, int, Word]] = [(len(start), 0, start)]
-    # Successors by length, each with its depth and parent, in the order
-    # produced; see the docstring.
-    waiting: dict[int, list[tuple[Word, int, Word]]] = {}
+    # Successors by length: each word with the depth and parent of its
+    # first producer, in the order produced; see the docstring.
+    waiting: dict[int, dict[Word, tuple[int, Word]]] = {}
     explored = 0
 
     while explored < MAX_STATES:
         for n in sorted(waiting):
             if heap and n > heap[0][0]:
                 break
-            for word, depth, parent in waiting.pop(n):
+            for word, (depth, parent) in waiting.pop(n).items():
                 word = canonical_form(word)
                 if word not in parents:
                     parents[word] = parent
@@ -275,9 +258,8 @@ def derive_bounded(known, target: Word, max_len: int) -> Derivation:
             break
         length, depth, state = heapq.heappop(heap)
         explored += 1
-        cyclic = length < 2 or all(x != y for x, y in zip(state, state[1:] + state[:1]))
+        # Rules apply at every rotation, so slice the doubled word.
         doubled = state + state
-        produced: set[Word] = set()
         for pos in range(length):
             rotated = doubled[pos:pos + length]
             for k in range(1, length + 1):
@@ -285,14 +267,10 @@ def derive_bounded(known, target: Word, max_len: int) -> Derivation:
                 if repls is None:
                     break
                 rest = rotated[k:]
-                for repl, reduced in repls:
-                    if cyclic and reduced:
-                        nxt = _join_reduced(repl, rest)
-                    else:
-                        nxt = free_reduce_involutive(repl + rest)
-                    if len(nxt) > max_len or nxt in produced:
+                for repl in repls:
+                    nxt = free_reduce_involutive(repl + rest)
+                    if len(nxt) > max_len:
                         continue
-                    produced.add(nxt)
                     if not nxt:
                         chain: list[Word] = [nxt]
                         node: Word | None = state
@@ -301,5 +279,5 @@ def derive_bounded(known, target: Word, max_len: int) -> Derivation:
                             node = parents[node]
                         chain.reverse()
                         return Derivation(found=True, chain=chain, explored=explored)
-                    waiting.setdefault(len(nxt), []).append((nxt, depth + 1, state))
+                    waiting.setdefault(len(nxt), {}).setdefault(nxt, (depth + 1, state))
     return Derivation(found=False, chain=None, explored=explored)
