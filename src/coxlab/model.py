@@ -13,8 +13,11 @@ and both images square to the identity.  Multiplication is
 permutation convention (p q)(i) = p(q(i)).  Words are evaluated sparsely
 by word_action: right-multiplying by one edge image swaps two planes and
 appends at most two chord letters, so a word costs O(letters) rather than
-O(n) per letter.  The dense product over phi_table stays as the reference
-the tests compare against.  coxeter_failures decides most commutation
+O(n) per letter.  word_action is the one construction of exact images in
+the package, and only reduced elements are multiplied here.  The
+independent reference, phi built from the chords and the dense product
+with free reduction, lives in tests/oracle.py, and the tests compare
+word_action against it.  coxeter_failures decides most commutation
 relators without evaluating them: two involutions whose supports (the
 planes their images move or write on) are disjoint commute, and only
 when both squares evaluated to the identity is that lemma used.
@@ -60,7 +63,7 @@ import random
 from dataclasses import dataclass
 
 from .complexes import DualGraph, SpanningData, witness_words
-from .perm import Permutation, transposition
+from .perm import Permutation
 from .snf import abelian_invariants
 
 # Published chords giving p_i and q_i at plane i; the other four map to 1.
@@ -73,38 +76,15 @@ PLANES = 18
 
 # -- the exact layer ---------------------------------------------------------
 
-def _reduce_free(word) -> tuple[int, ...]:
-    out: list[int] = []
-    for x in word:
-        if out and out[-1] == -x:
-            out.pop()
-        else:
-            out.append(x)
-    return tuple(out)
-
-
 @dataclass(frozen=True)
 class FreeTuple:
     """An n-tuple of reduced free-group words over the chord letters."""
 
     coords: tuple[tuple[int, ...], ...]
 
-    @staticmethod
-    def trivial(n: int) -> "FreeTuple":
-        return FreeTuple(((),) * n)
-
     @property
     def n(self) -> int:
         return len(self.coords)
-
-    def __mul__(self, other: "FreeTuple") -> "FreeTuple":
-        if self.n != other.n:
-            raise ValueError(f"coordinate count mismatch: {self.n} != {other.n}")
-        return FreeTuple(tuple(_reduce_free(u + v) for u, v in zip(self.coords, other.coords)))
-
-    def act(self, sigma: Permutation) -> "FreeTuple":
-        """(f^sigma)_i = f_{sigma(i)}."""
-        return FreeTuple(tuple(self.coords[sigma(i) - 1] for i in range(1, self.n + 1)))
 
     def is_identity(self) -> bool:
         return not any(self.coords)
@@ -114,9 +94,11 @@ class FreeTuple:
 class SemidirectElement:
     """(sigma, part) in S_n acting on coordinates: (s, f)(t, g) = (st, f^t g).
 
-    part is a FreeTuple (the exact layer) or a ReducedElement (the reduced
-    layer); either answers part * part, part.act(sigma) and
-    part.is_identity().
+    part is a FreeTuple (the exact layer, as evaluate_word_semidirect
+    builds it) or a ReducedElement (the reduced layer).  Only reduced
+    elements are multiplied in the package, so part * part and
+    part.act(sigma) are ReducedElement's; the dense exact product is the
+    tests' reference (tests/oracle.py).
     """
 
     sigma: Permutation
@@ -138,24 +120,9 @@ class SemidirectElement:
 ModelElement = SemidirectElement
 
 
-def phi(line_id: int, span: SpanningData, graph: DualGraph) -> SemidirectElement:
-    """Image of one graph edge; an involution in either case."""
-    if line_id not in graph.edges:
-        raise ValueError(f"line {line_id} is not an edge of the graph")
-    n = len(graph.vertices)
-    chord = span.chord_by_line().get(line_id)
-    if chord is None:
-        a, b = graph.edges[line_id]
-        return SemidirectElement(transposition(a, b, n), FreeTuple.trivial(n))
-    tail, head = chord.tail, chord.head
-    coords = [()] * n
-    coords[tail - 1] = (chord.index,)
-    coords[head - 1] = (-chord.index,)
-    return SemidirectElement(transposition(tail, head, n), FreeTuple(tuple(coords)))
-
-
 def phi_table(span: SpanningData, graph: DualGraph) -> dict[int, SemidirectElement]:
-    return {e: phi(e, span, graph) for e in sorted(graph.edges)}
+    """The exact image of each graph edge, by line id."""
+    return {e: evaluate_word_semidirect((e,), span, graph) for e in sorted(graph.edges)}
 
 
 def word_action(word, span: SpanningData, graph: DualGraph) -> tuple[dict[int, int], dict[int, list[int]]]:
@@ -272,10 +239,6 @@ class ReducedElement:
     zeta: int
 
     @staticmethod
-    def identity() -> "ReducedElement":
-        return _IDENTITY
-
-    @staticmethod
     def z(power: int = 1) -> "ReducedElement":
         return ReducedElement(_IDENTITY.a, _IDENTITY.b, power)
 
@@ -298,11 +261,6 @@ class ReducedElement:
             tuple(x + y for x, y in zip(self.b, other.b)),
             self.zeta + other.zeta - cross,
         )
-
-    def inverse(self) -> "ReducedElement":
-        cross = sum(ai * bi for ai, bi in zip(self.a, self.b))
-        return ReducedElement(tuple(-x for x in self.a), tuple(-x for x in self.b),
-                              -self.zeta - cross)
 
     def commutator(self, other: "ReducedElement") -> "ReducedElement":
         """[g, h] = g^-1 h^-1 g h = z^(a.b' - b.a').

@@ -16,20 +16,16 @@ when the squares of x and y evaluated to the identity and their images'
 supports are disjoint, and evaluates every other Coxeter relator.  A word
 whose exact image is the identity reduces to the identity, so the reduced
 check takes only the cycles and the failed Coxeter words.
-In process, on a shared 2-vCPU Xeon host with Python 3.11.7, the suite
-takes 0.035-0.049 s at 10 x 10 and 0.20-0.28 s at 16 x 16, against
-0.16-0.27 s and 1.12-1.56 s when every commutation was evaluated.
+
+center reads each generator image as ctx.reduced((e,)), the one path
+from word_action through rho_hat that the other suites use.
 
 structure decides structure.noncentral_kernel_elements by the semidirect
 law, without forming a product.  For a transposition t and a reduced m,
 (1, m)(t, 1) = (t, m.act(t)) and (t, 1)(1, m) = (t, m), so (1, m) fails
 to commute with some transposition exactly when a or b is not constant
 (ReducedElement.is_permutation_invariant); the tests compare that with
-the products against all 153 transpositions.  With the kernel samples
-drawn by one rng.choices call and the zero rows of the kernel relation
-matrix skipped by the SNF, the suite takes 6.4-12.5 ms in process
-(min of 45 calls, shared 2-vCPU Xeon host, Python 3.11.7), against
-14-26 ms with the products.
+the products against all 153 transpositions.
 """
 
 from __future__ import annotations
@@ -239,7 +235,7 @@ def _suite_center(ctx: _Context, rep: Report) -> None:
     z = model.SemidirectElement(identity(model.PLANES), model.ReducedElement.z())
     commuting = sum(
         1 for e in sorted(ctx.graph.edges)
-        if z.commutes_with(model.rho_hat(model.phi(e, ctx.span, ctx.graph), ctx.span)))
+        if z.commutes_with(ctx.reduced((e,))))
     rep.add("center.z_commutes", commuting == len(ctx.graph.edges), commuting,
             "z commutes with all 27 generator images")
 

@@ -6,10 +6,10 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from coxlab import model
 from coxlab.complexes import (DualGraph, HexagonLink, dual_graph, hexagon_links,
                               load_paper_labeling, spanning_data)
 from coxlab.fixtures import load_json
+from oracle import phi_table
 
 
 def graph_of(edges, vertices=None) -> DualGraph:
@@ -54,7 +54,8 @@ def spanning_with_cycle(paper):
 
 @pytest.fixture(scope="session")
 def paper_phi(paper):
-    return model.phi_table(paper.span, paper.graph)
+    """The edge images of the published complex, from the test oracle."""
+    return phi_table(paper.span, paper.graph)
 
 
 @pytest.fixture(scope="session")

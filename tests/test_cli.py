@@ -789,6 +789,9 @@ def test_relator_census_is_checked_against_the_graph(paper, monkeypatch):
     ("structure", set()),
     ("ax", {"dual_graph", "spanning_data"}),
     ("relators", {"dual_graph", "hexagon_links", "spanning_data", "generate"}),
+    ("tables", {"dual_graph", "hexagon_links", "generate"}),
+    ("center", {"dual_graph", "spanning_data"}),
+    ("all", {"dual_graph", "hexagon_links", "spanning_data", "generate"}),
 ])
 def test_verify_builds_only_what_the_suite_reads(capsys, monkeypatch, paper_files, suite, built):
     calls = {}

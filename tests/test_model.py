@@ -4,6 +4,7 @@ from collections import Counter
 from functools import reduce
 from operator import mul
 
+import oracle
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,7 +17,7 @@ from coxlab.model import (P_CHORDS, Q_CHORDS, FreeTuple, ReducedElement,
                           SemidirectElement, abelianization, center_witness,
                           center_witness_word, evaluate_word_semidirect,
                           kernel_generators, kernel_relation_matrix,
-                          nilpotency_class_check, phi, phi_table,
+                          nilpotency_class_check, phi_table,
                           random_kernel_element, relator_report, rho, rho_hat,
                           word_is_identity)
 from coxlab.perm import identity, transposition
@@ -25,28 +26,47 @@ from coxlab.presentation import ax_fixture, cycle_relator, generate
 
 def test_phi_tree_edge_is_plain_transposition(paper):
     e = paper.span.tree_edges[0]
-    v = phi(e, paper.span, paper.graph)
-    assert v.sigma == transposition(*paper.graph.edges[e], 18)
-    assert v.part.is_identity()
+    for v in (oracle.phi(e, paper.span, paper.graph), phi_table(paper.span, paper.graph)[e]):
+        assert v.sigma == transposition(*paper.graph.edges[e], 18)
+        assert v.part.is_identity()
 
 
 def test_phi_chord_puts_opposite_letters_at_ends(paper):
     chord = next(c for c in paper.span.chords if c.index == 4)
     assert chord.line == 17 and (chord.tail, chord.head) == (11, 9)
-    v = phi(17, paper.span, paper.graph)
-    assert v.sigma == transposition(11, 9, 18)
-    assert v.part.coords[chord.tail - 1] == (4,)
-    assert v.part.coords[chord.head - 1] == (-4,)
+    for v in (oracle.phi(17, paper.span, paper.graph), phi_table(paper.span, paper.graph)[17]):
+        assert v.sigma == transposition(11, 9, 18)
+        assert v.part.coords[chord.tail - 1] == (4,)
+        assert v.part.coords[chord.head - 1] == (-4,)
 
 
 def test_phi_images_are_involutions(paper, paper_phi):
     for e, v in paper_phi.items():
-        assert (v * v).is_identity(), e
+        assert oracle.mul(v, v).is_identity(), e
 
 
 def test_phi_unknown_edge(paper):
     with pytest.raises(ValueError):
-        phi(99, paper.span, paper.graph)
+        oracle.phi(99, paper.span, paper.graph)
+    with pytest.raises(ValueError):
+        evaluate_word_semidirect((99,), paper.span, paper.graph)
+
+
+@pytest.mark.parametrize("grid", ["paper", (3, 3), (4, 6), (8, 3), (6, 6)],
+                         ids=["paper", "3x3", "4x6", "8x3", "6x6"])
+def test_phi_table_matches_the_oracle(paper, grid):
+    """The package's phi_table, read from word_action, against phi built
+    from the chords, on the published span, on canonical grid spans, and
+    with each of three chords moved off its edge."""
+    if grid == "paper":
+        span, graph = paper.span, paper.graph
+    else:
+        graph = dual_graph(build_torus_triangulation(*grid))
+        span = spanning_data(graph, "canonical")
+    for s in (span, *(_misplaced(span, graph, which) for which in (0, 3, -1))):
+        table = phi_table(s, graph)
+        assert list(table) == sorted(graph.edges)
+        assert table == oracle.phi_table(s, graph)
 
 
 def test_empty_word_evaluates_to_identity(paper):
@@ -70,9 +90,8 @@ def test_sparse_evaluation_matches_dense_product(rows, cols):
     x0 = build_torus_triangulation(rows, cols)
     graph = dual_graph(x0)
     span = spanning_data(graph, "canonical")
-    table = phi_table(span, graph)
+    table = oracle.phi_table(span, graph)
     n = len(graph.vertices)
-    unit = SemidirectElement(identity(n), FreeTuple.trivial(n))
     edges = sorted(graph.edges)
     rng = random.Random(100 * rows + cols)
     samples = []
@@ -81,7 +100,7 @@ def test_sparse_evaluation_matches_dense_product(rows, cols):
         samples += [w, w + w[::-1]]
     relators = generate(graph, hexagon_links(x0), "quotient").relator_words()
     for w in samples + relators:
-        dense = reduce(mul, (table[abs(e)] for e in w), unit)
+        dense = oracle.evaluate(w, table, n)
         assert evaluate_word_semidirect(w, span, graph, table) == dense, w
         assert word_is_identity(w, span, graph) == dense.is_identity(), w
     assert all(word_is_identity(w + w[::-1], span, graph) for w in samples)
@@ -92,7 +111,7 @@ def test_semidirect_associativity_random(paper, paper_phi):
     elems = list(paper_phi.values())
     for _ in range(60):
         x, y, z = (rng.choice(elems) for _ in range(3))
-        assert (x * y) * z == x * (y * z)
+        assert oracle.mul(oracle.mul(x, y), z) == oracle.mul(x, oracle.mul(y, z))
 
 
 def test_witness_conjugate_tuples_match_recorded_values(paper, paper_phi):
@@ -137,13 +156,13 @@ def test_rho_matches_the_product_of_letter_images():
     # Reference: coordinate i sends letter t to p_i, q_i or the identity,
     # inverted for a negative letter, multiplied in coordinate order, then
     # word order.
-    unit = ReducedElement.identity()
+    unit = oracle.REDUCED_IDENTITY
 
     def image(letter, i):
         x = abs(letter)
         img = (ReducedElement.p(i) if x in P_CHORDS
                else ReducedElement.q(i) if x in Q_CHORDS else unit)
-        return img if letter > 0 else img.inverse()
+        return img if letter > 0 else oracle.inverse(img)
 
     rng = random.Random(31)
     for _ in range(300):
@@ -153,7 +172,7 @@ def test_rho_matches_the_product_of_letter_images():
         expected = reduce(mul, (image(x, i) for i, w in enumerate(coords, start=1) for x in w), unit)
         assert rho(FreeTuple(coords)) == expected
     with pytest.raises(ValueError):
-        rho(FreeTuple.trivial(17))
+        rho(oracle.unit(17).part)
 
 
 def test_heisenberg_single_pair_commutator():
@@ -188,7 +207,7 @@ def test_heisenberg_against_rewriting_oracle():
     for _ in range(200):
         letters = [(rng.choice("pq"), rng.randint(1, 3), rng.choice((1, -1)))
                    for _ in range(rng.randint(0, 8))]
-        product = ReducedElement.identity()
+        product = oracle.REDUCED_IDENTITY
         for kind, i, e in letters:
             factor = ReducedElement.p(i, e) if kind == "p" else ReducedElement.q(i, e)
             product = product * factor
@@ -210,7 +229,7 @@ def test_single_pair_heisenberg_abelianization():
 
 def _product_commutator(g, h):
     # The definition [g, h] = g^-1 h^-1 g h, through the group law.
-    return g.inverse() * h.inverse() * g * h
+    return oracle.inverse(g) * oracle.inverse(h) * g * h
 
 
 _vectors = st.lists(st.integers(-50, 50), min_size=18, max_size=18).map(tuple)
@@ -219,6 +238,7 @@ _reduced = st.builds(ReducedElement, _vectors, _vectors, st.integers(-10**6, 10*
 
 @given(_reduced, _reduced)
 def test_commutator_closed_form_matches_the_product(g, h):
+    assert g * oracle.inverse(g) == oracle.inverse(g) * g == oracle.REDUCED_IDENTITY
     assert g.commutator(h) == _product_commutator(g, h)
 
 
@@ -293,7 +313,7 @@ def test_rho_hat_is_multiplicative(paper, paper_phi):
         w2 = tuple(rng.randint(1, 27) for _ in range(rng.randint(0, 8)))
         x = evaluate_word_semidirect(w1, paper.span, paper.graph, paper_phi)
         y = evaluate_word_semidirect(w2, paper.span, paper.graph, paper_phi)
-        assert rho_hat(x * y, paper.span) == rho_hat(x, paper.span) * rho_hat(y, paper.span)
+        assert rho_hat(oracle.mul(x, y), paper.span) == rho_hat(x, paper.span) * rho_hat(y, paper.span)
 
 
 def test_center_witness(paper):
@@ -321,11 +341,11 @@ def test_witness_commutes_with_every_generator_image(paper, paper_phi):
 
 def test_noncentral_kernel_element_moves():
     m = SemidirectElement(identity(18), ReducedElement.p(1) * ReducedElement.p(2, -1))
-    t = SemidirectElement(transposition(1, 2, 18), ReducedElement.identity())
+    t = SemidirectElement(transposition(1, 2, 18), oracle.REDUCED_IDENTITY)
     assert not m.commutes_with(t)
 
 
-_TRANSPOSITIONS = [SemidirectElement(transposition(i, j, 18), ReducedElement.identity())
+_TRANSPOSITIONS = [SemidirectElement(transposition(i, j, 18), oracle.REDUCED_IDENTITY)
                    for i in range(1, 19) for j in range(i + 1, 19)]
 _constant = st.integers(-5, 5).map(lambda c: (c,) * 18)
 _nearly_constant = st.builds(lambda v, i, d: v[:i] + (v[i] + d,) + v[i + 1:],
@@ -375,7 +395,7 @@ def test_structure_suite_multiplies_no_semidirect_elements(paper, monkeypatch):
     assert (entry.status, entry.value) == ("pass", {"samples": 120, "moved": 120})
 
 
-EXACT_UNIT = SemidirectElement(identity(18), FreeTuple.trivial(18))
+EXACT_UNIT = oracle.unit(18)
 
 
 def _reduced_model_calls(paper):
@@ -480,11 +500,9 @@ def _lemma_agrees_with_evaluation(x0, graph, span, dense_too):
     expected = [w for w in _coxeter(p) if not word_is_identity(w, span, graph)]
     assert model.coxeter_failures(p, span, graph) == expected
     if dense_too:
-        table = phi_table(span, graph)
-        n = len(graph.vertices)
-        unit = SemidirectElement(identity(n), FreeTuple.trivial(n))
+        table, n = oracle.phi_table(span, graph), len(graph.vertices)
         assert expected == [w for w in _coxeter(p)
-                            if not reduce(mul, (table[e] for e in w), unit).is_identity()]
+                            if not oracle.evaluate(w, table, n).is_identity()]
     return p, expected
 
 
