@@ -14,11 +14,20 @@ The action table is one flat list of rows of ``ngens + 1`` entries,
 grown by one blank row per stored coset, and a coset is named by the
 offset of its row.  Entry 0 of a row is its link in a union-find forest
 over the cosets (``-1`` while the coset is live) and entry g its image
-under generator g (``-1`` while undefined).  A coincidence merges the
-larger coset into the smaller one.  A trace that meets an entry naming
-a merged coset writes the root back, so each stale entry is resolved
-once.  Keeping the links in the table leaves one large list to grow, so
-peak memory does not depend on where the allocator places a second one.
+under generator g (``-1`` while undefined).  Keeping the links in the
+table leaves one large list to grow, so peak memory does not depend on
+where the allocator places a second one.
+
+A coincidence is processed by Holt's procedure COINCIDENCE (Holt, Eick
+and O'Brien, *Handbook of Computational Group Theory*, 2005, section
+5.1), which for an involutive table reads: a merge links the larger root
+to the smaller and queues the dead coset; for each queued coset b and
+each g with nb = b^g defined, nb^g, which names b, is cleared, and with
+mu and nu the roots of b and nb, nu is merged with mu^g if that is
+defined, else mu with nu^g if that is, else mu^g = nu and nu^g = mu are
+set.  So outside a coincidence no live row names a dead coset, c^g = d
+holds exactly when d^g = c, and a trace reads the table without testing
+what it finds.  Each class keeps its smallest coset, as in HLT.
 
 Where a trace runs off the table, HLT defines one coset per letter left
 and then identifies the path's end with its start.  That identification
@@ -42,13 +51,13 @@ HLT would close them at their start coset without a definition or a
 coincidence:
 
 * once a coset's row is filled, a dihedral relator in a generator g
-  with c^g < c, since the root of c^g was scanned and w closed there;
+  with c^g < c, since c^g was scanned and w closed there;
 * every relator left at a coset merged into an earlier one, since each
   has closed at that root.
 
-Subgroup words are never skipped.  A skipped trace only leaves stale
-entries unresolved, and every reader resolves them, so the definition
-order, the cap and every coincidence stay those of HLT.
+The generators g with c^g < c form a mask, and the relators traced at c
+are the list kept for that mask, made the first time the mask is met;
+only the masks that occur get a list.  Subgroup words are never skipped.
 
 The table size cap counts every coset HLT defines, dead or alive, stored
 or only counted, and fires at the same definition as in HLT.
@@ -96,25 +105,35 @@ def _find(table: list[int], c: int) -> int:
 
 
 def _unify(table: list[int], ngens: int, c1: int, c2: int):
-    """Merge two cosets and every coincidence their rows imply."""
-    pending = [(c1, c2)]
-    pop, push = pending.pop, pending.append
-    while pending:
-        a, b = pop()
-        a, b = _find(table, a), _find(table, b)
-        if a == b:
-            continue
-        if b < a:
-            a, b = b, a
-        table[b] = a
+    """Merge two live cosets and every coincidence that follows, by
+    COINCIDENCE as described above.  On return no live row names a dead
+    coset, and c^g = d holds exactly when d^g = c, as on entry."""
+    if c2 < c1:
+        c1, c2 = c2, c1
+    table[c2] = c1
+    queue = [c2]
+    push = queue.append
+    for b in queue:
         for g in range(1, ngens + 1):
             nb = table[b + g]
-            if nb != -1:
-                na = table[a + g]
-                if na == -1:
-                    table[a + g] = nb
-                elif na != nb:
-                    push((na, nb))
+            if nb == -1:
+                continue
+            table[nb + g] = -1
+            mu, nu = _find(table, b), _find(table, nb)
+            e = table[mu + g]
+            if e == -1:
+                e = table[nu + g]
+                if e == -1:
+                    table[mu + g] = nu
+                    table[nu + g] = mu
+                    continue
+                nu = mu                 # merge mu with nu^g
+            e = _find(table, e)         # else nu with mu^g
+            if e != nu:
+                if e < nu:
+                    nu, e = e, nu
+                table[e] = nu
+                push(e)
 
 
 def enumerate_cosets(ngens: int, relators, subgroup_gens=(),
@@ -135,99 +154,90 @@ def enumerate_cosets(ngens: int, relators, subgroup_gens=(),
     # Flag the words in which no letter repeats the one before it.  Any
     # other word doubles back onto a coset its own trace has just defined,
     # so it defines fewer cosets than it has letters left, and it is always
-    # traced the long way.  Mark each dihedral relator (x y)^m by the bits
-    # of x and y; every other word, and every subgroup word, gets 0.
-    rels = [(w, all(map(int.__ne__, w, w[1:])), _pair_bits(w)) for w in rels]
-    subs = [(w, all(map(int.__ne__, w, w[1:])), 0) for w in subs]
+    # traced the long way.  Each word is stored with its length, and each
+    # relator beside the bits of x and y if it is dihedral, (x y)^m, else 0.
+    rels = [((w, all(map(int.__ne__, w, w[1:])), len(w)), _pair_bits(w)) for w in rels]
+    subs = [(w, all(map(int.__ne__, w, w[1:])), len(w)) for w in subs]
+    by_early = {}               # early mask -> the relators traced under it
 
     width = ngens + 1
     capped = EnumerationResult(status="capacity-exceeded", index=None, allocated=capacity, table=None)
     blank = [-1] * width
     table = list(blank)         # row 0 is the subgroup's own coset
+    top = width                 # offset of the next row to store
     allocated = 1
     scan, words = 0, subs       # the subgroup words at coset 0 come first
-    early = 0
     while True:
-        for word, plain, pair in words:
-            if pair & early:        # closed at an earlier coset of its orbit
-                continue
-            if table[scan] != -1:   # merged: every relator closes at its root
-                break
-            # No coincidence is processed while a word is traced, so every
-            # coset the path reaches stays a root until its end.
+        for word, plain, k in words:
+            # Live rows name only live cosets, and no coincidence is
+            # processed while a word is traced.
             c = s = scan
             i = 0
             for g in word:
                 d = table[c + g]
                 if d == -1:
                     break
-                if table[d] != -1:     # stale: store the root in its place
-                    table[c + g] = d = _find(table, d)
                 c = d
                 i += 1
-            else:
-                if c != s:
-                    _unify(table, ngens, c, s)
-                continue
-            # The path runs off the table after i letters: HLT defines one
-            # coset per letter left, e_{i+1} .. e_k, and identifies e_k with
-            # s.  That identification merges e_k .. e_q into the cosets b met
-            # by tracing the word backwards from s, so those are counted but
-            # never stored.
-            k = len(word)
-            if plain:
+            if i == k:
+                d = s
+            elif plain:
+                # The path runs off the table after i letters: HLT defines
+                # one coset per letter left, e_{i+1} .. e_k, and identifies
+                # e_k with s.  That identification merges e_k .. e_q into
+                # the cosets b met by tracing the word backwards from s, so
+                # those are counted but never stored.
                 if allocated + k - i > capacity:
                     return capped
                 allocated += k - i
                 b, q = s, k
                 while q > i + 1:       # b = s w[k-1] w[k-2] ... w[q-1]
-                    h = word[q - 1]
-                    d = table[b + h]
+                    d = table[b + word[q - 1]]
                     if d == -1:
                         break
-                    if table[d] != -1:
-                        table[b + h] = d = _find(table, d)
                     b = d
                     q -= 1
                 # Store e_{i+1} .. e_{q-1} (none for a deduction, q = i + 1)
                 # and join the last to b by h = w[q-1].  If b^h is defined,
-                # as in a fold (b = c, h = g), the two are one coset.
+                # as in a fold (b = c, h = g), it and c are one coset.  c^h
+                # is not set first: _unify needs c^g = d exactly when d^g = c.
                 for g in word[i:q - 1]:
-                    d = len(table)
                     table.extend(blank)
-                    table[c + g] = d
-                    table[d + g] = c
-                    c = d
+                    table[c + g] = top
+                    table[top + g] = c
+                    c = top
+                    top += width
                 h = word[q - 1]
                 d = table[b + h]
-                table[c + h] = b
                 if d == -1:
+                    table[c + h] = b
                     table[b + h] = c
-                else:
-                    _unify(table, ngens, c, d)
-                continue
-            # A doubled letter: the long way, define every coset, then identify.
-            for g in word[i:]:
-                d = table[c + g]
-                if d == -1:
-                    if allocated >= capacity:
-                        return capped
-                    allocated += 1
-                    d = len(table)
-                    table.extend(blank)
-                    table[c + g] = d
-                    table[d + g] = c
-                elif table[d] != -1:
-                    table[c + g] = d = _find(table, d)
-                c = d
-            _unify(table, ngens, c, s)
-        if words is rels:
+                    continue
+            else:
+                # A doubled letter: the long way, define every coset, then identify.
+                for g in word[i:]:
+                    d = table[c + g]
+                    if d == -1:
+                        if allocated >= capacity:
+                            return capped
+                        allocated += 1
+                        table.extend(blank)
+                        d = top
+                        top += width
+                        table[c + g] = d
+                        table[d + g] = c
+                    c = d
+                d = s
+            if c != d:
+                _unify(table, ngens, c, d)
+                if table[scan] != -1:   # merged: every relator closes at its root
+                    break
+        if words is not subs:
             scan += width
-            while scan < len(table) and table[scan] != -1:
+            while scan < top and table[scan] != -1:
                 scan += width
-            if scan == len(table):
+            if scan == top:
                 break
-        words = rels
         early = 0
         for g in range(1, width):   # the squares at this coset: fill its row
             d = table[scan + g]
@@ -235,12 +245,17 @@ def enumerate_cosets(ngens: int, relators, subgroup_gens=(),
                 if allocated >= capacity:
                     return capped
                 allocated += 1
-                d = len(table)
                 table.extend(blank)
-                table[scan + g] = d
-                table[d + g] = scan
-            elif d < scan:          # its root has been scanned
+                table[scan + g] = top
+                table[top + g] = scan
+                top += width
+            elif d < scan:          # scanned before this coset
                 early |= 1 << g
+        # A dihedral relator in a generator of early has closed at an
+        # earlier coset of its orbit.
+        words = by_early.get(early)
+        if words is None:
+            words = by_early[early] = [w for w, pair in rels if not pair & early]
     std = _standardize(table, width)
     return EnumerationResult(status="finite", index=len(std), allocated=allocated, table=std)
 
@@ -269,17 +284,18 @@ def _standardize(table: list[int], width: int) -> list[list[int]]:
 def check_result(result: EnumerationResult, ngens: int, relators, subgroup_gens=()) -> bool:
     """Full post-hoc validation of a finite enumeration.
 
-    The table must have one row per coset and one entry in 1..index per
-    generator, every generator must act as a permutation of the cosets,
-    every relator must fix every coset, and every subgroup word must fix
-    coset 1.  A word with a letter outside 1..ngens (up to sign) fails.
+    The table must have one row per coset, at least coset 1, and one
+    entry in 1..index per generator, every generator must act as a
+    permutation of the cosets, every relator must fix every coset, and
+    every subgroup word must fix coset 1.  A word with a letter outside
+    1..ngens (up to sign) fails.
     """
     if result.status != "finite" or result.table is None:
         return False
     if any(not 1 <= abs(g) <= ngens for w in (*relators, *subgroup_gens) for g in w):
         return False
     n, table = result.index, result.table
-    if type(n) is not int or len(table) != n or any(len(row) != ngens for row in table):
+    if type(n) is not int or n < 1 or len(table) != n or any(len(row) != ngens for row in table):
         return False
     if not set(map(type, chain.from_iterable(table))) <= {int}:
         return False

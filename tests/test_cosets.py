@@ -6,7 +6,7 @@ import tracemalloc
 
 import pytest
 
-from coxlab.cosets import (DEFAULT_CAPACITY, EnumerationResult, _find, _standardize, check_result,
+from coxlab.cosets import (DEFAULT_CAPACITY, EnumerationResult, _find, _standardize, _unify, check_result,
                            enumerate_cosets)
 from coxlab.fixtures import load_json
 from coxlab.perm import compose, identity, transposition
@@ -92,21 +92,24 @@ def test_relator_action_check_validates(paper):
 
 
 
-@pytest.mark.parametrize("malform", [
-    pytest.param(lambda table: [row[:-1] for row in table], id="rows_short_of_ngens"),
-    pytest.param(lambda table: [row + [1] for row in table], id="rows_with_extra_column"),
-    pytest.param(lambda table: table[:-1], id="fewer_rows_than_index"),
-    pytest.param(lambda table: [[0] + row[1:] for row in table], id="entry_outside_1_to_index"),
-    pytest.param(lambda table: [[float(x) for x in row] for row in table], id="entries_not_int"),
-    pytest.param(lambda table: [[table[c % len(table)][0]] + row[1:] for c, row in enumerate(table, 1)],
+@pytest.mark.parametrize("malform,subgroup", [
+    pytest.param(lambda n, table: (n, [row[:-1] for row in table]), (), id="rows_short_of_ngens"),
+    pytest.param(lambda n, table: (n, [row + [1] for row in table]), (), id="rows_with_extra_column"),
+    pytest.param(lambda n, table: (n, table[:-1]), (), id="fewer_rows_than_index"),
+    pytest.param(lambda n, table: (n, [[0] + row[1:] for row in table]), (), id="entry_outside_1_to_index"),
+    pytest.param(lambda n, table: (n, [[float(x) for x in row] for row in table]), (), id="entries_not_int"),
+    pytest.param(lambda n, table: (n, [[table[c % n][0]] + row[1:] for c, row in enumerate(table, 1)]), (),
                  id="generator_not_an_involution"),
-    pytest.param(lambda table: [[c] + row[1:] for c, row in enumerate(table, 1)],
-                 id="involution_breaking_a_relator")])
-def test_check_result_rejects_malformed_tables(malform):
+    pytest.param(lambda n, table: (n, [[c] + row[1:] for c, row in enumerate(table, 1)]), (),
+                 id="involution_breaking_a_relator"),
+    pytest.param(lambda n, table: (0, []), (), id="no_coset_at_all"),
+    pytest.param(lambda n, table: (0, []), [(1,)], id="no_coset_for_the_subgroup_word")])
+def test_check_result_rejects_malformed_tables(malform, subgroup):
     data = load_json("s4_remark.json")
     result = enumerate_cosets(data["generators"], data["relators"])
-    bad = EnumerationResult("finite", result.index, result.allocated, malform(result.table))
-    assert check_result(bad, data["generators"], data["relators"]) is False
+    index, table = malform(result.index, result.table)
+    bad = EnumerationResult("finite", index, result.allocated, table)
+    assert check_result(bad, data["generators"], data["relators"], subgroup) is False
 
 
 @pytest.mark.parametrize("letter", [0, 4])
@@ -475,6 +478,88 @@ def test_dihedral_skips_match_frozen_reference():
         if got.index != 1:
             outcomes.add(got.status)
     assert outcomes == {"finite", "capacity-exceeded"}
+
+
+def _parabolic_subgroups(count=4, seed=43):
+    """Seeded subgroups of the affine hexagon group drawn as the cosets
+    benchmark draws them: one to three words of one to five letters over
+    five of the six generators.  Such words lie in a finite parabolic
+    subgroup, of infinite index, so the enumeration meets every cap."""
+    rng = random.Random(seed)
+
+    def pick(n):
+        return int(rng.random() * n)
+
+    subgroups = []
+    for _ in range(count):
+        omitted = 1 + pick(6)
+        letters = [g for g in range(1, 7) if g != omitted]
+        subgroups.append([tuple(letters[pick(5)] for _ in range(1 + pick(5))) for _ in range(1 + pick(3))])
+    return subgroups
+
+
+@pytest.mark.parametrize("name", ["hexagon_affine.json", "hexagon_quotient.json"])
+@pytest.mark.parametrize("subgroup,capacity", zip(_parabolic_subgroups(), (2000, 3000, 4000, 5000)))
+def test_parabolic_subgroups_match_frozen_reference(name, subgroup, capacity):
+    # The regime the cosets benchmark measures: many coincidences, no
+    # closing, and the cap met in the middle of the scan.  A capped run
+    # shows only where the cap fired, so the same subgroups of the finite
+    # quotient, which close, compare whole tables as well.
+    data = load_json(name)
+    ngens, relators = data["generators"], data["relators"]
+    got = enumerate_cosets(ngens, relators, subgroup, capacity)
+    want = _reference_enumerate(ngens, relators, subgroup, capacity)
+    assert (got.status, got.index, got.allocated, got.table) == \
+        (want.status, want.index, want.allocated, want.table)
+    if name == "hexagon_affine.json":
+        assert (got.status, got.allocated) == ("capacity-exceeded", capacity)
+
+
+def _random_involutive_table(rng, ngens, size):
+    """A flat table of size live cosets on which each generator acts as a
+    partial involution: c^g = d exactly when d^g = c."""
+    width = ngens + 1
+    table = [-1] * (width * size)
+    for g in range(1, width):
+        cosets = sorted(range(size), key=lambda _: rng.random())
+        while len(cosets) > 1:
+            u = rng.random()
+            c = cosets.pop() * width
+            if u < 0.2:
+                continue                        # left undefined
+            d = c if u < 0.35 else cosets.pop() * width
+            table[c + g], table[d + g] = d, c
+    return table
+
+
+def test_unify_leaves_no_dead_coset_named_and_every_entry_paired():
+    rng = random.Random(61)
+    for _ in range(40):
+        ngens = 1 + int(rng.random() * 4)
+        width = ngens + 1
+        table = _random_involutive_table(rng, ngens, 20 + int(rng.random() * 30))
+        reference = list(table)
+        for _ in range(1 + int(rng.random() * 4)):
+            live = [c for c in range(0, len(table), width) if table[c] == -1]
+            if len(live) < 2:
+                break
+            c1, c2 = sorted(live, key=lambda _: rng.random())[:2]
+            _unify(table, ngens, c1, c2)
+            _reference_unify(reference, ngens, c1, c2)
+            live = {c for c in range(0, len(table), width) if table[c] == -1}
+            for c in live:
+                for g in range(1, width):
+                    d = table[c + g]
+                    assert d == -1 or d in live
+                    assert d == -1 or table[d + g] == c
+            # The same classes, each kept by its smallest coset, with the
+            # same rows up to the reference's stale entries.
+            assert live == {c for c in range(0, len(reference), width) if reference[c] == -1}
+            for c in range(0, len(table), width):
+                assert _find(table, c) == _find(reference, c)
+            for c in live:
+                assert table[c + 1:c + width] == \
+                    [d if d == -1 else _find(reference, d) for d in reference[c + 1:c + width]]
 
 
 @pytest.mark.parametrize("subgroup", [[], [(1, 2, 3)], [(1, 2, 3), (4, 5)]])
