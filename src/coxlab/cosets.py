@@ -27,7 +27,9 @@ mu and nu the roots of b and nb, nu is merged with mu^g if that is
 defined, else mu with nu^g if that is, else mu^g = nu and nu^g = mu are
 set.  So outside a coincidence no live row names a dead coset, c^g = d
 holds exactly when d^g = c, and a trace reads the table without testing
-what it finds.  Each class keeps its smallest coset, as in HLT.
+what it finds.  So do ``_standardize``, which renumbers the closed table,
+and ``check_result``, which reads the renumbered one; ``_find`` serves
+only ``_unify``.  Each class keeps its smallest coset, as in HLT.
 
 Where a trace runs off the table, HLT defines one coset per letter left
 and then identifies the path's end with its start.  That identification
@@ -67,7 +69,6 @@ the presented group may simply be infinite.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from itertools import chain
 
@@ -80,12 +81,6 @@ class EnumerationResult:
     index: int | None           # subgroup index when finite
     allocated: int              # cosets ever defined, including merged ones
     table: list[list[int]] | None   # standardized action table, rows 1..index
-
-    def action_permutation(self, gen: int) -> list[int]:
-        """Image list of one generator acting on 1..index (1-based)."""
-        if self.table is None:
-            raise ValueError("no table: enumeration was inconclusive")
-        return [row[gen - 1] for row in self.table]
 
 
 def _pair_bits(word) -> int:
@@ -263,22 +258,22 @@ def enumerate_cosets(ngens: int, relators, subgroup_gens=(),
 def _standardize(table: list[int], width: int) -> list[list[int]]:
     """Renumber live cosets in breadth-first order from the subgroup coset.
 
-    Coset 0 is always live, since a coincidence keeps the smaller coset.
+    Reads the table as COINCIDENCE leaves it: no live row names a dead
+    coset, so each entry is read as it stands.  Coset 0 is always live,
+    since a coincidence keeps the smaller coset.
     """
     order = {0: 1}
-    queue = deque([0])
-    while queue:
-        c = queue.popleft()
+    queue = [0]
+    for c in queue:
         for d in table[c + 1:c + width]:
             if d == -1:
                 raise ValueError("closed table expected after successful enumeration")
-            d = _find(table, d)
             if d not in order:
                 order[d] = len(order) + 1
                 queue.append(d)
     if len(order) != table[::width].count(-1):
         raise ValueError("live cosets are not all reachable from the start")
-    return [[order[_find(table, d)] for d in table[c + 1:c + width]] for c in order]
+    return [[order[d] for d in table[c + 1:c + width]] for c in order]
 
 
 def check_result(result: EnumerationResult, ngens: int, relators, subgroup_gens=()) -> bool:
@@ -301,7 +296,7 @@ def check_result(result: EnumerationResult, ngens: int, relators, subgroup_gens=
         return False
     # columns[g][c] is the image of coset c under generator g.  Each column a
     # permutation of 1..n also confines every entry to 1..n.
-    columns = [None] + [[0] + result.action_permutation(g) for g in range(1, ngens + 1)]
+    columns = [None] + [[0, *column] for column in zip(*table)]
     every = list(range(1, n + 1))
 
     def images(start, word):

@@ -3,11 +3,11 @@ import json
 import math
 import random
 import tracemalloc
+from collections import deque
 
 import pytest
 
-from coxlab.cosets import (DEFAULT_CAPACITY, EnumerationResult, _find, _standardize, _unify, check_result,
-                           enumerate_cosets)
+from coxlab.cosets import DEFAULT_CAPACITY, EnumerationResult, _find, _unify, check_result, enumerate_cosets
 from coxlab.fixtures import load_json
 from coxlab.perm import compose, identity, transposition
 from coxlab.presentation import generate
@@ -264,14 +264,42 @@ def test_redundant_relators_change_nothing(rewrite):
 
 # A frozen copy of the enumerator the pinned outcomes above were computed
 # with: it traces every square as a relator word, keeps duplicate relators
-# and re-resolves stale entries on every pass.  The enumerator proper must
-# match it exactly on every input.
+# and re-resolves stale entries on every pass.  It shares no code with
+# coxlab.cosets beyond the result record: its union-find and its
+# renumbering are its own copies, which resolve the stale entries its
+# tables keep.  The enumerator proper must match it exactly on every input.
+
+def _reference_find(table, c):
+    root = c
+    while table[root] != -1:
+        root = table[root]
+    while c != root:
+        table[c], c = root, table[c]
+    return root
+
+
+def _reference_standardize(table, width):
+    order = {0: 1}
+    queue = deque([0])
+    while queue:
+        c = queue.popleft()
+        for d in table[c + 1:c + width]:
+            if d == -1:
+                raise ValueError("closed table expected after successful enumeration")
+            d = _reference_find(table, d)
+            if d not in order:
+                order[d] = len(order) + 1
+                queue.append(d)
+    if len(order) != table[::width].count(-1):
+        raise ValueError("live cosets are not all reachable from the start")
+    return [[order[_reference_find(table, d)] for d in table[c + 1:c + width]] for c in order]
+
 
 def _reference_unify(table, ngens, c1, c2):
     pending = [(c1, c2)]
     while pending:
         a, b = pending.pop()
-        a, b = _find(table, a), _find(table, b)
+        a, b = _reference_find(table, a), _reference_find(table, b)
         if a == b:
             continue
         if b < a:
@@ -306,7 +334,7 @@ def _reference_enumerate(ngens, relators, subgroup_gens=(), capacity=DEFAULT_CAP
     table = list(blank)
     for scan, words in _reference_scans(subs, rels, table, width):
         for word in words:
-            c = scan if table[scan] == -1 else _find(table, scan)
+            c = scan if table[scan] == -1 else _reference_find(table, scan)
             for g in word:
                 d = table[c + g]
                 if d == -1:
@@ -318,11 +346,11 @@ def _reference_enumerate(ngens, relators, subgroup_gens=(), capacity=DEFAULT_CAP
                     table[c + g] = d
                     table[d + g] = c
                 elif table[d] != -1:
-                    d = _find(table, d)
+                    d = _reference_find(table, d)
                 c = d
             if c != scan or table[scan] != -1:
                 _reference_unify(table, ngens, c, scan)
-    std = _standardize(table, width)
+    std = _reference_standardize(table, width)
     return EnumerationResult(status="finite", index=len(std),
                              allocated=len(table) // width, table=std)
 
@@ -556,10 +584,10 @@ def test_unify_leaves_no_dead_coset_named_and_every_entry_paired():
             # same rows up to the reference's stale entries.
             assert live == {c for c in range(0, len(reference), width) if reference[c] == -1}
             for c in range(0, len(table), width):
-                assert _find(table, c) == _find(reference, c)
+                assert _find(table, c) == _reference_find(reference, c)
             for c in live:
                 assert table[c + 1:c + width] == \
-                    [d if d == -1 else _find(reference, d) for d in reference[c + 1:c + width]]
+                    [d if d == -1 else _reference_find(reference, d) for d in reference[c + 1:c + width]]
 
 
 @pytest.mark.parametrize("subgroup", [[], [(1, 2, 3)], [(1, 2, 3), (4, 5)]])
