@@ -226,7 +226,8 @@ def cmd_present(args) -> int:
     graph = dual_graph(x0)
     links = hexagon_links(x0)
     pres = presentation.generate(graph, links, args.variant)
-    info = {"command": "present", "variant": args.variant, **pres.counts()}
+    counts = pres.counts()
+    info = {"command": "present", "variant": args.variant, **counts}
     if args.out:
         _write_json(args.out, pres.to_json())
         info["out"] = args.out
@@ -235,7 +236,6 @@ def cmd_present(args) -> int:
         info["fixtures"] = [os.path.join(args.fixtures_out, name) for name in fixtures.BUNDLED]
         for name, path in zip(fixtures.BUNDLED, info["fixtures"]):
             _write_json(path, fixtures.load_json(name))
-    counts = pres.counts()
     _emit(info, args.as_json, [
         f"{args.variant} presentation on {pres.generator_count} generators: "
         + ", ".join(f"{counts[k]} {k}" for k in ("squares", "commutations", "braids", "forks", "cycles"))

@@ -2,11 +2,14 @@
 
 Three nested variants over the same generators (one involution per line):
 
-    plain     squares, one commutation per disjoint edge pair and one
-              braid per edge pair sharing a plane
+    plain     squares, one braid per pair of lines at a plane and one
+              commutation per other line pair (the disjoint ones)
     fork      plain plus, at every 3-valent vertex with edges {u, v, w},
               the commutators [u, wvw] for each choice of u
     quotient  fork plus one cyclic relator per hexagon
+
+Braids are the line pairs at each plane, read from graph.adjacency, which
+must be ascending, so every pair comes out as (i, j) with i < j.
 
 A cycle u_1 ... u_m contributes the relator encoding
 u_1 ... u_{m-1} = u_2 ... u_m.  Only the hexagon cycles enter the quotient
@@ -60,20 +63,15 @@ class Presentation:
         return self.squares + self.commutations + self.braids + self.forks + self.cycles
 
     def counts(self) -> dict[str, int]:
-        return {
-            "squares": len(self.squares),
-            "commutations": len(self.commutations),
-            "braids": len(self.braids),
-            "forks": len(self.forks),
-            "cycles": len(self.cycles),
-            "total": len(self.relator_words()),
-        }
+        counts = {"squares": len(self.squares), "commutations": len(self.commutations),
+                  "braids": len(self.braids), "forks": len(self.forks), "cycles": len(self.cycles)}
+        counts["total"] = sum(counts.values())
+        return counts
 
     def to_json(self) -> dict:
-        return {
-            "generators": self.generator_count,
-            "relators": [list(w) for w in self.relator_words()],
-        }
+        """The presentation file's data.  The relators are passed on as the
+        tuples generate built; cli._json_text writes them as arrays."""
+        return {"generators": self.generator_count, "relators": self.relator_words()}
 
 
 def presentation_from_json(data: dict) -> tuple[int, list[Word]]:
@@ -97,31 +95,30 @@ def cycle_relator(cycle) -> Word:
 
 
 def generate(graph: DualGraph, links: list[HexagonLink], variant: str) -> Presentation:
-    """The presentation of the given variant from a dual graph and its hexagons."""
+    """The presentation of the given variant from a dual graph and its hexagons.
+
+    Two lines braid exactly when they share a plane, so the braided pairs
+    are the line pairs at each plane, read from graph.adjacency, which must
+    be ascending; every other pair commutes.  Both lists are in
+    combinations order, since the relator lists' order is output.
+    """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
     edges = sorted(graph.edges)
     squares = [(e, e) for e in edges]
-    commutations = []
-    braids = []
-    # Pairs stay in combinations order: the relator lists' order is output.
-    ends = [(e, set(graph.edges[e])) for e in edges]
-    for (i, a), (j, b) in combinations(ends, 2):
-        if a.isdisjoint(b):
-            commutations.append((i, j) * 2)
-        else:
-            braids.append((i, j) * 3)
+    braided = {pair for v in graph.vertices for pair in combinations(graph.adjacency[v], 2)}
+    commutations = [(i, j) * 2 for i, j in combinations(edges, 2) if (i, j) not in braided]
+    braids = [(i, j) * 3 for i, j in sorted(braided)]
     forks: list[Word] = []
     if variant in ("fork", "quotient"):
-        degrees = {v: graph.degree(v) for v in graph.vertices}
-        if variant == "fork" and any(d != 3 for d in degrees.values()):
-            raise ValueError("fork relators need a 3-regular graph")
         for v in sorted(graph.vertices):
-            if degrees[v] != 3:
+            if graph.degree(v) != 3:
+                if variant == "fork":
+                    raise ValueError("fork relators need a 3-regular graph")
                 continue
-            triple = sorted(graph.adjacency[v])
+            triple = graph.adjacency[v]
             for u in triple:
-                x, y = sorted(set(triple) - {u})
+                x, y = (t for t in triple if t != u)
                 conj = (y, x, y)
                 forks.append((u,) + conj + (u,) + conj)
     cycles: list[Word] = []

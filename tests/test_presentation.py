@@ -2,11 +2,12 @@ import json
 from itertools import combinations
 
 import pytest
+from conftest import graph_of
 
 from coxlab import model
 from coxlab.complexes import build_torus_triangulation, dual_graph, hexagon_links, psi_image
 from coxlab.fixtures import CorruptFixtureError, load_json
-from coxlab.presentation import (EXPECTED_MISSING_ROLES, ax_fixture,
+from coxlab.presentation import (EXPECTED_MISSING_ROLES, VARIANTS, ax_fixture,
                                  classify_missing, coverage_counts,
                                  cycle_relator, generate,
                                  nonrel_fixture, presentation_from_json)
@@ -193,10 +194,20 @@ def _pairs_by_intersection(graph):
     return commutations, braids
 
 
-@pytest.mark.parametrize("rows,cols", [(0, 0), (3, 3), (4, 6), (6, 6)])
-@pytest.mark.parametrize("variant", ["plain", "fork", "quotient"])
-def test_generate_matches_the_frozen_pairwise_generator(paper, rows, cols, variant):
-    if rows:
+@pytest.mark.parametrize("variant,rows,cols", [
+    *((variant, rows, cols) for variant in VARIANTS
+      for rows, cols in [(0, 0), (3, 3), (4, 6), (6, 6)]),
+    # Graphs that no grid gives: the 2-valent 6-cycle, and a parallel pair
+    # of lines (1 and 2) beside a 4-valent plane, which has 10 braids.
+    pytest.param("plain", "hexagon", None, id="plain-hexagon"),
+    pytest.param("plain", {1: (1, 2), 2: (1, 2), 3: (2, 3), 4: (3, 1), 5: (1, 4), 6: (4, 5)}, None,
+                 id="plain-parallel-lines")])
+def test_generate_matches_the_frozen_pairwise_generator(paper, hexagon_graph, rows, cols, variant):
+    if rows == "hexagon":
+        graph, links = hexagon_graph
+    elif isinstance(rows, dict):
+        graph, links = graph_of(rows), []
+    elif rows:
         x0 = build_torus_triangulation(rows, cols)
         graph, links = dual_graph(x0), hexagon_links(x0)
     else:
@@ -207,7 +218,8 @@ def test_generate_matches_the_frozen_pairwise_generator(paper, rows, cols, varia
 
 def test_presentation_json_round_trip(paper):
     quotient = generate(paper.graph, paper.links, "quotient")
-    ngens, relators = presentation_from_json(quotient.to_json())
+    # Read back through the JSON text, as `present --out` writes it.
+    ngens, relators = presentation_from_json(json.loads(json.dumps(quotient.to_json())))
     assert ngens == 27
     assert relators == quotient.relator_words()
 
