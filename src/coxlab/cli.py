@@ -41,10 +41,11 @@ def _fix_mmap_threshold():
 
     glibc maps blocks above the threshold and, when it frees one, raises
     the threshold to that block's size.  After one enumeration's coset
-    table is freed, the next one would grow on the heap, where a realloc
-    may copy it, and the peak memory of a process that runs many
-    enumerations would depend on what else lies on the heap.  Setting the
-    threshold explicitly, at its default, keeps every large table mapped.
+    columns are freed, the next enumeration's would grow on the heap,
+    where a realloc may copy them, and the peak memory of a process that
+    runs many enumerations would depend on what else lies on the heap.
+    Setting the threshold explicitly, at its default, keeps every large
+    column mapped.
     Other C libraries are left as they are.  Only enumerate calls this,
     so no other command loads ctypes.
     """

@@ -6,17 +6,26 @@ table, and the path's end is identified with the coset it started from.
 Every generator is an involution and acts as its own inverse, so defining
 c^g = d sets d^g = c at the same time and no doubled alphabet is needed.
 So squares are not traced: each live coset first defines its undefined
-entries in generator order, as tracing every g g would.  A relator equal,
-up to signs, to a square or to an earlier one is dropped, as its path
-stays closed at a coset once it has closed there.
+entries in generator order, as tracing every g g would.  The empty
+relator, and a relator equal up to signs to a square or to an earlier
+one, is dropped, as its path stays closed at a coset once it has closed
+there.  Every relator left has a first letter, and a trace of it starts
+at that letter's image, which the filled row holds.
 
-The action table is one flat list of rows of ``ngens + 1`` entries,
-grown by one blank row per stored coset, and a coset is named by the
-offset of its row.  Entry 0 of a row is its link in a union-find forest
-over the cosets (``-1`` while the coset is live) and entry g its image
-under generator g (``-1`` while undefined).  Keeping the links in the
-table leaves one large list to grow, so peak memory does not depend on
-where the allocator places a second one.
+The action table is one list per generator, a column: ``cols[g - 1][c]``
+is the image of coset c under generator g (``-1`` while undefined).
+Cosets are numbered in the order their rows are stored, and a list
+``link`` beside the columns holds each coset's link in a union-find
+forest over the cosets (``-1`` while the coset is live).  A word is held
+as the tuple of its letters' columns, so a step of a trace is one list
+read, ``d = col[c]``, with no offset to add and no int to make.  The
+columns and the links grow together by blocks of blank rows.  The first
+block, 2,048 rows or the cap if that is smaller, holds a small
+enumeration whole (the hexagon quotient stores 1,324 rows); the next,
+8,192, keeps a run that stores a few thousand small; at 16,384 rows each
+list holds 128 KiB, glibc's mmap threshold, and from there it is mapped
+and grows by 1,024 rows at a time without being copied.  No more rows
+are stored than cosets are defined, so the cap bounds the table.
 
 A coincidence is processed by Holt's procedure COINCIDENCE (Holt, Eick
 and O'Brien, *Handbook of Computational Group Theory*, 2005, section
@@ -73,6 +82,8 @@ from dataclasses import dataclass
 from itertools import chain
 
 DEFAULT_CAPACITY = 10 ** 6
+BLOCK_ROWS = (2048, 8192, 16384)    # the table's first sizes in rows, then
+STEP_ROWS = 1024                    # this many more at each growth
 
 
 @dataclass
@@ -90,45 +101,56 @@ def _pair_bits(word) -> int:
     return 1 << word[0] | 1 << word[1]
 
 
-def _find(table: list[int], c: int) -> int:
+def _find(link: list[int], c: int) -> int:
     root = c
-    while table[root] != -1:
-        root = table[root]
+    while link[root] != -1:
+        root = link[root]
     while c != root:
-        table[c], c = root, table[c]
+        link[c], c = root, link[c]
     return root
 
 
-def _unify(table: list[int], ngens: int, c1: int, c2: int):
+def _unify(cols: list[list[int]], link: list[int], c1: int, c2: int):
     """Merge two live cosets and every coincidence that follows, by
     COINCIDENCE as described above.  On return no live row names a dead
     coset, and c^g = d holds exactly when d^g = c, as on entry."""
     if c2 < c1:
         c1, c2 = c2, c1
-    table[c2] = c1
+    link[c2] = c1
     queue = [c2]
     push = queue.append
     for b in queue:
-        for g in range(1, ngens + 1):
-            nb = table[b + g]
+        for col in cols:
+            nb = col[b]
             if nb == -1:
                 continue
-            table[nb + g] = -1
-            mu, nu = _find(table, b), _find(table, nb)
-            e = table[mu + g]
+            col[nb] = -1
+            mu, nu = _find(link, b), _find(link, nb)
+            e = col[mu]
             if e == -1:
-                e = table[nu + g]
+                e = col[nu]
                 if e == -1:
-                    table[mu + g] = nu
-                    table[nu + g] = mu
+                    col[mu] = nu
+                    col[nu] = mu
                     continue
                 nu = mu                 # merge mu with nu^g
-            e = _find(table, e)         # else nu with mu^g
+            e = _find(link, e)          # else nu with mu^g
             if e != nu:
                 if e < nu:
                     nu, e = e, nu
-                table[e] = nu
+                link[e] = nu
                 push(e)
+
+
+def _grow(cols: list[list[int]], link: list[int], size: int) -> int:
+    """Add blank rows to every column and to the links; return the new
+    number of rows, the next of BLOCK_ROWS or STEP_ROWS more."""
+    new = next((n for n in BLOCK_ROWS if n > size), size + STEP_ROWS)
+    blank = [-1] * (new - size)
+    for col in cols:
+        col.extend(blank)
+    link.extend(blank)
+    return new
 
 
 def enumerate_cosets(ngens: int, relators, subgroup_gens=(),
@@ -145,31 +167,48 @@ def enumerate_cosets(ngens: int, relators, subgroup_gens=(),
             raise ValueError("generator index out of range")
     if capacity < 1:
         raise ValueError("capacity must be positive")
-    rels = [w for w in dict.fromkeys(rels) if not (len(w) == 2 and w[0] == w[1])]
-    # Flag the words in which no letter repeats the one before it.  Any
-    # other word doubles back onto a coset its own trace has just defined,
-    # so it defines fewer cosets than it has letters left, and it is always
-    # traced the long way.  Each word is stored with its length, and each
-    # relator beside the bits of x and y if it is dihedral, (x y)^m, else 0.
-    rels = [((w, all(map(int.__ne__, w, w[1:])), len(w)), _pair_bits(w)) for w in rels]
-    subs = [(w, all(map(int.__ne__, w, w[1:])), len(w)) for w in subs]
+    rels = [w for w in dict.fromkeys(rels) if w and not (len(w) == 2 and w[0] == w[1])]
+    cols = [None] * ngens       # one block first, so a huge ngens fails at once
+    size = min(BLOCK_ROWS[0], capacity)
+    for g in range(ngens):
+        cols[g] = [-1] * size
+    link = [-1] * size
+
+    def traced(w, head=()):
+        # Flag the words in which no letter repeats the one before it.  Any
+        # other word doubles back onto a coset its own trace has just
+        # defined, so it defines fewer cosets than it has letters left, and
+        # it is always traced the long way.  Each word is stored as the
+        # columns of its letters, after its head, with its tail and length.
+        word = (*head, *[cols[g - 1] for g in w])
+        return word, word[1:], all(map(int.__ne__, w, w[1:])), len(word)
+
+    # Each relator beside the bits of x and y if it is dihedral, (x y)^m,
+    # else 0.  Only the generators of dihedral relators can mask one, so
+    # only their columns carry a bit for the early mask.
+    rels = [(w, _pair_bits(w)) for w in rels]
+    paired = {g for w, pair in rels if pair for g in w[:2]}
+    colbits = [(col, 1 << g if g in paired else 0) for g, col in enumerate(cols, 1)]
+    # A trace starts at the first letter's image, which the scanned coset's
+    # filled row holds.  The subgroup words are traced at coset 0 before
+    # its row is filled, so each gets a head column that sends 0 to itself.
+    rels = [(traced(w), pair) for w, pair in rels]
+    subs = [traced(w, ([0],)) for w in subs]
     by_early = {}               # early mask -> the relators traced under it
 
-    width = ngens + 1
     capped = EnumerationResult(status="capacity-exceeded", index=None, allocated=capacity, table=None)
-    blank = [-1] * width
-    table = list(blank)         # row 0 is the subgroup's own coset
-    top = width                 # offset of the next row to store
-    allocated = 1
+    top = 1                     # coset 0 is the subgroup's own; top is the next to store
+    left = capacity - 1         # cosets HLT may still define under the cap
     scan, words = 0, subs       # the subgroup words at coset 0 come first
     while True:
-        for word, plain, k in words:
+        s = scan
+        for word, tail, plain, k in words:
             # Live rows name only live cosets, and no coincidence is
             # processed while a word is traced.
-            c = s = scan
-            i = 0
-            for g in word:
-                d = table[c + g]
+            c = word[0][s]
+            i = 1
+            for col in tail:
+                d = col[c]
                 if d == -1:
                     break
                 c = d
@@ -179,101 +218,106 @@ def enumerate_cosets(ngens: int, relators, subgroup_gens=(),
             elif plain:
                 # The path runs off the table after i letters: HLT defines
                 # one coset per letter left, e_{i+1} .. e_k, and identifies
-                # e_k with s.  That identification merges e_k .. e_q into
-                # the cosets b met by tracing the word backwards from s, so
-                # those are counted but never stored.
-                if allocated + k - i > capacity:
+                # e_k with s.  That identification merges e_k .. e_{p+1}
+                # into the cosets b met by tracing the word backwards from
+                # s, so those are counted but never stored.
+                left -= k - i
+                if left < 0:
                     return capped
-                allocated += k - i
-                b, q = s, k
-                while q > i + 1:       # b = s w[k-1] w[k-2] ... w[q-1]
-                    d = table[b + word[q - 1]]
+                b, p = s, k - 1
+                while p > i:           # b = s w[k-1] w[k-2] ... w[p+1]
+                    d = word[p][b]
                     if d == -1:
                         break
                     b = d
-                    q -= 1
-                # Store e_{i+1} .. e_{q-1} (none for a deduction, q = i + 1)
-                # and join the last to b by h = w[q-1].  If b^h is defined,
+                    p -= 1
+                # Store e_{i+1} .. e_p (none for a deduction, p = i) and
+                # join the last to b by h = w[p].  If b^h is defined,
                 # as in a fold (b = c, h = g), it and c are one coset.  c^h
                 # is not set first: _unify needs c^g = d exactly when d^g = c.
-                for g in word[i:q - 1]:
-                    table.extend(blank)
-                    table[c + g] = top
-                    table[top + g] = c
+                for col in word[i:p]:
+                    if top == size:
+                        size = _grow(cols, link, size)
+                    col[c] = top
+                    col[top] = c
                     c = top
-                    top += width
-                h = word[q - 1]
-                d = table[b + h]
+                    top += 1
+                col = word[p]
+                d = col[b]
                 if d == -1:
-                    table[c + h] = b
-                    table[b + h] = c
+                    col[c] = b
+                    col[b] = c
                     continue
             else:
                 # A doubled letter: the long way, define every coset, then identify.
-                for g in word[i:]:
-                    d = table[c + g]
+                for col in word[i:]:
+                    d = col[c]
                     if d == -1:
-                        if allocated >= capacity:
+                        if not left:
                             return capped
-                        allocated += 1
-                        table.extend(blank)
+                        left -= 1
+                        if top == size:
+                            size = _grow(cols, link, size)
                         d = top
-                        top += width
-                        table[c + g] = d
-                        table[d + g] = c
+                        top += 1
+                        col[c] = d
+                        col[d] = c
                     c = d
                 d = s
             if c != d:
-                _unify(table, ngens, c, d)
-                if table[scan] != -1:   # merged: every relator closes at its root
+                _unify(cols, link, c, d)
+                if link[scan] != -1:    # merged: every relator closes at its root
                     break
         if words is not subs:
-            scan += width
-            while scan < top and table[scan] != -1:
-                scan += width
+            scan += 1
+            while scan < top and link[scan] != -1:
+                scan += 1
             if scan == top:
                 break
         early = 0
-        for g in range(1, width):   # the squares at this coset: fill its row
-            d = table[scan + g]
+        for col, bit in colbits:    # the squares at this coset: fill its row
+            d = col[scan]
             if d == -1:
-                if allocated >= capacity:
+                if not left:
                     return capped
-                allocated += 1
-                table.extend(blank)
-                table[scan + g] = top
-                table[top + g] = scan
-                top += width
+                left -= 1
+                if top == size:
+                    size = _grow(cols, link, size)
+                col[scan] = top
+                col[top] = scan
+                top += 1
             elif d < scan:          # scanned before this coset
-                early |= 1 << g
+                early |= bit
         # A dihedral relator in a generator of early has closed at an
         # earlier coset of its orbit.
         words = by_early.get(early)
         if words is None:
             words = by_early[early] = [w for w, pair in rels if not pair & early]
-    std = _standardize(table, width)
-    return EnumerationResult(status="finite", index=len(std), allocated=allocated, table=std)
+    std = _standardize(cols, link, top)
+    return EnumerationResult(status="finite", index=len(std), allocated=capacity - left, table=std)
 
 
-def _standardize(table: list[int], width: int) -> list[list[int]]:
+def _standardize(cols: list[list[int]], link: list[int], top: int) -> list[list[int]]:
     """Renumber live cosets in breadth-first order from the subgroup coset.
 
     Reads the table as COINCIDENCE leaves it: no live row names a dead
     coset, so each entry is read as it stands.  Coset 0 is always live,
-    since a coincidence keeps the smaller coset.
+    since a coincidence keeps the smaller coset.  The rows from top on
+    are blank, not yet stored.
     """
+    rows = list(zip(*[col[:top] for col in cols])) if cols else [()] * top
     order = {0: 1}
     queue = [0]
     for c in queue:
-        for d in table[c + 1:c + width]:
+        for d in rows[c]:
             if d == -1:
                 raise ValueError("closed table expected after successful enumeration")
             if d not in order:
                 order[d] = len(order) + 1
                 queue.append(d)
-    if len(order) != table[::width].count(-1):
+    if len(order) != link[:top].count(-1):
         raise ValueError("live cosets are not all reachable from the start")
-    return [[order[d] for d in table[c + 1:c + width]] for c in order]
+    return [[order[d] for d in rows[c]] for c in order]
 
 
 def check_result(result: EnumerationResult, ngens: int, relators, subgroup_gens=()) -> bool:

@@ -235,6 +235,19 @@ def test_table_grows_per_coset_not_to_capacity():
     assert peak < 10 ** 6
 
 
+def test_table_is_never_larger_than_the_cap():
+    # No more rows are stored than the cap allows, so with many generators
+    # and a small cap no column is sized for a large enumeration.
+    tracemalloc.start()
+    try:
+        result = enumerate_cosets(10 ** 4, [], capacity=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.status == "capacity-exceeded"
+    assert peak < 10 ** 7
+
+
 def test_capacity_fires_at_the_same_definition():
     for name, allocated in (("s4_remark.json", 53), ("hexagon_quotient.json", 5225)):
         data = load_json(name)
@@ -543,21 +556,20 @@ def test_parabolic_subgroups_match_frozen_reference(name, subgroup, capacity):
         assert (got.status, got.allocated) == ("capacity-exceeded", capacity)
 
 
-def _random_involutive_table(rng, ngens, size):
-    """A flat table of size live cosets on which each generator acts as a
-    partial involution: c^g = d exactly when d^g = c."""
-    width = ngens + 1
-    table = [-1] * (width * size)
-    for g in range(1, width):
+def _random_involutive_columns(rng, ngens, size):
+    """Columns of size live cosets, one per generator, on which each
+    generator acts as a partial involution: c^g = d exactly when d^g = c."""
+    cols = [[-1] * size for _ in range(ngens)]
+    for col in cols:
         cosets = sorted(range(size), key=lambda _: rng.random())
         while len(cosets) > 1:
             u = rng.random()
-            c = cosets.pop() * width
+            c = cosets.pop()
             if u < 0.2:
                 continue                        # left undefined
-            d = c if u < 0.35 else cosets.pop() * width
-            table[c + g], table[d + g] = d, c
-    return table
+            d = c if u < 0.35 else cosets.pop()
+            col[c], col[d] = d, c
+    return cols
 
 
 def test_unify_leaves_no_dead_coset_named_and_every_entry_paired():
@@ -565,29 +577,77 @@ def test_unify_leaves_no_dead_coset_named_and_every_entry_paired():
     for _ in range(40):
         ngens = 1 + int(rng.random() * 4)
         width = ngens + 1
-        table = _random_involutive_table(rng, ngens, 20 + int(rng.random() * 30))
-        reference = list(table)
+        size = 20 + int(rng.random() * 30)
+        cols = _random_involutive_columns(rng, ngens, size)
+        link = [-1] * size
+        # The same table laid out flat for the reference, which names coset
+        # c by the offset c * width of its row.
+        reference = [-1] * (width * size)
+        for g, col in enumerate(cols, 1):
+            for c, d in enumerate(col):
+                reference[c * width + g] = d if d == -1 else d * width
         for _ in range(1 + int(rng.random() * 4)):
-            live = [c for c in range(0, len(table), width) if table[c] == -1]
+            live = [c for c in range(size) if link[c] == -1]
             if len(live) < 2:
                 break
             c1, c2 = sorted(live, key=lambda _: rng.random())[:2]
-            _unify(table, ngens, c1, c2)
-            _reference_unify(reference, ngens, c1, c2)
-            live = {c for c in range(0, len(table), width) if table[c] == -1}
+            _unify(cols, link, c1, c2)
+            _reference_unify(reference, ngens, c1 * width, c2 * width)
+            live = {c for c in range(size) if link[c] == -1}
             for c in live:
-                for g in range(1, width):
-                    d = table[c + g]
+                for col in cols:
+                    d = col[c]
                     assert d == -1 or d in live
-                    assert d == -1 or table[d + g] == c
+                    assert d == -1 or col[d] == c
             # The same classes, each kept by its smallest coset, with the
             # same rows up to the reference's stale entries.
-            assert live == {c for c in range(0, len(reference), width) if reference[c] == -1}
-            for c in range(0, len(table), width):
-                assert _find(table, c) == _reference_find(reference, c)
+            assert {c * width for c in live} == \
+                {c for c in range(0, len(reference), width) if reference[c] == -1}
+            for c in range(size):
+                assert _find(link, c) * width == _reference_find(reference, c * width)
             for c in live:
-                assert table[c + 1:c + width] == \
-                    [d if d == -1 else _reference_find(reference, d) for d in reference[c + 1:c + width]]
+                assert [col[c] for col in cols] == \
+                    [d if d == -1 else _reference_find(reference, d) // width
+                     for d in reference[c * width + 1:(c + 1) * width]]
+
+
+def _assert_matches_reference(ngens, relators, subgroup=(), capacity=DEFAULT_CAPACITY):
+    got = enumerate_cosets(ngens, relators, subgroup, capacity)
+    want = _reference_enumerate(ngens, relators, subgroup, capacity)
+    assert got.status == want.status
+    assert got.index == want.index
+    assert got.allocated == want.allocated
+    assert got.table == want.table
+    return got
+
+
+@pytest.mark.parametrize("subgroup,index", [([], 5040), ([(1,)], 2520), ([(3,), (5,)], 1260)])
+def test_enumeration_past_the_first_rows_matches_frozen_reference(subgroup, index):
+    # The A_6 Coxeter presentation of S_7: the whole group stores about
+    # 6,000 rows, more than the enumerator's first block of rows holds.
+    ngens, relators = chain_coxeter(6)
+    result = _assert_matches_reference(ngens, relators, subgroup)
+    assert result.status == "finite" and result.index == index
+    if not subgroup:
+        assert result.allocated == 31122
+
+
+@pytest.mark.parametrize("extra", [
+    pytest.param([()], id="empty_relator"),
+    pytest.param([(2,)], id="one_letter_relator"),
+    pytest.param([(), (3,), (-1,)], id="both")])
+@pytest.mark.parametrize("subgroup", [[], [()], [(1,)], [(2, 3)]])
+def test_short_relators_match_frozen_reference(extra, subgroup):
+    ngens, relators = chain_coxeter(3)
+    _assert_matches_reference(ngens, relators + extra, subgroup)
+    _assert_matches_reference(ngens, extra + relators, subgroup)
+    _assert_matches_reference(ngens, extra, subgroup, capacity=200)
+
+
+@pytest.mark.parametrize("relators", [[], [()]])
+def test_no_generators_match_frozen_reference(relators):
+    result = _assert_matches_reference(0, relators, [()])
+    assert result.index == 1 and result.table == [[]]
 
 
 @pytest.mark.parametrize("subgroup", [[], [(1, 2, 3)], [(1, 2, 3), (4, 5)]])

@@ -599,3 +599,21 @@ def test_relators_suite_evaluates_no_commutation_on_a_grid(monkeypatch):
     lines = len(dual_graph(x0).edges)
     assert not report.failed()
     assert len(calls) <= lines + counts["squares"] + counts["braids"] + counts["forks"] + counts["cycles"]
+
+
+def test_relators_suite_counts_no_nontrivial_cycle_under_a_chordless_span():
+    """A span whose tree holds every line has no chords, so every exact
+    image has empty coordinates: the cycles still lie in the kernel, but
+    none is nontrivial before the reduction, and only that entry fails."""
+    x0 = build_torus_triangulation(4, 3)
+    ctx = verify._Context(x0, paper=False)
+    ctx.span = SpanningData(tree_edges=list(ctx.graph.edges), chords=[])
+    rep = verify.Report(command="verify:relators")
+    verify._suite_relators(ctx, rep)
+    entries = {e.name: (e.status, e.value) for e in rep.entries}
+    assert len(ctx.links) == 12
+    assert entries["relators.cycles_nontrivial_before_reduction"] == ("fail", 0)
+    assert entries["relators.cycles_in_kernel"] == ("pass", 12)
+    assert entries["relators.counts"][0] == entries["relators.coxeter_identity"][0] == "pass"
+    assert sorted(entries) == ["relators.counts", "relators.coxeter_identity",
+                               "relators.cycles_in_kernel", "relators.cycles_nontrivial_before_reduction"]
