@@ -1,9 +1,11 @@
 """Bundled data fixtures.
 
 The environment variable COXLAB_FIXTURES, when set, points at a directory
-whose files override the bundled ones of the same name.  An override that
-cannot be read or parsed raises CorruptFixtureError, as does a published
-table of the wrong shape, checked by the function that loads it (``load``).
+whose files override the bundled ones of the same name, which lie in
+DIRECTORY beside this module.  Either file is opened the same way: one
+that cannot be read or parsed raises CorruptFixtureError naming its path,
+as does a published table of the wrong shape, checked by the function
+that loads it (``load``).
 """
 
 from __future__ import annotations
@@ -11,7 +13,6 @@ from __future__ import annotations
 import json
 import os
 from contextlib import contextmanager
-from importlib import resources
 
 from ..words import word_from_json
 
@@ -24,6 +25,8 @@ BUNDLED = [
     "hexagon_quotient.json",
     "hexagon_affine.json",
 ]
+
+DIRECTORY = os.path.dirname(os.path.abspath(__file__))
 
 PAPER_LETTERS = 27  # lines of the published 3 x 3 complex, the letters of its words
 
@@ -42,16 +45,15 @@ def reported_as(error, prefix: str):
         raise error(f"{prefix}: {detail}") from exc
 
 
-def _override(name: str) -> str | None:
+def _path(name: str) -> str:
+    """The override of name if COXLAB_FIXTURES holds one, else the bundled file."""
     directory = os.environ.get("COXLAB_FIXTURES")
     path = os.path.join(directory, name) if directory else None
-    return path if path and os.path.exists(path) else None
+    return path if path and os.path.exists(path) else os.path.join(DIRECTORY, name)
 
 
 def load_json(name: str):
-    path = _override(name)
-    if path is None:
-        return json.loads(resources.files(__package__).joinpath(name).read_text("utf-8"))
+    path = _path(name)
     try:
         with open(path, encoding="utf-8") as handle:
             return json.load(handle)
@@ -62,7 +64,7 @@ def load_json(name: str):
 def load(name: str, parse):
     """parse(load_json(name)); a fixture that parse rejects is corrupt, named by its file."""
     data = load_json(name)
-    with reported_as(CorruptFixtureError, f"invalid fixture file {_override(name) or name}"):
+    with reported_as(CorruptFixtureError, f"invalid fixture file {_path(name)}"):
         return parse(data)
 
 

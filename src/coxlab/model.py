@@ -1,26 +1,27 @@
-"""Semidirect-product models and the reduced normal form.
+"""The exact model, read sparsely, and the reduced normal form.
 
-One semidirect product, S_n acting on n coordinates, with two kinds of
-coordinate part.  The exact layer puts n-tuples of free-group words over
-the chord letters in the coordinates (coordinate i of a tuple is the word
-sitting over plane i); a graph edge maps into it by
+S_n acts on n coordinates.  In the exact model coordinate i holds a
+free-group word over the chord letters, the word sitting over plane i; a
+graph edge maps into it by
 
-    tree edge from a to b   ->  ((a b), trivial tuple)
-    chord  x^t from a to b  ->  ((a b), tuple with x^t at a, (x^t)^-1 at b)
+    tree edge from a to b   ->  ((a b), no letters)
+    chord  x^t from a to b  ->  ((a b), x^t at a, (x^t)^-1 at b)
 
-and both images square to the identity.  Multiplication is
+and both images square to the identity.  The product is
 (s, f)(t, g) = (s t, f^t g) with (f^t)_i = f_{t(i)}, matching the
-permutation convention (p q)(i) = p(q(i)).  Words are evaluated sparsely
-by word_action: right-multiplying by one edge image swaps two planes and
-appends at most two chord letters, so a word costs O(letters) rather than
-O(n) per letter.  word_action is the one construction of exact images in
-the package, and only reduced elements are multiplied here.  The
-independent reference, phi built from the chords and the dense product
-with free reduction, lives in tests/oracle.py, and the tests compare
-word_action against it.  coxeter_failures decides most commutation
-relators without evaluating them: two involutions whose supports (the
-planes their images move or write on) are disjoint commute, and only
-when both squares evaluated to the identity is that lemma used.
+permutation convention (p q)(i) = p(q(i)).  The exact model is the sparse
+pair (sigma, coords) that word_action returns for a word: sigma maps the
+planes the word touches to their images, and coords holds only the
+nonempty coordinate words.  Right-multiplying by one edge image swaps two
+planes and appends at most two chord letters, so a word costs O(letters)
+rather than O(n) per letter.  No exact element is expanded to n
+coordinates or multiplied in the package.  The independent reference,
+phi built from the chords and the dense product with free reduction,
+lives in tests/oracle.py, and the tests compare word_action against it.
+coxeter_failures decides most commutation relators without evaluating
+them: two involutions whose supports (the planes their images move or
+write on) are disjoint commute, and only when both squares evaluated to
+the identity is that lemma used.
 
 The reduced layer M keeps, at plane i, chords 1, 2 and 3 as p_i and
 chords 6, 7 and 8 as q_i; chords 4, 5, 9 and 10 map to the identity, and
@@ -41,11 +42,13 @@ is central, in closed form
 because [g, h] = (hg)^-1 (gh), where gh and hg share a and b and their
 zeta values differ by b'.a - b.a'.
 
-rho_hat sends the exact (sigma, f) to the reduced (sigma, rho(f)) in the
-same product.  All arithmetic is plain Python integers, hence exact at
-every size.  No central block per chord is needed: a chord letter enters
-an image at its tail and leaves, inverted, at its head, so its exponent
-summed over the planes is 0 on every image.
+SemidirectElement is the reduced layer only: S_PLANES acting on
+ReducedElement.  rho_hat sends the exact (sigma, coords) to the reduced
+(sigma, rho(coords)); rho reads the coordinate dict and never the planes
+a word leaves empty.  All arithmetic is plain Python integers, hence
+exact at every size.  No central block per chord is needed: a chord
+letter enters an image at its tail and leaves, inverted, at its head, so
+its exponent summed over the planes is 0 on every image.
 
 The chord weights hold only for the published spanning tree and chord
 orientations.  complexes.spanning_data(graph, "paper-fixture")
@@ -76,56 +79,16 @@ PLANES = 18
 
 # -- the exact layer ---------------------------------------------------------
 
-@dataclass(frozen=True)
-class FreeTuple:
-    """An n-tuple of reduced free-group words over the chord letters."""
-
-    coords: tuple[tuple[int, ...], ...]
-
-    @property
-    def n(self) -> int:
-        return len(self.coords)
-
-    def is_identity(self) -> bool:
-        return not any(self.coords)
+# word_action's sparse image of a word: ({plane: sigma(plane)}, {plane: coordinate word}).
+Action = tuple[dict[int, int], dict[int, list[int]]]
 
 
-@dataclass(frozen=True)
-class SemidirectElement:
-    """(sigma, part) in S_n acting on coordinates: (s, f)(t, g) = (st, f^t g).
-
-    part is a FreeTuple (the exact layer, as evaluate_word_semidirect
-    builds it) or a ReducedElement (the reduced layer).  Only reduced
-    elements are multiplied in the package, so part * part and
-    part.act(sigma) are ReducedElement's; the dense exact product is the
-    tests' reference (tests/oracle.py).
-    """
-
-    sigma: Permutation
-    part: FreeTuple | ReducedElement
-
-    def __mul__(self, other: "SemidirectElement") -> "SemidirectElement":
-        return SemidirectElement(self.sigma * other.sigma,
-                                 self.part.act(other.sigma) * other.part)
-
-    def is_identity(self) -> bool:
-        return self.sigma.is_identity() and self.part.is_identity()
-
-    def commutes_with(self, other: "SemidirectElement") -> bool:
-        return self * other == other * self
+def phi_table(span: SpanningData, graph: DualGraph) -> dict[int, Action]:
+    """The exact image of each graph edge, by line id; only the benchmark calls it."""
+    return {e: word_action((e,), span, graph) for e in sorted(graph.edges)}
 
 
-# Kept as an alias because the benchmark tracer (perfbench/tracer.py) wraps
-# ModelElement.commutes_with by name.
-ModelElement = SemidirectElement
-
-
-def phi_table(span: SpanningData, graph: DualGraph) -> dict[int, SemidirectElement]:
-    """The exact image of each graph edge, by line id."""
-    return {e: evaluate_word_semidirect((e,), span, graph) for e in sorted(graph.edges)}
-
-
-def word_action(word, span: SpanningData, graph: DualGraph) -> tuple[dict[int, int], dict[int, list[int]]]:
+def word_action(word, span: SpanningData, graph: DualGraph) -> Action:
     """Sparse left-to-right product of edge images; letters are line ids.
 
     Returns ({plane: sigma(plane)}, {plane: coordinate word}): the first
@@ -208,27 +171,43 @@ def coxeter_failures(p, span: SpanningData, graph: DualGraph) -> list[tuple[int,
 
 
 def evaluate_word_semidirect(word, span: SpanningData, graph: DualGraph,
-                             table: dict[int, SemidirectElement] | None = None) -> SemidirectElement:
-    """Left-to-right product of edge images; letters are line ids.
+                             table: dict[int, Action] | None = None) -> Action:
+    """word_action, with the letters restricted to the keys of a given table.
 
-    A given table restricts the accepted letters to its keys.
+    No command calls it; the benchmark's words step does, with phi_table.
     """
     if table is not None:
         for letter in word:
             if abs(letter) not in table:
                 raise ValueError(f"unknown edge letter {letter}")
-    sigma, coords = word_action(word, span, graph)
-    n = len(graph.vertices)
-    images = list(range(1, n + 1))
-    dense: list[tuple[int, ...]] = [()] * n
-    for plane, image in sigma.items():
-        images[plane - 1] = image
-    for plane, w in coords.items():
-        dense[plane - 1] = tuple(w)
-    return SemidirectElement(Permutation(tuple(images)), FreeTuple(tuple(dense)))
+    return word_action(word, span, graph)
 
 
 # -- the reduced layer -------------------------------------------------------
+
+@dataclass(frozen=True)
+class SemidirectElement:
+    """(sigma, part) in S_PLANES acting on the reduced coordinates:
+    (s, f)(t, g) = (st, f^t g), with part a ReducedElement."""
+
+    sigma: Permutation
+    part: ReducedElement
+
+    def __mul__(self, other: "SemidirectElement") -> "SemidirectElement":
+        return SemidirectElement(self.sigma * other.sigma,
+                                 self.part.act(other.sigma) * other.part)
+
+    def is_identity(self) -> bool:
+        return self.sigma.is_identity() and self.part.is_identity()
+
+    def commutes_with(self, other: "SemidirectElement") -> bool:
+        return self * other == other * self
+
+
+# Kept as an alias because the benchmark tracer (perfbench/tracer.py) wraps
+# ModelElement.commutes_with by name.
+ModelElement = SemidirectElement
+
 
 @dataclass(frozen=True)
 class ReducedElement:
@@ -296,20 +275,21 @@ class ReducedElement:
 _IDENTITY = ReducedElement((0,) * PLANES, (0,) * PLANES, 0)
 
 
-def rho(f: FreeTuple) -> ReducedElement:
-    """Collapse a chord-letter tuple into the reduced normal form.
+def rho(coords: dict[int, list[int]]) -> ReducedElement:
+    """Collapse word_action's coordinate dict into the reduced normal form.
 
-    Defined against the published chord indexing only; coordinate i sends
-    a letter of P_CHORDS to p_i, one of Q_CHORDS to q_i and any other to
-    the identity.  Distinct coordinates commute in M, so the product over
-    coordinates is taken in index order without loss.  A letter image has
-    a . b = 0, so its inverse is its negation and each letter updates the
-    exponents once.
+    Defined against the published chord indexing only; the word at plane
+    i sends a letter of P_CHORDS to p_i, one of Q_CHORDS to q_i and any
+    other to the identity.  Distinct planes commute in M, so the planes
+    are taken in any order without loss.  A letter image has a . b = 0,
+    so its inverse is its negation and each letter updates the exponents
+    once.
     """
-    if f.n != PLANES:
-        raise ValueError(f"the chord weights are pinned to {PLANES} coordinates, got {f.n}")
     a, b, zeta = [0] * PLANES, [0] * PLANES, 0
-    for i, word in enumerate(f.coords):
+    for plane, word in coords.items():
+        if not 1 <= plane <= PLANES:
+            raise ValueError(f"the chord weights are pinned to planes 1..{PLANES}, got {plane}")
+        i = plane - 1
         for letter in word:
             x, sign = abs(letter), (1 if letter > 0 else -1)
             if not 1 <= x <= 10:
@@ -322,9 +302,14 @@ def rho(f: FreeTuple) -> ReducedElement:
     return ReducedElement(tuple(a), tuple(b), zeta)
 
 
-def rho_hat(g: SemidirectElement, span: SpanningData) -> SemidirectElement:
+def rho_hat(action: Action, span: SpanningData) -> SemidirectElement:
+    """The reduced image (sigma, rho(coords)) of an exact (sigma, coords)."""
     require_paper_span(span)
-    return SemidirectElement(g.sigma, rho(g.part))
+    sigma, coords = action
+    images = list(range(1, PLANES + 1))
+    for plane, image in sigma.items():
+        images[plane - 1] = image
+    return SemidirectElement(Permutation(tuple(images)), rho(coords))
 
 
 def require_paper_span(span: SpanningData):
@@ -346,7 +331,7 @@ def relator_report(relator_words, span: SpanningData, graph: DualGraph) -> list[
     """
     out = []
     for w in relator_words:
-        v = rho_hat(evaluate_word_semidirect(w, span, graph), span)
+        v = rho_hat(word_action(w, span, graph), span)
         out.append({
             "relator": [int(x) for x in w],
             "status": "pass" if v.is_identity() else "fail",
@@ -455,14 +440,15 @@ class CenterWitness:
 def center_witness(span: SpanningData, graph: DualGraph) -> CenterWitness:
     """Evaluate the published commutator word and its conjugating words.
 
-    Each conjugating word maps to its plain transposition, or to None when
-    its permutation is not one or its coordinate part is not trivial;
-    verify's centre suite judges both against the paper.
+    Each conjugating word maps to its plain transposition, the two planes
+    its sigma moves when it moves exactly two and writes no coordinate, or
+    to None; verify's centre suite judges both against the paper.
     """
     require_paper_span(span)
     tau_images = {}
     for name, word in witness_words().items():
-        image = evaluate_word_semidirect(word, span, graph)
-        tau_images[name] = image.sigma.as_transposition() if image.part.is_identity() else None
-    value = rho_hat(evaluate_word_semidirect(center_witness_word(), span, graph), span)
+        sigma, coords = word_action(word, span, graph)
+        moved = tuple(sorted(plane for plane, image in sigma.items() if plane != image))
+        tau_images[name] = moved if len(moved) == 2 and not coords else None
+    value = rho_hat(word_action(center_witness_word(), span, graph), span)
     return CenterWitness(value=value, tau_images=tau_images)

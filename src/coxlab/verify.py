@@ -10,8 +10,10 @@ SUITES is the one table of suites: it maps each name, in the order that
 pinned to the published 3 x 3 labeling.  relators adds the reduced-model
 checks when the complex is the published one.
 
-relators evaluates each passing Coxeter relator at most once, and reads
-each cycle through model.word_action: a cycle is in the kernel when every
+Every word is read through model.word_action, the exact model's sparse
+(sigma, coords) pair; model.SemidirectElement is the reduced layer only,
+which _Context.reduced reaches by model.rho_hat.  relators evaluates each
+passing Coxeter relator at most once: a cycle is in the kernel when every
 plane its sigma names maps to itself, and nontrivial before the reduction
 when its coordinate dict is not empty.
 model.coxeter_failures decides a commutation (x y)^2 by the support lemma
@@ -21,7 +23,8 @@ whose exact image is the identity reduces to the identity, so the reduced
 check takes only the cycles and the failed Coxeter words.
 
 center reads each generator image as ctx.reduced((e,)), the one path
-from word_action through rho_hat that the other suites use.
+from word_action through rho_hat that the other suites use, and each
+conjugating word's transposition off its sigma dict.
 
 structure decides structure.noncentral_kernel_elements by the semidirect
 law, without forming a product.  For a transposition t and a reduced m,
@@ -115,7 +118,7 @@ class _Context:
         return presentation.generate(self.graph, self.links, "quotient")
 
     def reduced(self, word):
-        return model.rho_hat(model.evaluate_word_semidirect(word, self.span, self.graph), self.span)
+        return model.rho_hat(model.word_action(word, self.span, self.graph), self.span)
 
 
 def run_suite(x0: DegenerationComplex, suite: str) -> Report:

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tracemalloc
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from coxlab import cli, cosets, presentation, verify
+from coxlab import cli, cosets, fixtures, presentation, verify
 from coxlab.cli import ROWS_PER_CHUNK, main
 from coxlab.complexes import (build_torus_triangulation, dual_graph, hexagon_links,
                               load_paper_labeling, spanning_data)
@@ -747,6 +748,25 @@ def test_bad_input_exits_2_with_one_error_line(capsys, bad_input_env, case):
     assert "Traceback" not in err
     if hasattr(case, "fixture"):
         assert f"invalid fixture file {bad_input_env[0] / 'override' / case.fixture}: " in err
+
+
+@pytest.mark.parametrize("name,argv", [
+    ("tt33.json", ["build", "--paper-fixture"]),
+    ("hexagon_quotient.json", ["present", "--complex", "{complex}", "--fixtures-out", "{tmp}/fx"]),
+    ("t0_spanning.json", ["verify", "--complex", "{complex}", "--suite", "relators"]),
+], ids=["build_tt33", "present_hexagon_quotient", "verify_t0_spanning"])
+def test_corrupt_bundled_fixture_exits_2_naming_the_file(capsys, monkeypatch, tmp_path, paper_files,
+                                                         name, argv):
+    """A bundled fixture is opened like an override, so a corrupt one exits
+    2 with one line that names its path, not with a traceback."""
+    bundled = tmp_path / "bundled"
+    shutil.copytree(paper_files.fixtures, bundled)
+    (bundled / name).write_text('{"rows": 3,')
+    monkeypatch.setattr(fixtures, "DIRECTORY", str(bundled))
+    monkeypatch.delenv("COXLAB_FIXTURES", raising=False)
+    code, out, err = run(capsys, *(arg.format(complex=paper_files.complex, tmp=tmp_path) for arg in argv))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot read fixture file {bundled / name}: ") and err.count("\n") == 1
 
 
 # Fixtures that load but make a published claim fail.  The claim is judged by

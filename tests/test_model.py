@@ -13,31 +13,34 @@ from coxlab import fixtures, model, presentation, verify
 from coxlab.complexes import (Chord, SpanningData, build_torus_triangulation,
                               dual_graph, hexagon_links, spanning_data,
                               witness_words)
-from coxlab.model import (P_CHORDS, Q_CHORDS, FreeTuple, ReducedElement,
+from coxlab.model import (P_CHORDS, Q_CHORDS, ReducedElement,
                           SemidirectElement, abelianization, center_witness,
                           center_witness_word, evaluate_word_semidirect,
                           kernel_generators, kernel_relation_matrix,
                           nilpotency_class_check, phi_table,
                           random_kernel_element, relator_report, rho, rho_hat,
-                          word_is_identity)
+                          word_action, word_is_identity)
 from coxlab.perm import identity, transposition
 from coxlab.presentation import ax_fixture, cycle_relator, generate
 
 
 def test_phi_tree_edge_is_plain_transposition(paper):
     e = paper.span.tree_edges[0]
-    for v in (oracle.phi(e, paper.span, paper.graph), phi_table(paper.span, paper.graph)[e]):
-        assert v.sigma == transposition(*paper.graph.edges[e], 18)
-        assert v.part.is_identity()
+    a, b = paper.graph.edges[e]
+    v = oracle.phi(e, paper.span, paper.graph)
+    assert v.sigma == transposition(a, b, 18)
+    assert v.part.is_identity()
+    assert phi_table(paper.span, paper.graph)[e] == oracle.sparse(v) == ({a: b, b: a}, {})
 
 
 def test_phi_chord_puts_opposite_letters_at_ends(paper):
     chord = next(c for c in paper.span.chords if c.index == 4)
     assert chord.line == 17 and (chord.tail, chord.head) == (11, 9)
-    for v in (oracle.phi(17, paper.span, paper.graph), phi_table(paper.span, paper.graph)[17]):
-        assert v.sigma == transposition(11, 9, 18)
-        assert v.part.coords[chord.tail - 1] == (4,)
-        assert v.part.coords[chord.head - 1] == (-4,)
+    v = oracle.phi(17, paper.span, paper.graph)
+    assert v.sigma == transposition(11, 9, 18)
+    assert v.part.coords[chord.tail - 1] == (4,)
+    assert v.part.coords[chord.head - 1] == (-4,)
+    assert phi_table(paper.span, paper.graph)[17] == oracle.sparse(v) == ({11: 9, 9: 11}, {11: [4], 9: [-4]})
 
 
 def test_phi_images_are_involutions(paper, paper_phi):
@@ -66,11 +69,11 @@ def test_phi_table_matches_the_oracle(paper, grid):
     for s in (span, *(_misplaced(span, graph, which) for which in (0, 3, -1))):
         table = phi_table(s, graph)
         assert list(table) == sorted(graph.edges)
-        assert table == oracle.phi_table(s, graph)
+        assert table == {e: oracle.sparse(g) for e, g in oracle.phi_table(s, graph).items()}
 
 
 def test_empty_word_evaluates_to_identity(paper):
-    assert evaluate_word_semidirect((), paper.span, paper.graph).is_identity()
+    assert evaluate_word_semidirect((), paper.span, paper.graph) == oracle.sparse(oracle.unit(18)) == ({}, {})
 
 
 def test_unknown_letter_rejected_by_every_evaluator(paper, paper_phi):
@@ -101,7 +104,7 @@ def test_sparse_evaluation_matches_dense_product(rows, cols):
     relators = generate(graph, hexagon_links(x0), "quotient").relator_words()
     for w in samples + relators:
         dense = oracle.evaluate(w, table, n)
-        assert evaluate_word_semidirect(w, span, graph, table) == dense, w
+        assert oracle.moved(evaluate_word_semidirect(w, span, graph, table)) == oracle.sparse(dense), w
         assert word_is_identity(w, span, graph) == dense.is_identity(), w
     assert all(word_is_identity(w + w[::-1], span, graph) for w in samples)
 
@@ -118,37 +121,52 @@ def test_witness_conjugate_tuples_match_recorded_values(paper, paper_phi):
     # tau1 . 1 lands on the kernel with the first chord letter at plane 7
     # and its inverse at plane 2; similarly for tau4 . 4 at planes 1 and 3.
     w = witness_words()
-    v1 = evaluate_word_semidirect(w["tau1"] + (1,), paper.span, paper.graph, paper_phi)
-    assert v1.sigma.is_identity()
-    assert v1.part.coords[6] == (1,) and v1.part.coords[1] == (-1,)
-    v4 = evaluate_word_semidirect(w["tau4"] + (4,), paper.span, paper.graph, paper_phi)
-    assert v4.sigma.is_identity()
-    assert v4.part.coords[0] == (8,) and v4.part.coords[2] == (-8,)
+    for word, coords in ((w["tau1"] + (1,), {7: [1], 2: [-1]}), (w["tau4"] + (4,), {1: [8], 3: [-8]})):
+        dense = oracle.evaluate(word, paper_phi, 18)
+        assert oracle.moved(word_action(word, paper.span, paper.graph)) == oracle.sparse(dense) == ({}, coords)
 
 
 def test_nine_cyclic_relators_die_under_reduction(paper, paper_phi):
     for link in paper.links:
         w = cycle_relator(link.cycle)
-        v = evaluate_word_semidirect(w, paper.span, paper.graph, paper_phi)
-        assert not v.part.is_identity()
+        dense = oracle.evaluate(w, paper_phi, 18)
+        assert not dense.part.is_identity()
+        assert oracle.reduced(dense).is_identity()
+        v = word_action(w, paper.span, paper.graph)
+        assert oracle.moved(v) == oracle.sparse(dense)
         assert rho_hat(v, paper.span).is_identity()
 
 
-def _at_plane(i, word):
-    """The 18-coordinate tuple with the given word at plane i only."""
-    return FreeTuple(tuple(tuple(word) if k == i else () for k in range(1, 19)))
+def test_reduction_of_the_sparse_action_matches_the_dense_reference(paper, paper_phi):
+    """rho_hat(word_action(w)) against the dense product reduced by the
+    oracle's dense rho, on the 25 AX relators, the 9 cycles, the centre
+    witness and 3,000 seeded random words over the 27 lines."""
+    rng = random.Random(3035)
+    words = list(ax_fixture().values()) + [cycle_relator(link.cycle) for link in paper.links]
+    words.append(center_witness_word())
+    words += [tuple(rng.randint(1, 27) * rng.choice((1, -1)) for _ in range(rng.randint(0, 30)))
+              for _ in range(3000)]
+    assert len(words) == 3035
+    for w in words:
+        expected = oracle.reduced(oracle.evaluate(w, paper_phi, 18))
+        assert rho_hat(word_action(w, paper.span, paper.graph), paper.span) == expected, w
 
 
 def test_rho_commutator_of_paired_letters_is_z():
-    v = rho(_at_plane(7, (-1, -8, 1, 8)))
-    assert v == ReducedElement.z(1)
+    coords = {7: [-1, -8, 1, 8]}
+    dense = oracle.FreeTuple(tuple(tuple(coords.get(i, ())) for i in range(1, 19)))
+    assert rho(coords) == oracle.rho(dense) == ReducedElement.z(1)
 
 
 def test_rho_rejects_foreign_letters():
-    with pytest.raises(ValueError):
-        rho(_at_plane(1, (11,)))
-    with pytest.raises(ValueError):
-        rho(_at_plane(1, (-11,)))
+    for letter in (11, -11):
+        with pytest.raises(ValueError):
+            rho({1: [letter]})
+        with pytest.raises(ValueError):
+            oracle.rho(oracle.FreeTuple(((letter,),) + ((),) * 17))
+    for plane in (0, 19):
+        with pytest.raises(ValueError):
+            rho({plane: [1]})
     assert P_CHORDS | Q_CHORDS < set(range(1, 11)) and not P_CHORDS & Q_CHORDS
 
 
@@ -170,9 +188,10 @@ def test_rho_matches_the_product_of_letter_images():
             tuple(rng.choice((1, -1)) * rng.randint(1, 10) for _ in range(rng.randint(0, 8)))
             for _ in range(18))
         expected = reduce(mul, (image(x, i) for i, w in enumerate(coords, start=1) for x in w), unit)
-        assert rho(FreeTuple(coords)) == expected
+        assert oracle.rho(oracle.FreeTuple(coords)) == expected
+        assert rho({i: list(w) for i, w in enumerate(coords, start=1) if w}) == expected
     with pytest.raises(ValueError):
-        rho(oracle.unit(17).part)
+        oracle.rho(oracle.unit(17).part)
 
 
 def test_heisenberg_single_pair_commutator():
@@ -295,9 +314,9 @@ def test_chord_exponents_sum_to_zero_over_the_planes(paper, grid):
     rng = random.Random(str(grid))
     for _ in range(300):
         w = tuple(rng.choice(edges) * rng.choice((1, -1)) for _ in range(rng.randint(0, 60)))
-        exact = evaluate_word_semidirect(w, span, graph)
+        exact = word_action(w, span, graph)
         sums = Counter()
-        for word in exact.part.coords:
+        for word in exact[1].values():
             for x in word:
                 sums[abs(x)] += 1 if x > 0 else -1
         assert set(sums.values()) <= {0}, w
@@ -311,9 +330,10 @@ def test_rho_hat_is_multiplicative(paper, paper_phi):
     for _ in range(40):
         w1 = tuple(rng.randint(1, 27) for _ in range(rng.randint(0, 8)))
         w2 = tuple(rng.randint(1, 27) for _ in range(rng.randint(0, 8)))
-        x = evaluate_word_semidirect(w1, paper.span, paper.graph, paper_phi)
-        y = evaluate_word_semidirect(w2, paper.span, paper.graph, paper_phi)
-        assert rho_hat(oracle.mul(x, y), paper.span) == rho_hat(x, paper.span) * rho_hat(y, paper.span)
+        x, y = oracle.evaluate(w1, paper_phi, 18), oracle.evaluate(w2, paper_phi, 18)
+        product = rho_hat(word_action(w1 + w2, paper.span, paper.graph), paper.span)
+        assert product == oracle.reduced(oracle.mul(x, y))
+        assert product == rho_hat(oracle.sparse(x), paper.span) * rho_hat(oracle.sparse(y), paper.span)
 
 
 def test_center_witness(paper):
@@ -322,6 +342,24 @@ def test_center_witness(paper):
     assert witness.value.sigma.is_identity()
     assert witness.tau_images == {"tau1": (2, 7), "tau2": (7, 10),
                                   "tau3": (1, 7), "tau4": (1, 3)}
+
+
+def test_tau_images_are_read_off_the_sparse_action(paper, paper_phi, monkeypatch):
+    """A conjugating word maps to the two planes its sigma swaps only when it
+    moves exactly two planes and writes no coordinate, as the dense image
+    from the oracle decides: a chord, a 3-cycle and the identity give None."""
+    tree = paper.span.tree_edges
+    x, y = next((x, y) for x in tree for y in tree
+                if x < y and set(paper.graph.edges[x]) & set(paper.graph.edges[y]))
+    words = {**witness_words(), "tree_edge": (x,), "chord": (1,), "three_cycle": (x, y), "kernel": (1, 1)}
+    monkeypatch.setattr(model, "witness_words", lambda: words)
+    got = center_witness(paper.span, paper.graph).tau_images
+    for name, word in words.items():
+        dense = oracle.evaluate(word, paper_phi, 18)
+        expected = dense.sigma.as_transposition() if dense.part.is_identity() else None
+        assert got[name] == expected, name
+    assert got["tree_edge"] == tuple(sorted(paper.graph.edges[x]))
+    assert got["chord"] is got["three_cycle"] is got["kernel"] is None
 
 
 def test_center_witness_word_is_a_commutator_shape():
@@ -335,7 +373,8 @@ def test_center_witness_word_is_a_commutator_shape():
 def test_witness_commutes_with_every_generator_image(paper, paper_phi):
     z = SemidirectElement(identity(18), ReducedElement.z(1))
     for e in sorted(paper.graph.edges):
-        g = rho_hat(paper_phi[e], paper.span)
+        g = rho_hat(oracle.sparse(paper_phi[e]), paper.span)
+        assert g == oracle.reduced(paper_phi[e])
         assert z * g == g * z
 
 
@@ -395,7 +434,7 @@ def test_structure_suite_multiplies_no_semidirect_elements(paper, monkeypatch):
     assert (entry.status, entry.value) == ("pass", {"samples": 120, "moved": 120})
 
 
-EXACT_UNIT = oracle.unit(18)
+EXACT_UNIT = oracle.sparse(oracle.unit(18))
 
 
 def _reduced_model_calls(paper):
@@ -458,7 +497,8 @@ def test_exact_layer_relator_suite(paper, paper_phi):
     quotient = generate(paper.graph, paper.links, "quotient")
     coxeter = quotient.squares + quotient.commutations + quotient.braids + quotient.forks
     for w in coxeter:
-        assert evaluate_word_semidirect(w, paper.span, paper.graph, paper_phi).is_identity()
+        assert oracle.evaluate(w, paper_phi, 18).is_identity()
+        assert word_is_identity(w, paper.span, paper.graph)
 
 
 def test_reduced_layer_full_suite(paper, paper_phi):

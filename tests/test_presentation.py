@@ -1,6 +1,7 @@
 import json
 from itertools import combinations
 
+import oracle
 import pytest
 from conftest import graph_of
 
@@ -110,11 +111,12 @@ def test_cycle_relator_chord_first_structure(paper):
     ordered = link.cycle[k:] + link.cycle[:k]
     word = cycle_relator(ordered)
     assert word[0] == 17 and len(word) == 10
-    v = model.evaluate_word_semidirect(word, paper.span, paper.graph)
+    v = oracle.evaluate(word, oracle.phi_table(paper.span, paper.graph), 18)
     assert v.sigma.is_identity()
     support = {i + 1 for i, u in enumerate(v.part.coords) if u}
     assert support == {9, 11}
     assert {abs(x) for u in v.part.coords for x in u} == {4}
+    assert oracle.moved(model.word_action(word, paper.span, paper.graph)) == oracle.sparse(v)
 
 
 def test_cycle_orientations_same_model_value(paper, paper_phi):

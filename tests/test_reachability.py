@@ -20,6 +20,7 @@ TOUR = Path(__file__).resolve().parent / "command_tour.py"
 # tracer wraps it, so no source change may delete it before item 2.
 UNREACHED_ALLOWED = {
     "model.phi_table",                  # benchmark; item 2, then item 8
+    "model.evaluate_word_semidirect",   # benchmark; item 2, then item 8
     "words.clean",                      # benchmark; item 2, then item 8
     "words.CleanReport.to_json",        # benchmark's clean digest; item 8
     "words.reduce_with_commutations",   # benchmark, inside clean; item 8

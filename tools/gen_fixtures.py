@@ -14,7 +14,9 @@ import sys
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from coxlab.cli import _write_json  # noqa: E402
-from coxlab.complexes import build_torus_triangulation  # noqa: E402
+from coxlab.complexes import (DegenerationComplex, Line, Plane, Point,  # noqa: E402
+                              build_torus_triangulation, load_paper_labeling)
+from coxlab.presentation import cycle_relator  # noqa: E402
 
 OUT = os.path.join(os.path.dirname(__file__), "..", "src", "coxlab", "fixtures")
 
@@ -83,40 +85,27 @@ NONREL_PAIRS = [
 
 
 def relabeled_tt33():
+    """The canonical 3 x 3 complex renumbered to the published ids, each
+    element list in id order and each incidence ascending."""
     canon = build_torus_triangulation(3, 3)
-    pmap, lmap, fmap = {}, {}, {}
-    for p in canon.points:
-        pmap[p.id] = POINT[p.row][p.col]
-    for l in canon.lines:
-        table = {"h": HLINE, "v": VLINE, "d": DLINE}[l.kind]
-        lmap[l.id] = table[l.cell[0]][l.cell[1]]
-    for f in canon.planes:
-        table = UPPER if f.half == "upper" else LOWER
-        fmap[f.id] = table[f.cell[0]][f.cell[1]]
-    data = {
-        "rows": 3,
-        "cols": 3,
-        "points": sorted(
-            ({"id": pmap[p.id], "row": p.row, "col": p.col} for p in canon.points),
-            key=lambda d: d["id"]),
-        "lines": sorted(
-            ({"id": lmap[l.id],
-              "points": sorted(pmap[x] for x in l.points),
-              "planes": sorted(fmap[x] for x in l.planes),
-              "kind": l.kind, "cell": list(l.cell)} for l in canon.lines),
-            key=lambda d: d["id"]),
-        "planes": sorted(
-            ({"id": fmap[f.id],
-              "lines": sorted(lmap[x] for x in f.lines),
-              "cell": list(f.cell), "half": f.half} for f in canon.planes),
-            key=lambda d: d["id"]),
-    }
-    return data
+    pmap = {p.id: POINT[p.row][p.col] for p in canon.points}
+    lmap = {l.id: {"h": HLINE, "v": VLINE, "d": DLINE}[l.kind][l.cell[0]][l.cell[1]] for l in canon.lines}
+    fmap = {f.id: (UPPER if f.half == "upper" else LOWER)[f.cell[0]][f.cell[1]] for f in canon.planes}
+    return DegenerationComplex(
+        rows=3,
+        cols=3,
+        points=sorted((Point(pmap[p.id], p.row, p.col) for p in canon.points), key=lambda p: p.id),
+        lines=sorted((Line(lmap[l.id], tuple(sorted(pmap[x] for x in l.points)),
+                           tuple(sorted(fmap[x] for x in l.planes)), l.kind, l.cell)
+                      for l in canon.lines), key=lambda l: l.id),
+        planes=sorted((Plane(fmap[f.id], tuple(sorted(lmap[x] for x in f.lines)), f.cell, f.half)
+                       for f in canon.planes), key=lambda f: f.id),
+    )
 
 
 def hexagon_presentation(with_cycle):
     # Six involutions around a 6-cycle: consecutive pairs braid, the rest
-    # commute; optionally the relator of the cycle itself.
+    # commute; optionally the relator of the cycle 1 .. 6 itself.
     relators = [[i, i] for i in range(1, 7)]
     adjacent = {(i, i % 6 + 1) for i in range(1, 7)}
     adjacent = {tuple(sorted(p)) for p in adjacent}
@@ -127,7 +116,7 @@ def hexagon_presentation(with_cycle):
             else:
                 relators.append([i, j] * 2)
     if with_cycle:
-        relators.append([1, 2, 3, 4, 5, 6, 5, 4, 3, 2])
+        relators.append(list(cycle_relator(range(1, 7))))
     return {"generators": 6, "relators": relators}
 
 
@@ -138,7 +127,7 @@ def dump(name, data):
 
 
 def main():
-    dump("tt33.json", relabeled_tt33())
+    dump("tt33.json", relabeled_tt33().to_json())
     dump("t0_spanning.json", {"tree": T0_TREE, "chords": T0_CHORDS})
     dump("ax_relations.json", AX_RELATIONS)
     dump("nonrel_pairs.json", NONREL_PAIRS)
@@ -150,7 +139,6 @@ def main():
     dump("hexagon_quotient.json", hexagon_presentation(with_cycle=True))
     dump("hexagon_affine.json", hexagon_presentation(with_cycle=False))
 
-    from coxlab.complexes import load_paper_labeling
     load_paper_labeling()
     print("fixture oracle passed")
 
