@@ -18,10 +18,14 @@ rather than O(n) per letter.  No exact element is expanded to n
 coordinates or multiplied in the package.  The independent reference,
 phi built from the chords and the dense product with free reduction,
 lives in tests/oracle.py, and the tests compare word_action against it.
-coxeter_failures decides most commutation relators without evaluating
-them: two involutions whose supports (the planes their images move or
-write on) are disjoint commute, and only when both squares evaluated to
-the identity is that lemma used.
+coxeter_failures decides the commutation relators line by line, not
+pair by pair: two involutions whose supports (the planes their images
+move or write on) are disjoint commute, so once a line's square
+evaluated to the identity and its support lies within its own two
+planes, its commutations with the lines that share no plane hold.  Only
+the commutations of the other lines are read, and on a valid complex
+there are none, so Presentation.commutations, derived from the braids
+when it is read, is never built there.
 
 The reduced layer M keeps, at plane i, chords 1, 2 and 3 as p_i and
 chords 6, 7 and 8 as q_i; chords 4, 5, 9 and 10 map to the identity, and
@@ -135,9 +139,10 @@ def word_is_identity(word, span: SpanningData, graph: DualGraph) -> bool:
 
 def coxeter_failures(p, span: SpanningData, graph: DualGraph) -> list[tuple[int, ...]]:
     """The square, commutation, braid and fork relators of the presentation
-    p whose exact image is not the identity, in that order.  Every
-    commutation is read as (x, y, x, y), the shape presentation.generate
-    builds.
+    p whose exact image is not the identity, in that order.
+
+    Precondition: p's commutations are (x, y, x, y) for the line pairs that
+    share no plane, as presentation.generate derives them.
 
     Support lemma.  The support of a line is the set of planes its image
     moves or writes a chord letter on, read from word_action((e,)) rather
@@ -148,24 +153,27 @@ def coxeter_failures(p, span: SpanningData, graph: DualGraph) -> list[tuple[int,
     plane, so (s, f)(t, g) = (st, fg) = (t, g)(s, f).  If both images are
     also involutions, x y x y = x x y y is the identity.
 
-    Squares guard: a commutation (x y)^2 passes unevaluated only when the
-    squares (x x) and (y y) evaluated to the identity here and the two
-    supports are disjoint.  Every other relator goes through
-    word_is_identity, so the result is the same as evaluating them all.
+    Per line, not per pair: a line is decided when its square evaluated to
+    the identity here and its support lies within its own two planes
+    graph.edges[e].  Two decided lines that share no plane then have
+    disjoint supports, so their commutation holds.  Only the commutations
+    that touch an undecided line are read from p.commutations and
+    evaluated; on a valid complex there are none, and the list is never
+    built.  Every other relator goes through word_is_identity, so the
+    result is the same as evaluating them all.
     """
-    failed, supports = [], {}
+    failed, undecided = [], set()
     for w in p.squares:
+        sigma, coords = word_action(w[:1], span, graph)
+        support = {a for a, b in sigma.items() if a != b}.union(coords)
         if not word_is_identity(w, span, graph):
             failed.append(w)
-        else:
-            sigma, coords = word_action(w[:1], span, graph)
-            supports[w[0]] = frozenset(a for a, b in sigma.items() if a != b).union(coords)
-    for w in p.commutations:
-        x, y = w[0], w[1]
-        if x in supports and y in supports and supports[x].isdisjoint(supports[y]):
+        elif support <= set(graph.edges[w[0]]):
             continue
-        if not word_is_identity(w, span, graph):
-            failed.append(w)
+        undecided.add(w[0])
+    touched = p.commutations if undecided else []
+    failed += [w for w in touched if (w[0] in undecided or w[1] in undecided)
+               and not word_is_identity(w, span, graph)]
     failed += [w for w in p.braids + p.forks if not word_is_identity(w, span, graph)]
     return failed
 

@@ -3,7 +3,8 @@
 Three nested variants over the same generators (one involution per line):
 
     plain     squares, one braid per pair of lines at a plane and one
-              commutation per other line pair (the disjoint ones)
+              commutation per other line pair (the disjoint ones),
+              derived from the squares and braids when it is read
     fork      plain plus, at every 3-valent vertex with edges {u, v, w},
               the commutators [u, wvw] for each choice of u
     quotient  fork plus one cyclic relator per hexagon
@@ -25,6 +26,7 @@ by coxlab.fixtures; classify_missing sorts the pairs by positional role.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
 from . import fixtures
@@ -54,16 +56,24 @@ EXPECTED_MISSING_ROLES = {
 class Presentation:
     generator_count: int
     squares: list[Word]
-    commutations: list[Word]
     braids: list[Word]
     forks: list[Word]
     cycles: list[Word]
+
+    @cached_property
+    def commutations(self) -> list[Word]:
+        """(x y)^2 for every pair of square letters that is not a braid, in
+        combinations order; built on first read, since a Coxeter check on a
+        valid complex needs the braids only and the pairs number lines^2."""
+        braided = {w[:2] for w in self.braids}
+        return [(i, j) * 2 for (i, _), (j, _) in combinations(self.squares, 2) if (i, j) not in braided]
 
     def relator_words(self) -> list[Word]:
         return self.squares + self.commutations + self.braids + self.forks + self.cycles
 
     def counts(self) -> dict[str, int]:
-        counts = {"squares": len(self.squares), "commutations": len(self.commutations),
+        lines = len(self.squares)
+        counts = {"squares": lines, "commutations": lines * (lines - 1) // 2 - len(self.braids),
                   "braids": len(self.braids), "forks": len(self.forks), "cycles": len(self.cycles)}
         counts["total"] = sum(counts.values())
         return counts
@@ -99,15 +109,15 @@ def generate(graph: DualGraph, links: list[HexagonLink], variant: str) -> Presen
 
     Two lines braid exactly when they share a plane, so the braided pairs
     are the line pairs at each plane, read from graph.adjacency, which must
-    be ascending; every other pair commutes.  Both lists are in
-    combinations order, since the relator lists' order is output.
+    be ascending; they are sorted, since the relator lists' order is
+    output.  Every other pair commutes, and Presentation.commutations
+    derives those from the squares and braids when it is read.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
     edges = sorted(graph.edges)
     squares = [(e, e) for e in edges]
     braided = {pair for v in graph.vertices for pair in combinations(graph.adjacency[v], 2)}
-    commutations = [(i, j) * 2 for i, j in combinations(edges, 2) if (i, j) not in braided]
     braids = [(i, j) * 3 for i, j in sorted(braided)]
     forks: list[Word] = []
     if variant in ("fork", "quotient"):
@@ -128,7 +138,6 @@ def generate(graph: DualGraph, links: list[HexagonLink], variant: str) -> Presen
     return Presentation(
         generator_count=len(edges),
         squares=squares,
-        commutations=commutations,
         braids=braids,
         forks=forks,
         cycles=cycles,

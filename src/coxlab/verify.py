@@ -16,9 +16,15 @@ which _Context.reduced reaches by model.rho_hat.  relators evaluates each
 passing Coxeter relator at most once: a cycle is in the kernel when every
 plane its sigma names maps to itself, and nontrivial before the reduction
 when its coordinate dict is not empty.
-model.coxeter_failures decides a commutation (x y)^2 by the support lemma
-when the squares of x and y evaluated to the identity and their images'
-supports are disjoint, and evaluates every other Coxeter relator.  A word
+model.coxeter_failures applies the support lemma per line: a line whose
+square evaluated to the identity and whose image's support lies within
+its own two planes commutes with every line that shares no plane, so
+only the commutations (x y)^2 that touch another line are evaluated.
+On a valid complex there are none, and Presentation.commutations, which
+is derived from the braids when it is read, is never built.  Every
+square, braid and fork is evaluated.  The census is derived too: the
+commutation count is C(lines, 2) minus the braids, so relators.counts
+checks only the counts that 3-regularity implies.  A word
 whose exact image is the identity reduces to the identity, so the reduced
 check takes only the cycles and the failed Coxeter words.
 
@@ -140,7 +146,8 @@ def run_suite(x0: DegenerationComplex, suite: str) -> Report:
 def _suite_relators(ctx: _Context, rep: Report) -> None:
     counts = ctx.quotient.counts()
     # A 3-regular graph without parallel edges: three line pairs, hence three
-    # braids and three forks, per plane; every other line pair commutes.
+    # braids and three forks, per plane; every other line pair commutes.  The
+    # commutation count is derived from the braids, so it adds no check.
     lines, planes = len(ctx.graph.edges), len(ctx.graph.vertices)
     implied = {"squares": lines, "commutations": lines * (lines - 1) // 2 - 3 * planes,
                "braids": 3 * planes, "forks": 3 * planes, "cycles": len(ctx.links)}

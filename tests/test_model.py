@@ -1,5 +1,6 @@
 import json
 import random
+import tracemalloc
 from collections import Counter
 from functools import reduce
 from operator import mul
@@ -577,26 +578,47 @@ def test_coxeter_failures_on_grids_property(rows, cols, which):
     _lemma_agrees_with_evaluation(x0, graph, span, dense_too=False)
 
 
-def test_commutation_of_adjacent_lines_fails_by_evaluation(monkeypatch):
-    x0 = build_torus_triangulation(4, 3)
-    graph = dual_graph(x0)
-    span = spanning_data(graph, "canonical")
-    p = generate(graph, hexagon_links(x0), "quotient")
-    x, y = p.braids[0][:2]
-    p.commutations.append((x, y, x, y))
-    assert model.coxeter_failures(p, span, graph) == [(x, y, x, y)]
+@pytest.mark.parametrize("rows,cols", [(0, 0), (3, 3), (4, 6), (8, 3), (8, 8)])
+def test_commutations_are_the_line_pairs_that_share_no_plane(paper, rows, cols):
+    """Derived from the squares and braids, the commutations are exactly the
+    pairs of lines with no common plane, in combinations order, and the
+    census counts them without building them."""
+    if rows:
+        x0 = build_torus_triangulation(rows, cols)
+        graph, links = dual_graph(x0), hexagon_links(x0)
+    else:
+        graph, links = paper.graph, paper.links
+    p = generate(graph, links, "quotient")
+    lines = sorted(graph.edges)
+    apart = [(i, j) * 2 for k, i in enumerate(lines) for j in lines[k + 1:]
+             if not set(graph.edges[i]) & set(graph.edges[j])]
+    assert p.counts()["commutations"] == len(apart)
+    assert "commutations" not in vars(p)
+    assert p.commutations == apart
 
-    real = presentation.generate
 
-    def with_an_adjacent_commutation(*args):
-        q = real(*args)
-        q.commutations.append((x, y, x, y))
-        return q
+def test_relators_suite_never_builds_the_commutations_on_a_grid(monkeypatch):
+    def unbuilt(self):
+        raise AssertionError("the commutation list was read")
 
-    monkeypatch.setattr(presentation, "generate", with_an_adjacent_commutation)
-    entry = next(e for e in verify.run_suite(x0, "relators").entries
-                 if e.name == "relators.coxeter_identity")
-    assert entry.value == {"checked": len(_coxeter(p)), "failed": 1}
+    monkeypatch.setattr(presentation.Presentation, "commutations", property(unbuilt))
+    report = verify.run_suite(build_torus_triangulation(16, 16), "relators")
+    assert not report.failed()
+    entries = {e.name: e.value for e in report.entries}
+    assert entries["relators.coxeter_identity"] == {"checked": 296832, "failed": 0}
+
+
+def test_relators_suite_memory_stays_linear_in_the_lines():
+    """The 16x16 suite without the commutation list: 768 lines, 292,992
+    commutations, and a tracemalloc peak far below what the list needs."""
+    tracemalloc.start()
+    try:
+        report = verify.run_suite(build_torus_triangulation(16, 16), "relators")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not report.failed()
+    assert peak < 4 * 2**20, peak
 
 
 def test_broken_square_sends_its_commutations_back_to_evaluation(monkeypatch):
