@@ -18,7 +18,8 @@ import functools
 import json
 import os
 import sys
-from itertools import chain
+from collections.abc import Iterator
+from itertools import chain, islice
 from json.encoder import encode_basestring_ascii
 
 from . import cosets, fixtures, presentation, verify
@@ -117,9 +118,10 @@ def _json_text(value, pad: str = ""):
     """The text of json.dumps(value, sort_keys=True, indent=1), in pieces.
 
     pad is the indent of the line on which value starts.  A dict whose
-    keys are all str recurses, with sorted keys.  A list or tuple longer
-    than ROWS_PER_CHUNK is encoded that many items at a time, so a relator
-    list, coset table or list of complex records is never held whole.  A
+    keys are all str recurses, with sorted keys.  An iterator, or a list or
+    tuple longer than ROWS_PER_CHUNK, is encoded that many items at a time
+    and written as a list, so the relators, a coset table or a list of
+    complex records is never held whole; an iterator is read once.  A
     list of non-empty int rows goes through json.dumps without indent,
     which runs in the C encoder, and the row breaks are then indented.
     Anything else is json.dumps itself, indented by pad.  So the text is
@@ -133,14 +135,15 @@ def _json_text(value, pad: str = ""):
             yield from _json_text(item, inner)
             head = ",\n" + inner
         yield "\n" + pad + "}"
-    elif isinstance(value, (list, tuple)) and len(value) > ROWS_PER_CHUNK:
-        head = "[\n" + inner
-        for start in range(0, len(value), ROWS_PER_CHUNK):
-            text = "".join(_json_text(value[start:start + ROWS_PER_CHUNK], pad))
-            # Drop the slice's own brackets and the line breaks beside them.
+    elif isinstance(value, Iterator) or isinstance(value, (list, tuple)) and len(value) > ROWS_PER_CHUNK:
+        items, head = iter(value), "[\n" + inner
+        while chunk := list(islice(items, ROWS_PER_CHUNK)):
+            text = "".join(_json_text(chunk, pad))
+            # Drop the chunk's own brackets and the line breaks beside them.
             yield head + text[len(inner) + 2:-len(pad) - 2]
             head = ",\n" + inner
-        yield "\n" + pad + "]"
+        # Nothing written: the empty list.
+        yield "[]" if head[0] == "[" else "\n" + pad + "]"
     elif isinstance(value, (list, tuple)) and _int_rows(value):
         cell = inner + " "
         text = json.dumps(value, separators=(",\n" + cell, ": "))

@@ -4,13 +4,17 @@ Three nested variants over the same generators (one involution per line):
 
     plain     squares, one braid per pair of lines at a plane and one
               commutation per other line pair (the disjoint ones),
-              derived from the squares and braids when it is read
+              derived one at a time from the squares and braids
+              whenever the relators are read
     fork      plain plus, at every 3-valent vertex with edges {u, v, w},
               the commutators [u, wvw] for each choice of u
     quotient  fork plus one cyclic relator per hexagon
 
 Braids are the line pairs at each plane, read from graph.adjacency, which
-must be ascending, so every pair comes out as (i, j) with i < j.
+must be ascending, so every pair comes out as (i, j) with i < j.  The
+commutations are never stored: Presentation.relators streams every
+relator in file order, and a presentation's memory grows with the number
+of lines, not with its square.
 
 A cycle u_1 ... u_m contributes the relator encoding
 u_1 ... u_{m-1} = u_2 ... u_m.  Only the hexagon cycles enter the quotient
@@ -26,8 +30,8 @@ by coxlab.fixtures; classify_missing sorts the pairs by positional role.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import combinations
+from collections.abc import Iterator
+from itertools import chain, combinations
 
 from . import fixtures
 from .complexes import DualGraph, HexagonLink
@@ -60,16 +64,25 @@ class Presentation:
     forks: list[Word]
     cycles: list[Word]
 
-    @cached_property
+    @property
     def commutations(self) -> list[Word]:
+        """The commutation words as a list; built on each read."""
+        return list(self._commutation_words())
+
+    def _commutation_words(self) -> Iterator[Word]:
         """(x y)^2 for every pair of square letters that is not a braid, in
-        combinations order; built on first read, since a Coxeter check on a
-        valid complex needs the braids only and the pairs number lines^2."""
+        combinations order, derived one at a time: a Coxeter check on a
+        valid complex needs the braids only, and the pairs number lines^2."""
         braided = {w[:2] for w in self.braids}
-        return [(i, j) * 2 for (i, _), (j, _) in combinations(self.squares, 2) if (i, j) not in braided]
+        return ((i, j) * 2 for (i, _), (j, _) in combinations(self.squares, 2) if (i, j) not in braided)
+
+    def relators(self) -> Iterator[Word]:
+        """Every relator in file order: squares, commutations, braids, forks
+        and cycles.  Only the lists the presentation stores are held."""
+        return chain(self.squares, self._commutation_words(), self.braids, self.forks, self.cycles)
 
     def relator_words(self) -> list[Word]:
-        return self.squares + self.commutations + self.braids + self.forks + self.cycles
+        return list(self.relators())
 
     def counts(self) -> dict[str, int]:
         lines = len(self.squares)
@@ -79,9 +92,10 @@ class Presentation:
         return counts
 
     def to_json(self) -> dict:
-        """The presentation file's data.  The relators are passed on as the
-        tuples generate built; cli._json_text writes them as arrays."""
-        return {"generators": self.generator_count, "relators": self.relator_words()}
+        """The presentation file's data.  The relators are relators(), a
+        one-shot iterator that can be read only once; cli._json_text writes
+        it as an array of arrays without holding it whole."""
+        return {"generators": self.generator_count, "relators": self.relators()}
 
 
 def presentation_from_json(data: dict) -> tuple[int, list[Word]]:
@@ -110,8 +124,8 @@ def generate(graph: DualGraph, links: list[HexagonLink], variant: str) -> Presen
     Two lines braid exactly when they share a plane, so the braided pairs
     are the line pairs at each plane, read from graph.adjacency, which must
     be ascending; they are sorted, since the relator lists' order is
-    output.  Every other pair commutes, and Presentation.commutations
-    derives those from the squares and braids when it is read.
+    output.  Every other pair commutes, and Presentation derives those
+    from the squares and braids whenever its relators are read.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")

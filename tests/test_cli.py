@@ -134,18 +134,26 @@ def test_json_writer_matches_json_dumps(value):
     assert _written(value) == json.dumps(value, sort_keys=True, indent=1)
 
 
-@pytest.mark.parametrize("count", [ROWS_PER_CHUNK - 1, ROWS_PER_CHUNK, ROWS_PER_CHUNK + 1,
+@pytest.mark.parametrize("count", [0, 1, ROWS_PER_CHUNK - 1, ROWS_PER_CHUNK, ROWS_PER_CHUNK + 1,
                                    2 * ROWS_PER_CHUNK + 1])
 def test_json_writer_at_the_row_chunk_boundary(count):
     rows = [[k + 1] * (1 + k % 3) for k in range(count)]
     for value in (rows, {"generators": 3, "relators": rows}, {"index": count, "t": [{"table": rows}]}):
         assert _written(value) == json.dumps(value, sort_keys=True, indent=1)
+    # The rows as a one-shot iterator, the form Presentation.to_json passes
+    # on, give the text of the list; an empty one gives [].
+    assert _written(iter(rows)) == json.dumps(rows, indent=1)
+    assert _written({"generators": 3, "relators": iter(rows)}) \
+        == json.dumps({"generators": 3, "relators": rows}, sort_keys=True, indent=1)
+    assert _written(iter([])) == "[]"
 
 
 def test_json_writer_streams_a_large_presentation():
     x0 = build_torus_triangulation(10, 10)
-    data = presentation.generate(dual_graph(x0), hexagon_links(x0), "quotient").to_json()
-    assert sum(map(len, cli._json_text(data))) > 1_700_000
+    pres = presentation.generate(dual_graph(x0), hexagon_links(x0), "quotient")
+    # to_json passes the relators on as a one-shot iterator: one call per pass.
+    assert sum(map(len, cli._json_text(pres.to_json()))) > 1_700_000
+    data = pres.to_json()
     tracemalloc.start()
     try:
         with open(os.devnull, "w", encoding="utf-8") as handle:
@@ -160,18 +168,23 @@ def test_present_holds_each_relator_once(capsys, tmp_path):
     # 10x10: 45,850 relators.  A command that copies each relator into a
     # list, or builds the list of all relators twice more to count it,
     # peaks near 8.8 MB here; one that passes on the relators as built,
-    # near 4.7 MB.
-    complex_file = tmp_path / "g1010.json"
-    assert main(["build", "--rows", "10", "--cols", "10", "--out", str(complex_file)]) == 0
-    tracemalloc.start()
-    try:
-        code = main(["present", "--complex", str(complex_file), "--out", str(tmp_path / "q1010.json")])
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert code == 0
-    assert "(45850 relators)" in capsys.readouterr().out
-    assert peak < 6_500_000
+    # near 4.7 MB.  16x16: 297,088 relators.  A command that holds the
+    # commutation list peaks near 29.6 MB; one that streams the relators
+    # to the file holds only the squares, braids, forks and cycles, near
+    # 1.4 MB.
+    for m, total, bound in ((10, 45850, 6_500_000), (16, 297088, 4_000_000)):
+        complex_file = tmp_path / f"g{m}.json"
+        assert main(["build", "--rows", str(m), "--cols", str(m), "--out", str(complex_file)]) == 0
+        capsys.readouterr()
+        tracemalloc.start()
+        try:
+            code = main(["present", "--complex", str(complex_file), "--out", str(tmp_path / f"q{m}.json")])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert f"({total} relators)" in capsys.readouterr().out
+        assert peak < bound, (m, peak)
 
 
 def test_json_writer_streams_the_records_of_a_large_complex():

@@ -5,11 +5,12 @@ For each m the m x m torus is built once, with the first tree's `build`,
 and the command runs on it in a new interpreter per run, with PYTHONPATH
 set to the tree's src.  Each run records its wall time, the child's own
 peak RSS (os.wait4) and the SHA-256 of its stdout.  With two trees the
-runs alternate, first tree first.  Each tree's startup, the fastest of
-at least three runs of `coxlab --help`, is recorded too.  The time exponent
-is the least-squares slope of log(wall time - startup) on log(m) over
-each tree's largest three m, and one entry is appended to the output
-file (a JSON list).
+runs alternate, first tree first.  Each tree's startup, the fastest time
+and the smallest peak RSS of at least three runs of `coxlab --help`, is
+recorded too.  The time exponent is the least-squares slope of
+log(wall time - startup time) on log(m), and the RSS exponent that of
+log(peak RSS - startup RSS), over each tree's largest three m; one entry
+is appended to the output file (a JSON list).
 
     python tools/scaling.py --command "verify --complex {complex} --suite relators --json" \\
         --m 8 16 24 32 48 64 --tree parent=../parent --tree change=. \\
@@ -50,17 +51,22 @@ def run(tree: Path, args: list[str]) -> dict:
             "exit": proc.returncode, "stdout_sha256": digest.hexdigest()}
 
 
-def exponent(runs: list[dict], startup: float) -> dict | None:
-    """Least-squares slope of log(wall_s - startup) on log(m) over the
-    largest three m, each m taken at its fastest run."""
+def exponent(runs: list[dict], startup: dict) -> dict | None:
+    """Least-squares slopes on log(m) over the largest three m of
+    log(wall_s - startup wall_s) and log(peak_rss_mb - startup peak_rss_mb),
+    each m taken at its fastest run and at its smallest peak."""
     ms = sorted({r["m"] for r in runs})[-3:]
     if len(ms) < 2:
         return None
     xs = [math.log(m) for m in ms]
-    ys = [math.log(max(min(r["wall_s"] for r in runs if r["m"] == m) - startup, 1e-4)) for m in ms]
-    mx, my = sum(xs) / len(xs), sum(ys) / len(ys)
-    slope = sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / sum((x - mx) ** 2 for x in xs)
-    return {"m": ms, "time": round(slope, 3)}
+    mx = sum(xs) / len(xs)
+
+    def slope(key: str) -> float:
+        ys = [math.log(max(min(r[key] for r in runs if r["m"] == m) - startup[key], 1e-4)) for m in ms]
+        my = sum(ys) / len(ys)
+        return round(sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / sum((x - mx) ** 2 for x in xs), 3)
+
+    return {"m": ms, "time": slope("wall_s"), "rss": slope("peak_rss_mb")}
 
 
 def pairs(values: list[str], what: str) -> dict[str, str]:
@@ -89,8 +95,10 @@ def main(argv=None) -> int:
         raise SystemExit("give one or two --tree, and --max-m only for a named tree")
     first = next(iter(trees.values()))
     runs: dict[str, list[dict]] = {name: [] for name in trees}
-    startup = {name: min(run(tree, ["--help"])["wall_s"] for _ in range(max(args.repeat, 3)))
-               for name, tree in trees.items()}
+    startup = {}
+    for name, tree in trees.items():
+        helps = [run(tree, ["--help"]) for _ in range(max(args.repeat, 3))]
+        startup[name] = {key: min(r[key] for r in helps) for key in ("wall_s", "peak_rss_mb")}
     with tempfile.TemporaryDirectory() as work:
         for m in sorted(set(args.m)):
             complex_path = os.path.join(work, f"g{m}.json")
@@ -111,7 +119,8 @@ def main(argv=None) -> int:
         "command": "coxlab " + args.command,
         "note": args.note,
         "host": {"python": platform.python_version(), "machine": platform.machine(), "cpus": os.cpu_count()},
-        "trees": {name: {"max_m": caps.get(name), "startup_s": startup[name], "runs": rs,
+        "trees": {name: {"max_m": caps.get(name), "startup_s": startup[name]["wall_s"],
+                         "startup_rss_mb": startup[name]["peak_rss_mb"], "runs": rs,
                          "exponent": exponent(rs, startup[name])}
                   for name, rs in runs.items()},
         # Every run at an m that all trees ran printed the same bytes.
