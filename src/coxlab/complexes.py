@@ -12,27 +12,47 @@ Around a point the six lines carry fixed positional roles:
     a west horizontal    b north vertical   c northeast diagonal
     d east horizontal    e south vertical   f southwest diagonal
 
-Rows increase downward and wrap mod m; columns wrap mod n.  The instance
-of record is the 3 x 3 complex with its published irregular numbering,
-shipped as the fixture ``tt33.json`` and checked against a battery of
-anchors on every load.
+Rows increase downward; wrap takes rows mod m and columns mod n.  A line's
+roles at its two ends are ROLES.  The instance of record is the 3 x 3
+complex with its published irregular numbering, shipped as the fixture
+``tt33.json`` and checked against anchors on every load.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import astuple, dataclass, field, fields
+from itertools import product
+from operator import attrgetter, itemgetter
 
 from . import fixtures
 from .perm import Permutation, identity, transposition
 
-# Endpoints of the line of each kind at cell (r, c), as offsets from (r, c).
+# The ends of the line of each kind at cell (r, c), as offsets from (r, c),
+# and the roles it takes at its first and at its second end.
 ENDPOINTS = {"h": ((0, 0), (0, 1)), "v": ((0, 0), (1, 0)), "d": ((0, 1), (1, 0))}
+ROLES = {"h": "da", "v": "eb", "d": "fc"}
 
 # The h, v and d sides of each half of cell (r, c), as offsets from (r, c):
 # the upper half lies above the cell's diagonal, the lower half below it.
 SIDES = {"upper": {"h": (0, 0), "v": (0, 0), "d": (0, 0)},
          "lower": {"h": (1, 0), "v": (0, 1), "d": (0, 0)}}
+
+
+def wrap(row: int, col: int, m: int, n: int):
+    return row % m, col % n
+
+
+def ends_of(kind: str, cell, m: int, n: int):
+    """The two end cells of the kind line at cell."""
+    (r, c), ((dr, dc), (er, ec)) = cell, ENDPOINTS[kind]
+    return wrap(r + dr, c + dc, m, n), wrap(r + er, c + ec, m, n)
+
+
+def sides_of(half: str, cell, m: int, n: int):
+    """The (kind, row, col) of each side of the half plane at cell."""
+    r, c = cell
+    return [(kind, *wrap(r + dr, c + dc, m, n)) for kind, (dr, dc) in SIDES[half].items()]
 
 
 @dataclass(frozen=True)
@@ -70,20 +90,13 @@ class DegenerationComplex:
     lines: list[Line]
     planes: list[Plane]
 
-    point_by_id: dict[int, Point] = field(init=False, repr=False)
     line_by_id: dict[int, Line] = field(init=False, repr=False)
     plane_by_id: dict[int, Plane] = field(init=False, repr=False)
-    _line_at: dict[tuple[str, int, int], int] = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.point_by_id = {p.id: p for p in self.points}
         self.line_by_id = {l.id: l for l in self.lines}
         self.plane_by_id = {f.id: f for f in self.planes}
-        self._line_at = {(l.kind, *l.cell): l.id for l in self.lines}
         self.validate()
-
-    def line_at(self, kind: str, row: int, col: int) -> int:
-        return self._line_at[(kind, row % self.rows, col % self.cols)]
 
     def validate(self):
         """Counts, ids, grid geometry and incidence; ValueError if not."""
@@ -94,7 +107,7 @@ class DegenerationComplex:
         if counts != (m * n, 3 * m * n, 2 * m * n):
             raise ValueError(f"expected {m * n} points, {3 * m * n} lines and {2 * m * n} planes, "
                              f"got {counts[0]}, {counts[1]} and {counts[2]}")
-        if len(self.point_by_id) != m * n:
+        if len({p.id for p in self.points}) != m * n:
             raise ValueError("point ids must be unique")
         for kind, ids, count in (("line", self.line_by_id, 3 * m * n),
                                  ("plane", self.plane_by_id, 2 * m * n)):
@@ -103,14 +116,14 @@ class DegenerationComplex:
         at = {(p.row, p.col): p.id for p in self.points}
         if len(at) != m * n or not all(_on_grid(cell, m, n) for cell in at):
             raise ValueError(f"point (row, col) values must be distinct cells of the {m} x {n} grid")
-        if len(self._line_at) != len(self.lines):
+        line_at = {(l.kind, *l.cell): l.id for l in self.lines}
+        if len(line_at) != len(self.lines):
             raise ValueError("two lines share a kind and cell")
         for line in self.lines:
             if line.kind not in ENDPOINTS or not _on_grid(line.cell, m, n):
                 raise ValueError(f"line {line.id}: kind {line.kind!r} at cell {list(line.cell)} "
                                  f"is not an h, v or d line of the {m} x {n} grid")
-            r, c = line.cell
-            ends = {at[((r + dr) % m, (c + dc) % n)] for dr, dc in ENDPOINTS[line.kind]}
+            ends = {at[end] for end in ends_of(line.kind, line.cell, m, n)}
             if len(line.points) != 2 or set(line.points) != ends:
                 raise ValueError(f"line {line.id} joins points {list(line.points)}, "
                                  f"but its kind and cell give {sorted(ends)}")
@@ -125,8 +138,7 @@ class DegenerationComplex:
             if plane.half not in SIDES or not _on_grid(plane.cell, m, n):
                 raise ValueError(f"plane {plane.id}: half {plane.half!r} at cell {list(plane.cell)} "
                                  f"is not an upper or lower half of the {m} x {n} grid")
-            r, c = plane.cell
-            sides = {self.line_at(kind, r + dr, c + dc) for kind, (dr, dc) in SIDES[plane.half].items()}
+            sides = {line_at[side] for side in sides_of(plane.half, plane.cell, m, n)}
             if len(plane.lines) != 3 or set(plane.lines) != sides:
                 raise ValueError(f"plane {plane.id} is bounded by lines {list(plane.lines)}, "
                                  f"but its half and cell give {sorted(sides)}")
@@ -134,20 +146,14 @@ class DegenerationComplex:
             raise ValueError("two planes share a half and cell")
 
     def to_json(self) -> dict:
-        return {
-            "rows": self.rows,
-            "cols": self.cols,
-            "points": [{"id": p.id, "row": p.row, "col": p.col} for p in self.points],
-            "lines": [
-                {"id": l.id, "points": list(l.points), "planes": list(l.planes),
-                 "kind": l.kind, "cell": list(l.cell)}
-                for l in self.lines
-            ],
-            "planes": [
-                {"id": f.id, "lines": list(f.lines), "cell": list(f.cell), "half": f.half}
-                for f in self.planes
-            ],
-        }
+        """Each element as its dataclass fields, tuples as lists."""
+        def rows(items, cls):
+            names = [f.name for f in fields(cls)]
+            return [{name: list(v) if type(v := getattr(item, name)) is tuple else v for name in names}
+                    for item in items]
+
+        return {"rows": self.rows, "cols": self.cols, "points": rows(self.points, Point),
+                "lines": rows(self.lines, Line), "planes": rows(self.planes, Plane)}
 
 
 def _on_grid(cell, m: int, n: int) -> bool:
@@ -210,29 +216,21 @@ def build_torus_triangulation(m: int, n: int) -> DegenerationComplex:
     if m < 3 or n < 3:
         raise ValueError(f"unsupported grid {m} x {n}: both sides must be at least 3")
     cells = [(r, c) for r in range(m) for c in range(n)]
-
-    def at(r, c):
-        return (r % m) * n + c % n
-
-    def line_id(kind, r, c):
-        return list(ENDPOINTS).index(kind) * m * n + at(r, c) + 1
-
-    def plane_id(half, r, c):
-        return 2 * at(r, c) + (2 if half == "upper" else 1)
-
-    points = [Point(at(r, c) + 1, r, c) for r, c in cells]
-    lines = [Line(line_id(kind, r, c),
-                  tuple(at(r + dr, c + dc) + 1 for dr, dc in ENDPOINTS[kind]),
-                  tuple(plane_id(half, r - sides[kind][0], c - sides[kind][1])
-                        for half, sides in SIDES.items()),
-                  kind, (r, c))
-             for kind in ENDPOINTS for r, c in cells]
-    planes = sorted((Plane(plane_id(half, r, c),
-                           tuple(line_id(kind, r + dr, c + dc)
-                                 for kind, (dr, dc) in sides.items()),
-                           (r, c), half)
-                     for half, sides in SIDES.items() for r, c in cells),
-                    key=lambda f: f.id)
+    point_id = {cell: k for k, cell in enumerate(cells, start=1)}
+    line_id = {(kind, *cell): k for k, (kind, cell) in enumerate(product(ENDPOINTS, cells), 1)}
+    plane_id = {(half, *cell): k for k, (cell, half) in enumerate(product(cells, ["lower", "upper"]), 1)}
+    planes, line_planes = [], {key: [] for key in line_id}
+    # Halves in SIDES order, so each line lists its upper plane first.
+    for half, cell in product(SIDES, cells):
+        sides, pid = sides_of(half, cell, m, n), plane_id[(half, *cell)]
+        planes.append(Plane(pid, tuple(line_id[side] for side in sides), cell, half))
+        for side in sides:
+            line_planes[side].append(pid)
+    planes.sort(key=attrgetter("id"))
+    points = [Point(k, *cell) for cell, k in point_id.items()]
+    lines = [Line(k, tuple(point_id[end] for end in ends_of(kind, (r, c), m, n)),
+                  tuple(line_planes[kind, r, c]), kind, (r, c))
+             for (kind, r, c), k in line_id.items()]
     return DegenerationComplex(rows=m, cols=n, points=points, lines=lines, planes=planes)
 
 
@@ -303,20 +301,16 @@ class HexagonLink:
 
 
 def hexagon_links(x0: DegenerationComplex) -> list[HexagonLink]:
-    """One link per point; roles come from the grid geometry."""
+    """One link per point; a line takes the ROLES of its kind at its two ends."""
+    roles_at = {(p.row, p.col): {} for p in x0.points}
+    for line in x0.lines:
+        (first, second), (a, b) = ends_of(line.kind, line.cell, x0.rows, x0.cols), ROLES[line.kind]
+        roles_at[first][a] = roles_at[second][b] = line.id
+    cycle = itemgetter(*"defabc")
     links = []
-    for p in sorted(x0.points, key=lambda p: p.id):
-        r, c = p.row, p.col
-        roles = {
-            "a": x0.line_at("h", r, c - 1),
-            "b": x0.line_at("v", r - 1, c),
-            "c": x0.line_at("d", r - 1, c),
-            "d": x0.line_at("h", r, c),
-            "e": x0.line_at("v", r, c),
-            "f": x0.line_at("d", r, c - 1),
-        }
-        cycle = tuple(roles[k] for k in ("d", "e", "f", "a", "b", "c"))
-        links.append(HexagonLink(point=p.id, cycle=cycle, roles=roles))
+    for p in sorted(x0.points, key=attrgetter("id")):
+        roles = dict(sorted(roles_at[p.row, p.col].items()))
+        links.append(HexagonLink(point=p.id, cycle=cycle(roles), roles=roles))
     return links
 
 
@@ -356,8 +350,7 @@ def spanning_data(graph: DualGraph, mode: str = "canonical") -> SpanningData:
     canonical: breadth-first from the lowest vertex, edges in id order,
     chords ascending by line id and oriented from the smaller plane to the
     larger.  paper-fixture: the published tree and chord orientations of
-    the 3 x 3 instance, validated against the graph and marked published;
-    this branch is the only place that marks a span.
+    the 3 x 3 instance, validated against the graph and marked published.
     """
     tree = graph.walk(graph.edges)
     if len(tree) != len(graph.vertices) - 1:
@@ -408,10 +401,8 @@ def _published_span(graph: DualGraph, data) -> SpanningData:
 def load_paper_labeling() -> DegenerationComplex:
     """The 3 x 3 complex with the published line and point numbering.
 
-    Loaded from the fixture, checked as a complex file and passed through
-    the consistency oracle, which cross-checks every recorded anchor
-    simultaneously; a fixture of the wrong shape or one that fails any
-    anchor raises CorruptFixtureError rather than being silently patched.
+    A fixture that fails complex_from_json or check_paper_fixture raises
+    CorruptFixtureError; none is patched.
     """
     return fixtures.load("tt33.json", lambda data: check_paper_fixture(complex_from_json(data)))
 

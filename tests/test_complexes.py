@@ -1,5 +1,7 @@
 import importlib
 import json
+from collections import defaultdict
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -60,6 +62,40 @@ def test_role_anchors(paper):
     assert links[6].roles["a"] == 12
     assert links[6].roles["b"] == 25
     assert links[5].roles["d"] == 12
+
+
+def _shape_id(shape) -> str:
+    return shape if shape == "paper" else "x".join(map(str, shape))
+
+
+def _complex(request, shape):
+    """The published complex, or the generated grid of the given shape; only
+    the first loads the paper fixture."""
+    return request.getfixturevalue("paper").x0 if shape == "paper" else build_torus_triangulation(*shape)
+
+
+# The line of each role around the point at (r, c): its kind, and its cell
+# as an offset from (r, c).
+ROLE_OFFSETS = {"a": ("h", 0, -1), "b": ("v", -1, 0), "c": ("d", -1, 0),
+                "d": ("h", 0, 0), "e": ("v", 0, 0), "f": ("d", 0, -1)}
+
+
+@pytest.mark.parametrize("shape", ["paper", *product(range(3, 9), repeat=2)], ids=_shape_id)
+def test_roles_match_the_offset_table(request, shape):
+    x0 = _complex(request, shape)
+    line_at = {(l.kind, *l.cell): l.id for l in x0.lines}
+    point = {p.id: p for p in x0.points}
+    roles_of_line = defaultdict(list)
+    for link in hexagon_links(x0):
+        p = point[link.point]
+        expected = {role: line_at[kind, (p.row + dr) % x0.rows, (p.col + dc) % x0.cols]
+                    for role, (kind, dr, dc) in ROLE_OFFSETS.items()}
+        assert list(link.roles.items()) == list(expected.items())
+        assert link.cycle == tuple(expected[role] for role in "defabc")
+        for role, line_id in link.roles.items():
+            roles_of_line[line_id].append(role)
+    assert sorted(roles_of_line) == sorted(line_at.values())
+    assert all(len(set(roles)) == len(roles) == 2 for roles in roles_of_line.values())
 
 
 def test_roles_c_and_f_are_diagonals(paper):
@@ -128,9 +164,23 @@ def test_disconnected_graph_rejected():
         spanning_data(graph_of({1: (1, 2), 2: (3, 4)}), "canonical")
 
 
-def test_json_round_trip(paper):
-    again = complex_from_json(json.loads(json.dumps(paper.x0.to_json())))
-    assert again.to_json() == paper.x0.to_json()
+def _json_shaped(value) -> bool:
+    """Whether value holds only dicts with str keys, lists, strs and ints."""
+    if type(value) is dict:
+        return all(type(k) is str and _json_shaped(v) for k, v in value.items())
+    if type(value) is list:
+        return all(map(_json_shaped, value))
+    return type(value) in (str, int)
+
+
+@pytest.mark.parametrize("shape", ["paper", (3, 3), (4, 6), (8, 3)], ids=_shape_id)
+def test_json_round_trip(request, shape):
+    x0 = _complex(request, shape)
+    data = x0.to_json()
+    assert _json_shaped(data)
+    assert complex_from_json(data) == x0
+    again = complex_from_json(json.loads(json.dumps(data)))
+    assert again.to_json() == data
 
 
 def test_planes_doubling_the_upper_halves_rejected():

@@ -27,7 +27,6 @@ UNREACHED_ALLOWED = {
     "words.derive_bounded",             # benchmark's hexagon replays; items 1 and 8
     "words._substitution_rules",        # inside derive_bounded; item 8
     "words.free_reduce_involutive",     # inside clean and derive_bounded; item 8
-    "complexes.DualGraph.is_connected",  # its first caller is item 4's index certificate
     "presentation.Presentation.relator_words",  # benchmark tracer (_observe_generate); item 2
 }
 

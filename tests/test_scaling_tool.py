@@ -24,12 +24,21 @@ def test_scaling_tool_appends_one_entry(tmp_path):
     a, b = entry["trees"]["a"], entry["trees"]["b"]
     assert set(a) == set(b) == {"max_m", "startup_s", "startup_rss_mb", "runs", "exponent"}
     assert (a["max_m"], b["max_m"]) == (None, 3)
-    assert [r["m"] for r in a["runs"]] == [3, 4] and [r["m"] for r in b["runs"]] == [3]
-    for run in a["runs"] + b["runs"]:
+    # One timed run per m, then one run under the tracemalloc wrapper.
+    timed = [r for r in a["runs"] + b["runs"] if "wall_s" in r]
+    traced = [r for r in a["runs"] + b["runs"] if "tracemalloc_peak_mb" in r]
+    assert [r["m"] for r in a["runs"]] == [3, 3, 4, 4] and [r["m"] for r in b["runs"]] == [3, 3]
+    assert len(timed) == len(traced) == 3
+    for run in timed:
         assert set(run) == {"m", "wall_s", "peak_rss_mb", "exit", "stdout_sha256"}
-        assert run["exit"] == 0 and run["wall_s"] > 0 and run["peak_rss_mb"] > 0
-        assert len(run["stdout_sha256"]) == 64
-    assert a["runs"][0]["stdout_sha256"] == b["runs"][0]["stdout_sha256"]
+        assert run["wall_s"] > 0 and run["peak_rss_mb"] > 0
+    for run in traced:
+        assert set(run) == {"m", "tracemalloc_peak_mb", "exit", "stdout_sha256"}
+        assert run["tracemalloc_peak_mb"] > 0
+    for run in timed + traced:
+        assert run["exit"] == 0 and len(run["stdout_sha256"]) == 64
+    # The wrapper prints what the plain command prints.
+    assert len({r["stdout_sha256"] for r in a["runs"] + b["runs"] if r["m"] == 3}) == 1
     assert a["startup_s"] > 0 and a["startup_rss_mb"] > 0 and a["exponent"]["m"] == [3, 4]
-    assert set(a["exponent"]) == {"m", "time", "rss"} and b["exponent"] is None
-    assert isinstance(a["exponent"]["time"], float) and isinstance(a["exponent"]["rss"], float)
+    assert set(a["exponent"]) == {"m", "time", "rss", "tracemalloc"} and b["exponent"] is None
+    assert all(isinstance(a["exponent"][key], float) for key in ("time", "rss", "tracemalloc"))

@@ -7,10 +7,15 @@ set to the tree's src.  Each run records its wall time, the child's own
 peak RSS (os.wait4) and the SHA-256 of its stdout.  With two trees the
 runs alternate, first tree first.  Each tree's startup, the fastest time
 and the smallest peak RSS of at least three runs of `coxlab --help`, is
-recorded too.  The time exponent is the least-squares slope of
-log(wall time - startup time) on log(m), and the RSS exponent that of
-log(peak RSS - startup RSS), over each tree's largest three m; one entry
-is appended to the output file (a JSON list).
+recorded too.  Each tree also runs the command once per m under a runpy
+wrapper that starts tracemalloc, imports the package and prints on one
+tagged stderr line the traced peak of the command above the memory the
+import holds; such a run records tracemalloc_peak_mb in place of the time
+and RSS.  The time exponent is the least-squares slope of log(wall time -
+startup time) on log(m), the RSS exponent that of log(peak RSS - startup
+RSS) and the tracemalloc exponent that of log(tracemalloc peak), over each
+tree's largest three m; one entry is appended to the output file (a JSON
+list).
 
     python tools/scaling.py --command "verify --complex {complex} --suite relators --json" \\
         --m 8 16 24 32 48 64 --tree parent=../parent --tree change=. \\
@@ -33,40 +38,68 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+TAG = "scaling-tracemalloc-peak-bytes"
+# `python -m coxlab` under tracemalloc, measured from the end of the import:
+# the import's transient peak and the memory it keeps are left out, so no
+# startup baseline is subtracted.
+TRACED = ("import runpy, sys, tracemalloc\n"
+          "tracemalloc.start()\n"
+          "import coxlab.cli\n"
+          "imported = tracemalloc.get_traced_memory()[0]\n"
+          "tracemalloc.reset_peak()\n"
+          "try:\n"
+          "    runpy.run_module('coxlab', run_name='__main__', alter_sys=True)\n"
+          "finally:\n"
+          f"    print('{TAG}', tracemalloc.get_traced_memory()[1] - imported, file=sys.stderr)\n")
 
 
-def run(tree: Path, args: list[str]) -> dict:
-    """One fresh `python -m coxlab` process over the tree's source."""
+def run(tree: Path, args: list[str], traced: bool = False) -> dict:
+    """One fresh `python -m coxlab` process over the tree's source; a traced
+    run goes through TRACED and records its tracemalloc peak, not time and RSS.
+    The child's stderr is passed on, less the tagged line."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    argv = [sys.executable, *(["-c", TRACED] if traced else ["-m", "coxlab"]), *args]
     start = time.perf_counter()
-    proc = subprocess.Popen([sys.executable, "-m", "coxlab", *args], stdout=subprocess.PIPE, env=env)
-    digest = hashlib.sha256()
-    for chunk in iter(lambda: proc.stdout.read(1 << 16), b""):
-        digest.update(chunk)
-    proc.stdout.close()
-    _, status, usage = os.wait4(proc.pid, 0)
-    wall = time.perf_counter() - start
-    proc.returncode = os.waitstatus_to_exitcode(status)
-    return {"wall_s": round(wall, 4), "peak_rss_mb": round(usage.ru_maxrss / 1024, 1),
-            "exit": proc.returncode, "stdout_sha256": digest.hexdigest()}
+    with tempfile.TemporaryFile() as err:
+        proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=err, env=env)
+        digest = hashlib.sha256()
+        for chunk in iter(lambda: proc.stdout.read(1 << 16), b""):
+            digest.update(chunk)
+        proc.stdout.close()
+        _, status, usage = os.wait4(proc.pid, 0)
+        wall = time.perf_counter() - start
+        err.seek(0)
+        stderr = err.read().decode(errors="replace").splitlines()
+    peaks = [int(line.split()[1]) for line in stderr if line.startswith(TAG + " ")]
+    for line in stderr:
+        if not line.startswith(TAG + " "):
+            print(line, file=sys.stderr)
+    record = {"exit": os.waitstatus_to_exitcode(status), "stdout_sha256": digest.hexdigest()}
+    if not traced:
+        return {"wall_s": round(wall, 4), "peak_rss_mb": round(usage.ru_maxrss / 1024, 1), **record}
+    if len(peaks) != 1:
+        raise SystemExit(f"the traced run of {args} printed {len(peaks)} {TAG} lines")
+    return {"tracemalloc_peak_mb": round(peaks[0] / 2 ** 20, 4), **record}
 
 
 def exponent(runs: list[dict], startup: dict) -> dict | None:
     """Least-squares slopes on log(m) over the largest three m of
-    log(wall_s - startup wall_s) and log(peak_rss_mb - startup peak_rss_mb),
-    each m taken at its fastest run and at its smallest peak."""
+    log(wall_s - startup wall_s), log(peak_rss_mb - startup peak_rss_mb) and
+    log(tracemalloc_peak_mb), each m taken at its fastest run and at its
+    smallest peaks, among the runs that record the key."""
     ms = sorted({r["m"] for r in runs})[-3:]
     if len(ms) < 2:
         return None
     xs = [math.log(m) for m in ms]
     mx = sum(xs) / len(xs)
 
-    def slope(key: str) -> float:
-        ys = [math.log(max(min(r[key] for r in runs if r["m"] == m) - startup[key], 1e-4)) for m in ms]
+    def slope(key: str, base: float) -> float:
+        ys = [math.log(max(min(r[key] for r in runs if r["m"] == m and key in r) - base, 1e-4)) for m in ms]
         my = sum(ys) / len(ys)
         return round(sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / sum((x - mx) ** 2 for x in xs), 3)
 
-    return {"m": ms, "time": slope("wall_s"), "rss": slope("peak_rss_mb")}
+    return {"m": ms, "time": slope("wall_s", startup["wall_s"]),
+            "rss": slope("peak_rss_mb", startup["peak_rss_mb"]), "tracemalloc": slope("tracemalloc_peak_mb", 0)}
 
 
 def pairs(values: list[str], what: str) -> dict[str, str]:
@@ -108,10 +141,10 @@ def main(argv=None) -> int:
             if built.returncode:
                 raise SystemExit(f"building the {m} x {m} grid exited {built.returncode}")
             cmd = shlex.split(args.command.format(complex=complex_path))
-            for _ in range(args.repeat):
+            for traced in [False] * args.repeat + [True]:
                 for name, tree in trees.items():
                     if m <= caps.get(name, m):
-                        record = run(tree, cmd)
+                        record = run(tree, cmd, traced)
                         runs[name].append({"m": m, **record})
                         print(name, m, record, file=sys.stderr)
     shared = [m for m in set(args.m) if all(any(r["m"] == m for r in rs) for rs in runs.values())]
