@@ -326,22 +326,16 @@ class Chord:
 
 @dataclass
 class SpanningData:
-    """A spanning tree's edges plus the oriented chords outside it.
+    """A spanning tree's edges plus the oriented chords outside it, keyed
+    by line id in index order.
 
     published is not a constructor argument: only spanning_data's
     paper-fixture branch sets it, after the fixture's oracle has passed.
     """
 
     tree_edges: list[int]
-    chords: list[Chord]
+    chords: dict[int, Chord]
     published: bool = field(default=False, init=False)
-
-    def __post_init__(self):
-        self._chord_by_line = {ch.line: ch for ch in self.chords}
-
-    def chord_by_line(self) -> dict[int, Chord]:
-        """Chords keyed by line id; shared, so callers must not mutate it."""
-        return self._chord_by_line
 
 
 def spanning_data(graph: DualGraph, mode: str = "canonical") -> SpanningData:
@@ -357,12 +351,12 @@ def spanning_data(graph: DualGraph, mode: str = "canonical") -> SpanningData:
         raise ValueError("spanning tree requires a connected graph")
     if mode == "canonical":
         tree_set = set(tree)
-        chords = []
+        chords = {}
         for e in sorted(graph.edges):
             if e in tree_set:
                 continue
             f, g = sorted(graph.edges[e])
-            chords.append(Chord(index=len(chords) + 1, line=e, tail=f, head=g))
+            chords[e] = Chord(index=len(chords) + 1, line=e, tail=f, head=g)
         return SpanningData(tree_edges=sorted(tree), chords=chords)
     if mode == "paper-fixture":
         return fixtures.load("t0_spanning.json", lambda data: _published_span(graph, data))
@@ -370,7 +364,9 @@ def spanning_data(graph: DualGraph, mode: str = "canonical") -> SpanningData:
 
 
 def _published_span(graph: DualGraph, data) -> SpanningData:
-    """The tree and chords of a t0_spanning.json document, checked against graph."""
+    """The tree and chords of a t0_spanning.json document, checked against
+    graph.  Every check reads the fixture's chord list; only then are the
+    chords keyed by line."""
     if type(data) is not dict:
         raise ValueError(f"a spanning fixture holds one object, got {type(data).__name__}")
     tree, items = data["tree"], data["chords"]
@@ -379,7 +375,8 @@ def _published_span(graph: DualGraph, data) -> SpanningData:
     chords = [Chord(**ch) for ch in items]
     if any(type(x) is not int for x in tree + [v for ch in chords for v in astuple(ch)]):
         raise ValueError("tree lines and chord index, line, tail and head must be integers")
-    if set(tree) | {c.line for c in chords} != set(graph.edges) or set(tree) & {c.line for c in chords}:
+    # Each line once, in the tree or as a chord: a line listed twice fails too.
+    if sorted(tree + [c.line for c in chords]) != sorted(graph.edges):
         raise ValueError("spanning fixture does not partition the edge set")
     if len(tree) != len(graph.vertices) - 1:
         raise ValueError("spanning fixture has the wrong tree size")
@@ -391,7 +388,7 @@ def _published_span(graph: DualGraph, data) -> SpanningData:
             raise ValueError(f"chord {ch.line} endpoints disagree with the graph")
     if [ch.index for ch in chords] != list(range(1, len(chords) + 1)):
         raise ValueError("chord indices are not 1..t")
-    span = SpanningData(tree_edges=tree, chords=chords)
+    span = SpanningData(tree_edges=tree, chords={ch.line: ch for ch in chords})
     span.published = True
     return span
 

@@ -57,10 +57,11 @@ its exponent summed over the planes is 0 on every image.
 The chord weights hold only for the published spanning tree and chord
 orientations.  complexes.spanning_data(graph, "paper-fixture")
 is the one place that decides this: it checks t0_spanning.json against
-its oracle and marks the span it returns as published.  rho_hat,
-relator_report and center_witness accept only a marked span, so a
-canonical span, or one built by hand, raises ValueError; this module
-reads no fixture.
+its oracle and marks the span it returns as published.  rho_hat, the
+reduced layer's one entry, is the one gate: it accepts only a marked
+span, and relator_report and center_witness reach it, so a canonical
+span, or one built by hand, raises ValueError; this module reads no
+fixture.
 """
 
 from __future__ import annotations
@@ -102,7 +103,7 @@ def word_action(word, span: SpanningData, graph: DualGraph) -> Action:
     in both maps, then a chord appends its letter at the tail and the
     inverse letter at the head, with free cancellation.
     """
-    chords = span.chord_by_line()
+    chords = span.chords
     sigma: dict[int, int] = {}
     coords: dict[int, list[int]] = {}
     for letter in word:
@@ -293,10 +294,9 @@ def rho(coords: dict[int, list[int]]) -> ReducedElement:
     so its inverse is its negation and each letter updates the exponents
     once.
     """
+    _check_planes(coords)
     a, b, zeta = [0] * PLANES, [0] * PLANES, 0
     for plane, word in coords.items():
-        if not 1 <= plane <= PLANES:
-            raise ValueError(f"the chord weights are pinned to planes 1..{PLANES}, got {plane}")
         i = plane - 1
         for letter in word:
             x, sign = abs(letter), (1 if letter > 0 else -1)
@@ -310,25 +310,27 @@ def rho(coords: dict[int, list[int]]) -> ReducedElement:
     return ReducedElement(tuple(a), tuple(b), zeta)
 
 
+def _check_planes(planes):
+    for plane in planes:
+        if not 1 <= plane <= PLANES:
+            raise ValueError(f"the chord weights are pinned to planes 1..{PLANES}, got {plane}")
+
+
 def rho_hat(action: Action, span: SpanningData) -> SemidirectElement:
-    """The reduced image (sigma, rho(coords)) of an exact (sigma, coords)."""
-    require_paper_span(span)
-    sigma, coords = action
-    images = list(range(1, PLANES + 1))
-    for plane, image in sigma.items():
-        images[plane - 1] = image
-    return SemidirectElement(Permutation(tuple(images)), rho(coords))
+    """The reduced image (sigma, rho(coords)) of an exact (sigma, coords).
 
-
-def require_paper_span(span: SpanningData):
-    """Reject every span that the paper-fixture loader did not mark.
-
-    P_CHORDS and Q_CHORDS hold only for the span that
-    complexes.spanning_data(graph, "paper-fixture") loads, checks against
-    the fixture's oracle and marks published; no fixture is read here.
+    The reduced layer's one entry, so its one gate: P_CHORDS and Q_CHORDS
+    hold only for the span that complexes.spanning_data(graph,
+    "paper-fixture") loads, checks against the fixture's oracle and marks
+    published, and every other span raises ValueError; no fixture is read
+    here.  A plane outside 1..PLANES raises ValueError as in rho.
     """
     if not span.published:
         raise ValueError("reduction is defined only for the published spanning data")
+    sigma, coords = action
+    _check_planes(sigma)
+    images = [sigma.get(i, i) for i in range(1, PLANES + 1)]
+    return SemidirectElement(Permutation(tuple(images)), rho(coords))
 
 
 def relator_report(relator_words, span: SpanningData, graph: DualGraph) -> list[dict]:
@@ -450,9 +452,9 @@ def center_witness(span: SpanningData, graph: DualGraph) -> CenterWitness:
 
     Each conjugating word maps to its plain transposition, the two planes
     its sigma moves when it moves exactly two and writes no coordinate, or
-    to None; verify's centre suite judges both against the paper.
+    to None; verify's centre suite judges both against the paper.  Only the
+    published span passes rho_hat's gate.
     """
-    require_paper_span(span)
     tau_images = {}
     for name, word in witness_words().items():
         sigma, coords = word_action(word, span, graph)

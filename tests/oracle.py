@@ -74,7 +74,7 @@ def phi(line_id: int, span, graph) -> Exact:
     if line_id not in graph.edges:
         raise ValueError(f"line {line_id} is not an edge of the graph")
     n = len(graph.vertices)
-    chord = span.chord_by_line().get(line_id)
+    chord = span.chords.get(line_id)
     if chord is None:
         return Exact(transposition(*graph.edges[line_id], n), unit(n).part)
     coords = [()] * n

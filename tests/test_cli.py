@@ -676,6 +676,12 @@ def _set(value, *path):
     return edit
 
 
+def _chord_listed_twice(data):
+    """The published span with its first chord listed again as chord t + 1."""
+    data["chords"].append(dict(data["chords"][0], index=len(data["chords"]) + 1))
+    return data
+
+
 def _shift_point_ids(data):
     """The published complex with every point id raised by 10, so 11 to 19."""
     for point in data["points"]:
@@ -734,6 +740,8 @@ BAD_INPUTS = [
     pytest.param(_override("t0_spanning.json", _set({"tree": [1], "chords": 5}), *VERIFY_PAPER,
                            "relators"),
                  id="override_spanning_chords_int"),
+    pytest.param(_override("t0_spanning.json", _chord_listed_twice, *VERIFY_PAPER, "relators"),
+                 id="override_spanning_chord_listed_twice"),
     pytest.param(_override("tt33.json", _set({"rows": 3}), "build", "--paper-fixture"),
                  id="override_tt33_without_cols"),
     pytest.param(_override("nonrel_pairs.json", _set([1, 99], 0), *VERIFY_PAPER, "tables"),
@@ -790,7 +798,7 @@ def _canonical_span(data):
     """The canonical span of the published dual graph: a spanning tree with
     oriented chords, so its oracle passes, but not the published tree."""
     span = spanning_data(dual_graph(load_paper_labeling()), "canonical")
-    return {"tree": span.tree_edges, "chords": [asdict(ch) for ch in span.chords]}
+    return {"tree": span.tree_edges, "chords": [asdict(ch) for ch in span.chords.values()]}
 
 
 FAILED_CLAIMS = [

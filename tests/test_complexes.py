@@ -98,6 +98,15 @@ def test_roles_match_the_offset_table(request, shape):
     assert all(len(set(roles)) == len(roles) == 2 for roles in roles_of_line.values())
 
 
+@pytest.mark.parametrize("shape", list(product(range(3, 9), repeat=2)), ids=_shape_id)
+def test_built_lines_list_their_upper_plane_first(shape):
+    # The published fixture lists each line's planes in ascending id order,
+    # so only built grids promise the upper half first.
+    x0 = build_torus_triangulation(*shape)
+    for line in x0.lines:
+        assert [x0.plane_by_id[f].half for f in line.planes] == ["upper", "lower"], line
+
+
 def test_roles_c_and_f_are_diagonals(paper):
     for link in paper.links:
         for role, line_id in link.roles.items():
@@ -142,7 +151,7 @@ def test_paper_dual_graph(paper):
 def test_paper_spanning_fixture(paper):
     assert len(paper.span.tree_edges) == 17
     assert len(paper.span.chords) == 10
-    assert sorted(c.index for c in paper.span.chords) == list(range(1, 11))
+    assert sorted(c.index for c in paper.span.chords.values()) == list(range(1, 11))
 
 
 def test_canonical_spanning_deterministic(paper):
@@ -153,10 +162,21 @@ def test_canonical_spanning_deterministic(paper):
     assert len(a.chords) == paper.graph.cycle_rank()
 
 
+@pytest.mark.parametrize("shape", ["paper", (3, 3), (4, 6), (8, 3)], ids=_shape_id)
+def test_chords_are_keyed_by_line_in_index_order(request, shape):
+    if shape == "paper":
+        span = request.getfixturevalue("paper").span
+        assert span.published
+    else:
+        span = spanning_data(dual_graph(build_torus_triangulation(*shape)), "canonical")
+    assert list(span.chords) == [ch.line for ch in span.chords.values()]
+    assert [ch.index for ch in span.chords.values()] == list(range(1, len(span.chords) + 1))
+
+
 def test_spanning_of_tree_has_no_chords():
     # A path on four vertices.
     span = spanning_data(graph_of({1: (1, 2), 2: (2, 3), 3: (3, 4)}), "canonical")
-    assert span.chords == [] and sorted(span.tree_edges) == [1, 2, 3]
+    assert span.chords == {} and sorted(span.tree_edges) == [1, 2, 3]
 
 
 def test_disconnected_graph_rejected():

@@ -35,7 +35,7 @@ def test_phi_tree_edge_is_plain_transposition(paper):
 
 
 def test_phi_chord_puts_opposite_letters_at_ends(paper):
-    chord = next(c for c in paper.span.chords if c.index == 4)
+    chord = next(c for c in paper.span.chords.values() if c.index == 4)
     assert chord.line == 17 and (chord.tail, chord.head) == (11, 9)
     v = oracle.phi(17, paper.span, paper.graph)
     assert v.sigma == transposition(11, 9, 18)
@@ -445,6 +445,18 @@ def _reduced_model_calls(paper):
             lambda span: center_witness(span, paper.graph)]
 
 
+def test_rho_hat_rejects_a_plane_outside_the_published_complex(paper):
+    # The published span read against the 4x6 grid: line 5 is a tree edge
+    # there, joining planes 10 and 45.
+    grid = dual_graph(build_torus_triangulation(4, 6))
+    exact = word_action((5,), paper.span, grid)
+    assert exact == ({10: 45, 45: 10}, {})
+    with pytest.raises(ValueError, match=r"^the chord weights are pinned to planes 1\.\.18, got 45$"):
+        rho_hat(exact, paper.span)
+    with pytest.raises(ValueError, match=r"^the chord weights are pinned to planes 1\.\.18, got 0$"):
+        rho_hat(({0: 1, 1: 0}, {}), paper.span)
+
+
 def test_rho_requires_published_span(paper):
     canonical = spanning_data(paper.graph, "canonical")
     for call in _reduced_model_calls(paper):
@@ -454,7 +466,7 @@ def test_rho_requires_published_span(paper):
 
 def test_hand_built_published_span_rejected(paper):
     # The published tree and chords, but not from the paper-fixture loader.
-    forged = SpanningData(tree_edges=list(paper.span.tree_edges), chords=list(paper.span.chords))
+    forged = SpanningData(tree_edges=list(paper.span.tree_edges), chords=dict(paper.span.chords))
     assert (forged.tree_edges, forged.chords) == (paper.span.tree_edges, paper.span.chords)
     assert paper.span.published and not forged.published
     for call in _reduced_model_calls(paper):
@@ -481,9 +493,9 @@ def test_paper_span_is_built_from_an_overriding_fixture(paper, tmp_path, monkeyp
     (tmp_path / "t0_spanning.json").write_text(json.dumps(data))
     monkeypatch.setenv("COXLAB_FIXTURES", str(tmp_path))
     span = spanning_data(paper.graph, "paper-fixture")
-    first = span.chords[0]
+    first, published = span.chords[chord["line"]], paper.span.chords[chord["line"]]
     assert (first.line, first.tail, first.head) == (chord["line"], chord["tail"], chord["head"])
-    assert (first.tail, first.head) == (paper.span.chords[0].head, paper.span.chords[0].tail)
+    assert (first.tail, first.head) == (published.head, published.tail)
     assert span.published
     rho_hat(EXACT_UNIT, span)
 
@@ -527,12 +539,11 @@ def _misplaced(span, graph, which):
     """span with chord number `which` (mod the chord count) moved off its
     edge: its head goes to the next plane, so its image is still an
     involution but its support is not the edge's two planes."""
-    chords = list(span.chords)
-    k = which % len(chords)
-    ch = chords[k]
+    chords = dict(span.chords)
+    ch = list(chords.values())[which % len(chords)]
     planes = sorted(graph.vertices)
     head = next(v for v in planes[planes.index(ch.head) + 1:] + planes if v not in (ch.tail, ch.head))
-    chords[k] = Chord(ch.index, ch.line, ch.tail, head)
+    chords[ch.line] = Chord(ch.index, ch.line, ch.tail, head)
     return SpanningData(tree_edges=span.tree_edges, chords=chords)
 
 
@@ -669,7 +680,7 @@ def test_relators_suite_counts_no_nontrivial_cycle_under_a_chordless_span():
     none is nontrivial before the reduction, and only that entry fails."""
     x0 = build_torus_triangulation(4, 3)
     ctx = verify._Context(x0, paper=False)
-    ctx.span = SpanningData(tree_edges=list(ctx.graph.edges), chords=[])
+    ctx.span = SpanningData(tree_edges=list(ctx.graph.edges), chords={})
     rep = verify.Report(command="verify:relators")
     verify._suite_relators(ctx, rep)
     entries = {e.name: (e.status, e.value) for e in rep.entries}
