@@ -209,7 +209,7 @@ def cmd_build(args) -> int:
         "planes": len(x0.planes),
         "euler_characteristic": len(x0.points) - len(x0.lines) + len(x0.planes),
         "dual_regular_degree": 3,
-        "dual_connected": graph.is_connected(),
+        "dual_connected": len(tree) == len(graph.vertices) - 1,
         "cycle_rank": graph.cycle_rank(),
         "tree_edges": len(tree),
     }

@@ -12,8 +12,11 @@ Around a point the six lines carry fixed positional roles:
     a west horizontal    b north vertical   c northeast diagonal
     d east horizontal    e south vertical   f southwest diagonal
 
-Rows increase downward; wrap takes rows mod m and columns mod n.  A line's
-roles at its two ends are ROLES.  The instance of record is the 3 x 3
+Rows increase downward; wrap takes rows mod m and columns mod n, and
+crossing counts the seams a line crosses from its first plane to its
+second.  Summed around a chord's fundamental cycle they give its weight,
+the cycle's class in H_1(T^2, Z) = Z^2 (Hatcher, Algebraic Topology,
+2.2).  A line's roles at its two ends are ROLES.  The instance of record is the 3 x 3
 complex with its published irregular numbering, shipped as the fixture
 ``tt33.json`` and checked against anchors on every load.
 """
@@ -21,7 +24,7 @@ complex with its published irregular numbering, shipped as the fixture
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import astuple, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from itertools import product
 from operator import attrgetter, itemgetter
 
@@ -41,6 +44,13 @@ SIDES = {"upper": {"h": (0, 0), "v": (0, 0), "d": (0, 0)},
 
 def wrap(row: int, col: int, m: int, n: int):
     return row % m, col % n
+
+
+def crossing(first, second, m: int, n: int):
+    """The (row, col) seams crossed from cell first to a neighbouring cell
+    second: +1 past the last row or column, -1 back."""
+    (fr, fc), (gr, gc) = first, second
+    return -((gr - fr + 1) // m), -((gc - fc + 1) // n)
 
 
 def ends_of(kind: str, cell, m: int, n: int):
@@ -241,6 +251,7 @@ class DualGraph:
     vertices: list[int]
     edges: dict[int, tuple[int, int]]       # line id -> plane pair
     adjacency: dict[int, list[int]]         # plane id -> incident line ids, ascending
+    crossings: dict[int, tuple[int, int]]   # line id -> crossing from its first plane
 
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
@@ -263,9 +274,6 @@ class DualGraph:
                     queue.append(w)
         return tree
 
-    def is_connected(self) -> bool:
-        return len(self.walk(self.edges)) == len(self.vertices) - 1
-
     def cycle_rank(self) -> int:
         return len(self.edges) - len(self.vertices) + 1
 
@@ -282,7 +290,9 @@ def dual_graph(x0: DegenerationComplex) -> DualGraph:
         f, g = edges[line_id]
         adjacency[f].append(line_id)
         adjacency[g].append(line_id)
-    return DualGraph(vertices=vertices, edges=edges, adjacency=adjacency)
+    cell = x0.plane_by_id
+    crossings = {e: crossing(cell[f].cell, cell[g].cell, x0.rows, x0.cols) for e, (f, g) in edges.items()}
+    return DualGraph(vertices=vertices, edges=edges, adjacency=adjacency, crossings=crossings)
 
 
 @dataclass(frozen=True)
@@ -316,64 +326,74 @@ def hexagon_links(x0: DegenerationComplex) -> list[HexagonLink]:
 
 @dataclass(frozen=True)
 class Chord:
-    """A directed edge outside the spanning tree."""
+    """A directed edge outside the spanning tree, weighed by the (-rows,
+    cols) that its fundamental cycle winds around the torus."""
 
     index: int      # 1-based position among the chords
     line: int
     tail: int
     head: int
+    weight: tuple[int, int]
 
 
 @dataclass
 class SpanningData:
     """A spanning tree's edges plus the oriented chords outside it, keyed
-    by line id in index order.
-
-    published is not a constructor argument: only spanning_data's
-    paper-fixture branch sets it, after the fixture's oracle has passed.
-    """
+    by line id in index order."""
 
     tree_edges: list[int]
     chords: dict[int, Chord]
-    published: bool = field(default=False, init=False)
 
 
 def spanning_data(graph: DualGraph, mode: str = "canonical") -> SpanningData:
-    """A spanning tree of the dual graph plus its oriented chords.
+    """A spanning tree of the dual graph plus its oriented, weighted chords.
 
     canonical: breadth-first from the lowest vertex, edges in id order,
     chords ascending by line id and oriented from the smaller plane to the
     larger.  paper-fixture: the published tree and chord orientations of
-    the 3 x 3 instance, validated against the graph and marked published.
+    the 3 x 3 instance, validated against the graph.
     """
     tree = graph.walk(graph.edges)
     if len(tree) != len(graph.vertices) - 1:
         raise ValueError("spanning tree requires a connected graph")
     if mode == "canonical":
         tree_set = set(tree)
-        chords = {}
-        for e in sorted(graph.edges):
-            if e in tree_set:
-                continue
-            f, g = sorted(graph.edges[e])
-            chords[e] = Chord(index=len(chords) + 1, line=e, tail=f, head=g)
-        return SpanningData(tree_edges=sorted(tree), chords=chords)
+        ends = [(e, *sorted(graph.edges[e])) for e in sorted(graph.edges) if e not in tree_set]
+        return SpanningData(tree_edges=sorted(tree), chords=_chords(graph, tree, ends))
     if mode == "paper-fixture":
         return fixtures.load("t0_spanning.json", lambda data: _published_span(graph, data))
     raise ValueError(f"unknown spanning mode: {mode}")
 
 
+def _chords(graph: DualGraph, walked, ends) -> dict[int, Chord]:
+    """Chords 1, 2, ... on the (line, tail, head) ends, keyed by line, each
+    weighed by its cycle: tail to head by the chord, back by the tree.
+    walked lists the tree lines in the order a walk from the root took them."""
+    lift = {min(graph.vertices): (0, 0)}
+    for e in walked:
+        f, g = graph.edges[e]
+        sign, near, far = (1, f, g) if f in lift else (-1, g, f)
+        lift[far] = tuple(x + sign * d for x, d in zip(lift[near], graph.crossings[e]))
+    chords = {}
+    for index, (line, tail, head) in enumerate(ends, start=1):
+        sign = 1 if graph.edges[line][0] == tail else -1
+        rows, cols = (sign * d + t - h for d, t, h in zip(graph.crossings[line], lift[tail], lift[head]))
+        chords[line] = Chord(index, line, tail, head, (-rows, cols))
+    return chords
+
+
 def _published_span(graph: DualGraph, data) -> SpanningData:
     """The tree and chords of a t0_spanning.json document, checked against
     graph.  Every check reads the fixture's chord list; only then are the
-    chords keyed by line."""
+    chords weighed and keyed by line."""
     if type(data) is not dict:
         raise ValueError(f"a spanning fixture holds one object, got {type(data).__name__}")
     tree, items = data["tree"], data["chords"]
     if type(tree) is not list or type(items) is not list or any(type(ch) is not dict for ch in items):
         raise ValueError("tree must be a list and chords a list of objects")
-    chords = [Chord(**ch) for ch in items]
-    if any(type(x) is not int for x in tree + [v for ch in chords for v in astuple(ch)]):
+    # A fixture chord holds no weight: it is derived below.
+    chords = [Chord(**ch, weight=None) for ch in items]
+    if any(type(x) is not int for x in tree + [v for ch in items for v in ch.values()]):
         raise ValueError("tree lines and chord index, line, tail and head must be integers")
     # Each line once, in the tree or as a chord: a line listed twice fails too.
     if sorted(tree + [c.line for c in chords]) != sorted(graph.edges):
@@ -381,16 +401,16 @@ def _published_span(graph: DualGraph, data) -> SpanningData:
     if len(tree) != len(graph.vertices) - 1:
         raise ValueError("spanning fixture has the wrong tree size")
     # n - 1 lines that reach every plane form a spanning tree.
-    if len(graph.walk(set(tree))) != len(tree):
+    walked = graph.walk(set(tree))
+    if len(walked) != len(tree):
         raise ValueError("spanning fixture tree has a cycle")
     for ch in chords:
         if set((ch.tail, ch.head)) != set(graph.edges[ch.line]):
             raise ValueError(f"chord {ch.line} endpoints disagree with the graph")
     if [ch.index for ch in chords] != list(range(1, len(chords) + 1)):
         raise ValueError("chord indices are not 1..t")
-    span = SpanningData(tree_edges=tree, chords={ch.line: ch for ch in chords})
-    span.published = True
-    return span
+    ends = [(ch.line, ch.tail, ch.head) for ch in chords]
+    return SpanningData(tree_edges=tree, chords=_chords(graph, walked, ends))
 
 
 # -- the published 3 x 3 labeling ------------------------------------------

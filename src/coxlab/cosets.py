@@ -325,9 +325,9 @@ def check_result(result: EnumerationResult, ngens: int, relators, subgroup_gens=
 
     The table must have one row per coset, at least coset 1, and one
     entry in 1..index per generator, every generator must act as a
-    permutation of the cosets, every relator must fix every coset, and
-    every subgroup word must fix coset 1.  A word with a letter outside
-    1..ngens (up to sign) fails.
+    permutation of the cosets, every relator must fix every coset, every
+    subgroup word must fix coset 1 and coset 1 must reach every coset.  A
+    word with a letter outside 1..ngens (up to sign) fails.
     """
     if result.status != "finite" or result.table is None:
         return False
@@ -354,4 +354,8 @@ def check_result(result: EnumerationResult, ngens: int, relators, subgroup_gens=
         return False
     if any(images(every, w) != every for w in relators):
         return False
-    return all(images([1], w) == [1] for w in subgroup_gens)
+    frontier, reached = {1}, {1}
+    while frontier:
+        frontier = {column[c] for column in columns[1:] for c in frontier} - reached
+        reached |= frontier
+    return len(reached) == n and all(images([1], w) == [1] for w in subgroup_gens)

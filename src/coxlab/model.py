@@ -19,19 +19,15 @@ coordinates or multiplied in the package.  The independent reference,
 phi built from the chords and the dense product with free reduction,
 lives in tests/oracle.py, and the tests compare word_action against it.
 coxeter_failures decides the commutation relators line by line, not
-pair by pair: two involutions whose supports (the planes their images
-move or write on) are disjoint commute, so once a line's square
-evaluated to the identity and its support lies within its own two
-planes, its commutations with the lines that share no plane hold.  Only
-the commutations of the other lines are read, and on a valid complex
-there are none, so Presentation.commutations, derived from the braids
-when it is read, is never built there.
+pair by pair, by the support lemma in its docstring.
 
-The reduced layer M keeps, at plane i, chords 1, 2 and 3 as p_i and
-chords 6, 7 and 8 as q_i; chords 4, 5, 9 and 10 map to the identity, and
-[p_i, q_i] = z for a single central z.  A normal form
+The reduced layer M keeps, at plane i, a chord letter of weight
+(alpha, beta) as p_i^alpha q_i^beta, with [p_i, q_i] = z for a single
+central z.  The weight is the chord's class in H_1(T^2, Z) = Z^2, which
+complexes.spanning_data reads off the seams of its fundamental cycle, so
+the layer holds on every span of every grid.  A normal form
 
-    p^a q^b z^zeta      (a and b in Z^PLANES = Z^18, zeta in Z)
+    p^a q^b z^zeta      (a and b in Z^n for the span's n planes, zeta in Z)
 
 is unique, with cocycle multiplication
 
@@ -46,22 +42,14 @@ is central, in closed form
 because [g, h] = (hg)^-1 (gh), where gh and hg share a and b and their
 zeta values differ by b'.a - b.a'.
 
-SemidirectElement is the reduced layer only: S_PLANES acting on
+SemidirectElement is the reduced layer only: S_n acting on
 ReducedElement.  rho_hat sends the exact (sigma, coords) to the reduced
-(sigma, rho(coords)); rho reads the coordinate dict and never the planes
-a word leaves empty.  All arithmetic is plain Python integers, hence
-exact at every size.  No central block per chord is needed: a chord
-letter enters an image at its tail and leaves, inverted, at its head, so
-its exponent summed over the planes is 0 on every image.
-
-The chord weights hold only for the published spanning tree and chord
-orientations.  complexes.spanning_data(graph, "paper-fixture")
-is the one place that decides this: it checks t0_spanning.json against
-its oracle and marks the span it returns as published.  rho_hat, the
-reduced layer's one entry, is the one gate: it accepts only a marked
-span, and relator_report and center_witness reach it, so a canonical
-span, or one built by hand, raises ValueError; this module reads no
-fixture.
+(sigma, rho(coords)); it reads the width n = len(span.tree_edges) + 1 and
+the weights from the span, no fixture, and rho never reads the planes a
+word leaves empty.  All arithmetic is plain Python integers, hence exact
+at every size.  No central block per chord is needed: a chord letter
+enters an image at its tail and leaves, inverted, at its head, so its
+exponent summed over the planes is 0 on every image.
 """
 
 from __future__ import annotations
@@ -73,13 +61,6 @@ from dataclasses import dataclass
 from .complexes import DualGraph, SpanningData, witness_words
 from .perm import Permutation
 from .snf import abelian_invariants
-
-# Published chords giving p_i and q_i at plane i; the other four map to 1.
-P_CHORDS = frozenset({1, 2, 3})
-Q_CHORDS = frozenset({6, 7, 8})
-
-# Planes of the published complex: the reduced layer's only size.
-PLANES = 18
 
 
 # -- the exact layer ---------------------------------------------------------
@@ -196,7 +177,7 @@ def evaluate_word_semidirect(word, span: SpanningData, graph: DualGraph,
 
 @dataclass(frozen=True)
 class SemidirectElement:
-    """(sigma, part) in S_PLANES acting on the reduced coordinates:
+    """(sigma, part) in S_n acting on the reduced coordinates:
     (s, f)(t, g) = (st, f^t g), with part a ReducedElement."""
 
     sigma: Permutation
@@ -220,27 +201,27 @@ ModelElement = SemidirectElement
 
 @dataclass(frozen=True)
 class ReducedElement:
-    """Normal form p^a q^b z^zeta over the PLANES planes."""
+    """Normal form p^a q^b z^zeta over n planes, n = len(a) = len(b)."""
 
     a: tuple[int, ...]
     b: tuple[int, ...]
     zeta: int
 
     @staticmethod
-    def z(power: int = 1) -> "ReducedElement":
-        return ReducedElement(_IDENTITY.a, _IDENTITY.b, power)
+    def z(n: int, power: int = 1) -> "ReducedElement":
+        return ReducedElement((0,) * n, (0,) * n, power)
 
     @staticmethod
-    def p(i: int, power: int = 1) -> "ReducedElement":
-        a = [0] * PLANES
+    def p(n: int, i: int, power: int = 1) -> "ReducedElement":
+        a = [0] * n
         a[i - 1] = power
-        return ReducedElement(tuple(a), _IDENTITY.b, 0)
+        return ReducedElement(tuple(a), (0,) * n, 0)
 
     @staticmethod
-    def q(i: int, power: int = 1) -> "ReducedElement":
-        b = [0] * PLANES
+    def q(n: int, i: int, power: int = 1) -> "ReducedElement":
+        b = [0] * n
         b[i - 1] = power
-        return ReducedElement(_IDENTITY.a, tuple(b), 0)
+        return ReducedElement((0,) * n, tuple(b), 0)
 
     def __mul__(self, other: "ReducedElement") -> "ReducedElement":
         cross = sum(bi * ai for bi, ai in zip(self.b, other.a))
@@ -256,8 +237,8 @@ class ReducedElement:
         [g, h] = (hg)^-1 (gh), and gh and hg have the same a and b while
         their zeta values differ by b'.a - b.a'.
         """
-        return ReducedElement(_IDENTITY.a, _IDENTITY.b,
-                              sum(map(operator.mul, self.a, other.b))
+        zero = (0,) * len(self.a)
+        return ReducedElement(zero, zero, sum(map(operator.mul, self.a, other.b))
                               - sum(map(operator.mul, self.b, other.a)))
 
     def act(self, sigma: Permutation) -> "ReducedElement":
@@ -266,71 +247,61 @@ class ReducedElement:
                               tuple(self.b[i - 1] for i in sigma.images), self.zeta)
 
     def is_identity(self) -> bool:
-        return self == _IDENTITY
+        return self.zeta == 0 and self.is_central_power()
 
     def is_permutation_invariant(self) -> bool:
         """Whether act(sigma) is the element itself for every sigma in
-        S_PLANES, i.e. a and b are both constant."""
+        S_n, i.e. a and b are both constant."""
         return len(set(self.a)) == 1 and len(set(self.b)) == 1
 
     def is_central_power(self) -> bool:
         """Whether the element lies in the cyclic group generated by z."""
-        return self.a == _IDENTITY.a and self.b == _IDENTITY.b
+        return not any(self.a) and not any(self.b)
 
     def to_json(self) -> dict:
         return {"a": list(self.a), "b": list(self.b), "zeta": self.zeta}
 
 
-_IDENTITY = ReducedElement((0,) * PLANES, (0,) * PLANES, 0)
-
-
-def rho(coords: dict[int, list[int]]) -> ReducedElement:
+def rho(coords: dict[int, list[int]], span: SpanningData) -> ReducedElement:
     """Collapse word_action's coordinate dict into the reduced normal form.
 
-    Defined against the published chord indexing only; the word at plane
-    i sends a letter of P_CHORDS to p_i, one of Q_CHORDS to q_i and any
-    other to the identity.  Distinct planes commute in M, so the planes
-    are taken in any order without loss.  A letter image has a . b = 0,
-    so its inverse is its negation and each letter updates the exponents
-    once.
+    The word at plane i sends a chord letter x of weight (alpha, beta) to
+    p_i^alpha q_i^beta, and x^-1 to p_i^-alpha q_i^-beta z^-alpha*beta.
+    Distinct planes commute in M, so they are taken in any order.
     """
-    _check_planes(coords)
-    a, b, zeta = [0] * PLANES, [0] * PLANES, 0
+    n = len(span.tree_edges) + 1
+    _check_planes(coords, n)
+    weights = {ch.index: ch.weight for ch in span.chords.values()}
+    a, b, zeta = [0] * n, [0] * n, 0
     for plane, word in coords.items():
         i = plane - 1
         for letter in word:
-            x, sign = abs(letter), (1 if letter > 0 else -1)
-            if not 1 <= x <= 10:
-                raise ValueError(f"letter {letter} is outside the published chord range")
-            if x in P_CHORDS:
-                zeta -= b[i] * sign
-                a[i] += sign
-            elif x in Q_CHORDS:
-                b[i] += sign
+            if abs(letter) not in weights:
+                raise ValueError(f"letter {letter} is not a chord of the span")
+            alpha, beta = weights[abs(letter)]
+            if letter < 0:
+                alpha, beta = -alpha, -beta
+                zeta -= alpha * beta
+            zeta -= b[i] * alpha
+            a[i] += alpha
+            b[i] += beta
     return ReducedElement(tuple(a), tuple(b), zeta)
 
 
-def _check_planes(planes):
+def _check_planes(planes, n: int):
     for plane in planes:
-        if not 1 <= plane <= PLANES:
-            raise ValueError(f"the chord weights are pinned to planes 1..{PLANES}, got {plane}")
+        if not 1 <= plane <= n:
+            raise ValueError(f"the span has planes 1..{n}, got {plane}")
 
 
 def rho_hat(action: Action, span: SpanningData) -> SemidirectElement:
-    """The reduced image (sigma, rho(coords)) of an exact (sigma, coords).
-
-    The reduced layer's one entry, so its one gate: P_CHORDS and Q_CHORDS
-    hold only for the span that complexes.spanning_data(graph,
-    "paper-fixture") loads, checks against the fixture's oracle and marks
-    published, and every other span raises ValueError; no fixture is read
-    here.  A plane outside 1..PLANES raises ValueError as in rho.
-    """
-    if not span.published:
-        raise ValueError("reduction is defined only for the published spanning data")
+    """The reduced image (sigma, rho(coords)) of an exact (sigma, coords),
+    over the span's planes; a plane outside them, an action read on another
+    graph, raises ValueError as in rho."""
     sigma, coords = action
-    _check_planes(sigma)
-    images = [sigma.get(i, i) for i in range(1, PLANES + 1)]
-    return SemidirectElement(Permutation(tuple(images)), rho(coords))
+    n = len(span.tree_edges) + 1
+    _check_planes(sigma, n)
+    return SemidirectElement(Permutation(tuple([sigma.get(i, i) for i in range(1, n + 1)])), rho(coords, span))
 
 
 def relator_report(relator_words, span: SpanningData, graph: DualGraph) -> list[dict]:
@@ -352,21 +323,21 @@ def relator_report(relator_words, span: SpanningData, graph: DualGraph) -> list[
 
 # -- structure of the kernel --------------------------------------------------
 
-def kernel_generators() -> list[ReducedElement]:
-    """p_i p_{i+1}^-1 and q_i q_{i+1}^-1 for i < PLANES, plus z."""
-    gens = [ReducedElement.p(i) * ReducedElement.p(i + 1, -1) for i in range(1, PLANES)]
-    gens += [ReducedElement.q(i) * ReducedElement.q(i + 1, -1) for i in range(1, PLANES)]
-    return gens + [ReducedElement.z()]
+def kernel_generators(n: int) -> list[ReducedElement]:
+    """p_i p_{i+1}^-1 and q_i q_{i+1}^-1 for i < n, plus z."""
+    gens = [ReducedElement.p(n, i) * ReducedElement.p(n, i + 1, -1) for i in range(1, n)]
+    gens += [ReducedElement.q(n, i) * ReducedElement.q(n, i + 1, -1) for i in range(1, n)]
+    return gens + [ReducedElement.z(n)]
 
 
-def kernel_relation_matrix() -> list[list[int]]:
+def kernel_relation_matrix(n: int) -> list[list[int]]:
     """Relation matrix of the abelianized kernel.
 
     Generators as in kernel_generators (the final column is z); every
     pairwise commutator is a power of z, contributing one row that kills
     that power of the last generator.
     """
-    gens = kernel_generators()
+    gens = kernel_generators(n)
     ngens = len(gens)
     rows = []
     for i in range(ngens):
@@ -382,21 +353,22 @@ def abelianization(relation_matrix, ngens: int) -> tuple[int, list[int]]:
     return abelian_invariants(relation_matrix, ngens)
 
 
-def random_kernel_element(rng: random.Random) -> ReducedElement:
-    """A random element with zero exponent sums.
+def random_kernel_element(rng: random.Random, n: int) -> ReducedElement:
+    """A random element over n planes with zero exponent sums.
 
-    Sampling law: a and b each take PLANES - 1 = 17 entries uniform in
-    -5..5 and a last entry that brings their sum to 0; zeta is uniform in
-    -5..5.  The 35 uniform entries come from one rng.choices call, in the
-    order a, b, zeta.
+    Sampling law: a and b each take n - 1 entries uniform in -5..5 and a
+    last entry that brings their sum to 0; zeta is uniform in -5..5.  The
+    2n - 1 uniform entries come from one rng.choices call, in the order a,
+    b, zeta.
     """
-    draws = rng.choices(range(-5, 6), k=2 * PLANES - 1)
-    a, b = draws[:PLANES - 1], draws[PLANES - 1:-1]
+    draws = rng.choices(range(-5, 6), k=2 * n - 1)
+    a, b = draws[:n - 1], draws[n - 1:-1]
     return ReducedElement((*a, -sum(a)), (*b, -sum(b)), draws[-1])
 
 
-def nilpotency_class_check(sample_size: int = 100, seed: int = 20040709) -> dict:
-    """Sampled witness that the kernel is nilpotent of class exactly 2.
+def nilpotency_class_check(n: int, sample_size: int = 100, seed: int = 20040709) -> dict:
+    """Sampled witness that the kernel over n planes is nilpotent of class
+    exactly 2.
 
     Every sampled commutator must land in the centre; every sampled triple
     commutator must vanish; and at least one sampled pair must fail to
@@ -406,9 +378,9 @@ def nilpotency_class_check(sample_size: int = 100, seed: int = 20040709) -> dict
     commutators_central = triple_trivial = True
     witness = None
     for _ in range(sample_size):
-        g = random_kernel_element(rng)
-        h = random_kernel_element(rng)
-        k = random_kernel_element(rng)
+        g = random_kernel_element(rng, n)
+        h = random_kernel_element(rng, n)
+        k = random_kernel_element(rng, n)
         comm = g.commutator(h)
         if not comm.is_central_power():
             commutators_central = False
@@ -417,8 +389,8 @@ def nilpotency_class_check(sample_size: int = 100, seed: int = 20040709) -> dict
         if witness is None and comm.zeta != 0:
             witness = (g, h, comm.zeta)
     if witness is None:
-        g = ReducedElement.p(1) * ReducedElement.p(2, -1)
-        h = ReducedElement.q(1) * ReducedElement.q(2, -1)
+        g = ReducedElement.p(n, 1) * ReducedElement.p(n, 2, -1)
+        h = ReducedElement.q(n, 1) * ReducedElement.q(n, 2, -1)
         comm = g.commutator(h)
         if comm.zeta != 0:
             witness = (g, h, comm.zeta)
@@ -452,8 +424,7 @@ def center_witness(span: SpanningData, graph: DualGraph) -> CenterWitness:
 
     Each conjugating word maps to its plain transposition, the two planes
     its sigma moves when it moves exactly two and writes no coordinate, or
-    to None; verify's centre suite judges both against the paper.  Only the
-    published span passes rho_hat's gate.
+    to None; verify's centre suite judges both against the paper.
     """
     tau_images = {}
     for name, word in witness_words().items():

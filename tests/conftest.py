@@ -13,10 +13,17 @@ from oracle import phi_table
 
 
 def graph_of(edges, vertices=None) -> DualGraph:
-    """A dual graph from {line: (a, b)}; the vertices default to the endpoints."""
+    """A dual graph from {line: (a, b)}, drawn on no torus, so no line
+    crosses a seam; the vertices default to the endpoints."""
     vertices = sorted(vertices or {v for pair in edges.values() for v in pair})
     adjacency = {v: sorted(e for e, pair in edges.items() if v in pair) for v in vertices}
-    return DualGraph(vertices=vertices, edges=dict(edges), adjacency=adjacency)
+    return DualGraph(vertices=vertices, edges=dict(edges), adjacency=adjacency,
+                     crossings=dict.fromkeys(edges, (0, 0)))
+
+
+def connected(graph: DualGraph) -> bool:
+    """Whether a walk from the lowest vertex reaches every vertex."""
+    return len(graph.walk(graph.edges)) == len(graph.vertices) - 1
 
 
 @pytest.fixture(scope="session")
@@ -44,7 +51,7 @@ def spanning_with_cycle(paper):
         # Trading tree line t for the chord leaves n - 1 edges that no longer
         # connect the planes, so they close a cycle.
         kept = {e: edges[e] for e in data["tree"] if e != t} | {chord["line"]: edges[chord["line"]]}
-        return not graph_of(kept, paper.graph.vertices).is_connected()
+        return not connected(graph_of(kept, paper.graph.vertices))
 
     t = next(t for t in data["tree"] if breaks_tree(t))
     data["tree"] = sorted(set(data["tree"]) - {t} | {chord["line"]})

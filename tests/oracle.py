@@ -15,18 +15,21 @@ straight from its definition, for the tests to compare against:
 - sparse converts a dense element to the (sigma, coords) pair, and moved
   drops the planes that a word_action sigma maps to themselves, so the
   two compare with ==;
-- rho is the dense reduction that walks all n coordinates, the reference
-  for model.rho on word_action's coordinate dict, and reduced applies it
-  to a dense element.
+- rho is the dense reduction that walks all n coordinates and multiplies
+  the letter images one by one, the reference for model.rho on
+  word_action's coordinate dict, and reduced applies it to a dense
+  element.
 
-For the reduced layer it adds the identity and the group inverse of
-p^a q^b z^zeta.
+For the reduced layer it adds the identity over the published complex's
+18 planes, the group inverse of p^a q^b z^zeta and the published chord
+weights: chords 1, 2 and 3 go to p_i, chords 6, 7 and 8 to q_i and the
+other four to the identity.
 """
 
 from dataclasses import dataclass
 from functools import reduce
 
-from coxlab.model import P_CHORDS, PLANES, Q_CHORDS, ReducedElement, SemidirectElement
+from coxlab.model import ReducedElement, SemidirectElement
 from coxlab.perm import Permutation, identity, transposition
 
 
@@ -114,32 +117,34 @@ def moved(action) -> tuple[dict[int, int], dict[int, list[int]]]:
     return {a: b for a, b in sigma.items() if a != b}, coords
 
 
-def rho(f: FreeTuple) -> ReducedElement:
+def rho(f: FreeTuple, span) -> ReducedElement:
     """The dense reduction, walking all n coordinates: coordinate i sends a
-    letter of P_CHORDS to p_i, one of Q_CHORDS to q_i and any other to the
-    identity.  A letter image has a . b = 0, so its inverse is its negation
-    and each letter updates the exponents once."""
-    if f.n != PLANES:
-        raise ValueError(f"the chord weights are pinned to {PLANES} coordinates, got {f.n}")
-    a, b, zeta = [0] * PLANES, [0] * PLANES, 0
-    for i, word in enumerate(f.coords):
+    chord letter of weight (alpha, beta) to p_i^alpha q_i^beta and its
+    inverse letter to the inverse of that, multiplied in coordinate order,
+    then word order."""
+    n = len(span.tree_edges) + 1
+    if f.n != n:
+        raise ValueError(f"the span has {n} planes, got {f.n} coordinates")
+    weights = {ch.index: ch.weight for ch in span.chords.values()}
+    out = ReducedElement.z(n, 0)
+    for i, word in enumerate(f.coords, start=1):
         for letter in word:
-            x, sign = abs(letter), (1 if letter > 0 else -1)
-            if not 1 <= x <= 10:
-                raise ValueError(f"letter {letter} is outside the published chord range")
-            if x in P_CHORDS:
-                zeta -= b[i] * sign
-                a[i] += sign
-            elif x in Q_CHORDS:
-                b[i] += sign
-    return ReducedElement(tuple(a), tuple(b), zeta)
+            if abs(letter) not in weights:
+                raise ValueError(f"letter {letter} is not a chord of the span")
+            alpha, beta = weights[abs(letter)]
+            image = ReducedElement.p(n, i, alpha) * ReducedElement.q(n, i, beta)
+            out = out * (image if letter > 0 else inverse(image))
+    return out
 
 
-def reduced(g: Exact) -> SemidirectElement:
-    return SemidirectElement(g.sigma, rho(g.part))
+def reduced(g: Exact, span) -> SemidirectElement:
+    return SemidirectElement(g.sigma, rho(g.part, span))
 
 
-REDUCED_IDENTITY = ReducedElement.z(0)
+PUBLISHED_WEIGHTS = {x: (1, 0) if x in (1, 2, 3) else (0, 1) if x in (6, 7, 8) else (0, 0)
+                     for x in range(1, 11)}
+
+REDUCED_IDENTITY = ReducedElement.z(18, 0)
 
 
 def inverse(m: ReducedElement) -> ReducedElement:

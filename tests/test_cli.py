@@ -796,17 +796,18 @@ def test_corrupt_bundled_fixture_exits_2_naming_the_file(capsys, monkeypatch, tm
 
 def _canonical_span(data):
     """The canonical span of the published dual graph: a spanning tree with
-    oriented chords, so its oracle passes, but not the published tree."""
+    oriented chords, so its oracle passes, but not the published tree.  A
+    fixture holds no weights; they are derived on loading."""
     span = spanning_data(dual_graph(load_paper_labeling()), "canonical")
-    return {"tree": span.tree_edges, "chords": [asdict(ch) for ch in span.chords.values()]}
+    return {"tree": span.tree_edges,
+            "chords": [{k: v for k, v in asdict(ch).items() if k != "weight"} for ch in span.chords.values()]}
 
 
 FAILED_CLAIMS = [
+    # The weights are derived on any tree, so the reduced claims hold; only
+    # the conjugating words pass through the published tree's chords.
     pytest.param(_override("t0_spanning.json", _canonical_span, *VERIFY_PAPER, "all"), 45,
-                 {"ax.AX1", "ax.AX4", "ax.AX6", "ax.AX8", "ax.AX12", "ax.AX19", "ax.AX20",
-                  "center.tau_images", "center.witness_value",
-                  "relators.cycle_orientations_agree", "relators.reduced_identity"},
-                 id="override_spanning_canonical_tree"),
+                 {"center.tau_images"}, id="override_spanning_canonical_tree"),
     # Lines 1 and 6 meet at point 1 in roles c and d, a column the table lacks.
     pytest.param(_override("nonrel_pairs.json", _set([1, 6], 0), *VERIFY_PAPER, "tables"), 6,
                  {"tables.given_split", "tables.missing_split", "tables.no_diagonal_roles",

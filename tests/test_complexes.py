@@ -5,7 +5,7 @@ from itertools import product
 from pathlib import Path
 
 import pytest
-from conftest import graph_of
+from conftest import connected, graph_of
 
 from coxlab import fixtures
 from coxlab.complexes import (build_torus_triangulation, complex_from_json,
@@ -129,22 +129,39 @@ def test_hexagon_cycle_adjacency(paper):
 def test_hexagon_transpositions_generate_local_symmetric(paper):
     for link in paper.links:
         local = graph_of({e: paper.x0.line_by_id[e].planes for e in link.cycle})
-        assert len(local.vertices) == 6 and local.is_connected()
+        assert len(local.vertices) == 6 and connected(local)
 
 
 @pytest.mark.parametrize("m,n", [(3, 3), (4, 3), (3, 4), (5, 5)])
 def test_dual_graph_regular_connected(m, n):
     g = dual_graph(build_torus_triangulation(m, n))
     assert all(g.degree(v) == 3 for v in g.vertices)
-    assert g.is_connected()
+    assert connected(g)
     assert len(g.edges) == 3 * len(g.vertices) // 2
+
+
+@pytest.mark.parametrize("shape", ["paper", *product(range(3, 9), repeat=2)], ids=_shape_id)
+def test_crossings_unwrap_each_line_to_neighbouring_cells(request, shape):
+    # Moving the second plane's cell by the crossing times the grid size
+    # puts it in the same or a neighbouring row and column as the first.
+    x0 = _complex(request, shape)
+    graph = dual_graph(x0)
+    assert sorted(graph.crossings) == sorted(graph.edges)
+    crossed = set()
+    for line, (f, g) in graph.edges.items():
+        (fr, fc), (gr, gc) = x0.plane_by_id[f].cell, x0.plane_by_id[g].cell
+        cr, cc = graph.crossings[line]
+        assert {cr, cc} <= {-1, 0, 1}
+        assert abs(gr + cr * x0.rows - fr) <= 1 and abs(gc + cc * x0.cols - fc) <= 1
+        crossed |= {(abs(cr), 0), (0, abs(cc))}
+    assert {(1, 0), (0, 1)} <= crossed
 
 
 def test_paper_dual_graph(paper):
     g = paper.graph
     assert len(g.vertices) == 18 and len(g.edges) == 27
     assert all(g.degree(v) == 3 for v in g.vertices)
-    assert g.is_connected()
+    assert connected(g)
     assert g.cycle_rank() == 10
 
 
@@ -166,7 +183,6 @@ def test_canonical_spanning_deterministic(paper):
 def test_chords_are_keyed_by_line_in_index_order(request, shape):
     if shape == "paper":
         span = request.getfixturevalue("paper").span
-        assert span.published
     else:
         span = spanning_data(dual_graph(build_torus_triangulation(*shape)), "canonical")
     assert list(span.chords) == [ch.line for ch in span.chords.values()]

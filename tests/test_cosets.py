@@ -46,7 +46,7 @@ def test_hexagon_with_cycle_is_finite_720(paper, hexagon_graph):
     # Independent lower bound: the edge-to-transposition map is a surjection
     # onto the symmetric group on the six surrounding vertices, and every
     # relator dies under it.
-    assert graph.is_connected()
+    assert len(graph.walk(graph.edges)) == len(graph.vertices) - 1
     images = {e: transposition(*graph.edges[e], 6) for e in graph.edges}
     for w in pres.relator_words():
         acc = identity(6)
@@ -110,6 +110,16 @@ def test_check_result_rejects_malformed_tables(malform, subgroup):
     index, table = malform(result.index, result.table)
     bad = EnumerationResult("finite", index, result.allocated, table)
     assert check_result(bad, data["generators"], data["relators"], subgroup) is False
+
+
+def test_check_result_rejects_a_table_with_two_orbits():
+    # <x | x^2> over the trivial subgroup has index 2.  Two copies of its
+    # table claim index 4: x permutes the rows and every relator and
+    # subgroup word holds, but coset 1 never reaches rows 3 and 4.
+    two_orbits = EnumerationResult("finite", 4, 4, [[2], [1], [4], [3]])
+    assert check_result(two_orbits, 1, [(1, 1)]) is False
+    assert check_result(EnumerationResult("finite", 2, 2, [[2], [1]]), 1, [(1, 1)]) is True
+    assert enumerate_cosets(1, [(1, 1)]).table == [[2], [1]]
 
 
 @pytest.mark.parametrize("letter", [0, 4])

@@ -3,19 +3,21 @@ import random
 import tracemalloc
 from collections import Counter
 from functools import reduce
+from itertools import product
 from operator import mul
 
 import oracle
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy import QQ, ZZ
+from sympy.polys.matrices import DomainMatrix
 
 from coxlab import fixtures, model, presentation, verify
 from coxlab.complexes import (Chord, SpanningData, build_torus_triangulation,
                               dual_graph, hexagon_links, spanning_data,
                               witness_words)
-from coxlab.model import (P_CHORDS, Q_CHORDS, ReducedElement,
-                          SemidirectElement, abelianization, center_witness,
+from coxlab.model import (ReducedElement, SemidirectElement, abelianization, center_witness,
                           center_witness_word, evaluate_word_semidirect,
                           kernel_generators, kernel_relation_matrix,
                           nilpotency_class_check, phi_table,
@@ -132,7 +134,7 @@ def test_nine_cyclic_relators_die_under_reduction(paper, paper_phi):
         w = cycle_relator(link.cycle)
         dense = oracle.evaluate(w, paper_phi, 18)
         assert not dense.part.is_identity()
-        assert oracle.reduced(dense).is_identity()
+        assert oracle.reduced(dense, paper.span).is_identity()
         v = word_action(w, paper.span, paper.graph)
         assert oracle.moved(v) == oracle.sparse(dense)
         assert rho_hat(v, paper.span).is_identity()
@@ -149,56 +151,65 @@ def test_reduction_of_the_sparse_action_matches_the_dense_reference(paper, paper
               for _ in range(3000)]
     assert len(words) == 3035
     for w in words:
-        expected = oracle.reduced(oracle.evaluate(w, paper_phi, 18))
+        expected = oracle.reduced(oracle.evaluate(w, paper_phi, 18), paper.span)
         assert rho_hat(word_action(w, paper.span, paper.graph), paper.span) == expected, w
 
 
-def test_rho_commutator_of_paired_letters_is_z():
+def test_rho_commutator_of_paired_letters_is_z(paper):
     coords = {7: [-1, -8, 1, 8]}
     dense = oracle.FreeTuple(tuple(tuple(coords.get(i, ())) for i in range(1, 19)))
-    assert rho(coords) == oracle.rho(dense) == ReducedElement.z(1)
+    assert rho(coords, paper.span) == oracle.rho(dense, paper.span) == ReducedElement.z(18)
 
 
-def test_rho_rejects_foreign_letters():
+def test_rho_rejects_foreign_letters(paper):
     for letter in (11, -11):
         with pytest.raises(ValueError):
-            rho({1: [letter]})
+            rho({1: [letter]}, paper.span)
         with pytest.raises(ValueError):
-            oracle.rho(oracle.FreeTuple(((letter,),) + ((),) * 17))
+            oracle.rho(oracle.FreeTuple(((letter,),) + ((),) * 17), paper.span)
     for plane in (0, 19):
         with pytest.raises(ValueError):
-            rho({plane: [1]})
-    assert P_CHORDS | Q_CHORDS < set(range(1, 11)) and not P_CHORDS & Q_CHORDS
+            rho({plane: [1]}, paper.span)
 
 
-def test_rho_matches_the_product_of_letter_images():
-    # Reference: coordinate i sends letter t to p_i, q_i or the identity,
-    # inverted for a negative letter, multiplied in coordinate order, then
-    # word order.
-    unit = oracle.REDUCED_IDENTITY
+def test_published_span_weights_are_the_published_table(paper):
+    assert {ch.index: ch.weight for ch in paper.span.chords.values()} == oracle.PUBLISHED_WEIGHTS
 
-    def image(letter, i):
-        x = abs(letter)
-        img = (ReducedElement.p(i) if x in P_CHORDS
-               else ReducedElement.q(i) if x in Q_CHORDS else unit)
-        return img if letter > 0 else oracle.inverse(img)
 
+def test_rho_matches_the_product_of_letter_images(paper):
+    # Reference: coordinate i sends a chord letter of weight (alpha, beta)
+    # to p_i^alpha q_i^beta, inverted for a negative letter, multiplied in
+    # coordinate order, then word order.  The grids have weights with both
+    # parts nonzero, whose inverses carry a power of z.
+    grids = [spanning_data(dual_graph(build_torus_triangulation(*shape)), "canonical")
+             for shape in ((3, 3), (4, 6), (8, 3))]
     rng = random.Random(31)
-    for _ in range(300):
-        coords = tuple(
-            tuple(rng.choice((1, -1)) * rng.randint(1, 10) for _ in range(rng.randint(0, 8)))
-            for _ in range(18))
-        expected = reduce(mul, (image(x, i) for i, w in enumerate(coords, start=1) for x in w), unit)
-        assert oracle.rho(oracle.FreeTuple(coords)) == expected
-        assert rho({i: list(w) for i, w in enumerate(coords, start=1) if w}) == expected
-    with pytest.raises(ValueError):
-        oracle.rho(oracle.unit(17).part)
+    for span in (paper.span, *grids):
+        n, weights = len(span.tree_edges) + 1, {ch.index: ch.weight for ch in span.chords.values()}
+        assert span is paper.span or any(a and b for a, b in weights.values())
+
+        def image(letter, i):
+            alpha, beta = weights[abs(letter)]
+            img = ReducedElement.p(n, i, alpha) * ReducedElement.q(n, i, beta)
+            return img if letter > 0 else oracle.inverse(img)
+
+        for _ in range(300):
+            words = {i: tuple(rng.choice((1, -1)) * rng.randint(1, len(weights))
+                              for _ in range(rng.randint(1, 8)))
+                     for i in rng.sample(range(1, n + 1), rng.randint(0, 6))}
+            coords = tuple(words.get(i, ()) for i in range(1, n + 1))
+            expected = reduce(mul, (image(x, i) for i, w in enumerate(coords, start=1) for x in w),
+                              ReducedElement.z(n, 0))
+            assert oracle.rho(oracle.FreeTuple(coords), span) == expected
+            assert rho({i: list(w) for i, w in words.items()}, span) == expected
+        with pytest.raises(ValueError):
+            oracle.rho(oracle.unit(n - 1).part, span)
 
 
 def test_heisenberg_single_pair_commutator():
-    p1, q1 = ReducedElement.p(1), ReducedElement.q(1)
-    assert p1 * q1 == q1 * p1 * ReducedElement.z(1)
-    assert p1.commutator(q1) == ReducedElement.z(1)
+    p1, q1 = ReducedElement.p(18, 1), ReducedElement.q(18, 1)
+    assert p1 * q1 == q1 * p1 * ReducedElement.z(18)
+    assert p1.commutator(q1) == ReducedElement.z(18)
 
 
 def _oracle_normal_form(letters, n=18):
@@ -229,16 +240,24 @@ def test_heisenberg_against_rewriting_oracle():
                    for _ in range(rng.randint(0, 8))]
         product = oracle.REDUCED_IDENTITY
         for kind, i, e in letters:
-            factor = ReducedElement.p(i, e) if kind == "p" else ReducedElement.q(i, e)
+            factor = ReducedElement.p(18, i, e) if kind == "p" else ReducedElement.q(18, i, e)
             product = product * factor
         assert product == _oracle_normal_form(letters)
 
 
 def test_kernel_abelianization_rank_34():
-    gens = kernel_generators()
+    gens = kernel_generators(18)
     assert len(gens) == 35
-    rank, torsion = abelianization(kernel_relation_matrix(), len(gens))
+    rank, torsion = abelianization(kernel_relation_matrix(18), len(gens))
     assert rank == 34 and torsion == []
+
+
+@pytest.mark.parametrize("n", [3, 48])
+def test_kernel_abelianization_rank_on_other_widths(n):
+    gens = kernel_generators(n)
+    assert len(gens) == 2 * n - 1
+    rank, torsion = abelianization(kernel_relation_matrix(n), len(gens))
+    assert rank == 2 * (n - 1) and torsion == []
 
 
 def test_single_pair_heisenberg_abelianization():
@@ -263,26 +282,27 @@ def test_commutator_closed_form_matches_the_product(g, h):
 
 
 def test_kernel_relation_matrix_matches_the_product_form():
-    gens = kernel_generators()
+    gens = kernel_generators(18)
     expected = []
     for i in range(len(gens)):
         for j in range(i + 1, len(gens)):
             expected.append([0] * (len(gens) - 1) + [_product_commutator(gens[i], gens[j]).zeta])
-    assert kernel_relation_matrix() == expected
+    assert kernel_relation_matrix(18) == expected
 
 
 def test_kernel_commutators_by_hand():
-    g = ReducedElement.p(1) * ReducedElement.p(2, -1)
-    h = ReducedElement.q(1) * ReducedElement.q(2, -1)
-    assert g.commutator(h) == ReducedElement.z(2)
-    h13 = ReducedElement.q(1) * ReducedElement.q(3, -1)
-    assert g.commutator(h13) == ReducedElement.z(1)
-    g2 = ReducedElement.p(3) * ReducedElement.p(4, -1)
+    p, q = ReducedElement.p, ReducedElement.q
+    g = p(18, 1) * p(18, 2, -1)
+    h = q(18, 1) * q(18, 2, -1)
+    assert g.commutator(h) == ReducedElement.z(18, 2)
+    h13 = q(18, 1) * q(18, 3, -1)
+    assert g.commutator(h13) == ReducedElement.z(18, 1)
+    g2 = p(18, 3) * p(18, 4, -1)
     assert g.commutator(g2).is_identity()
 
 
 def test_nilpotency_report():
-    report = nilpotency_class_check(sample_size=150, seed=5)
+    report = nilpotency_class_check(18, sample_size=150, seed=5)
     assert report["nilpotency_class"] == 2
     assert report["commutators_central"] and report["triple_commutators_trivial"]
 
@@ -290,7 +310,7 @@ def test_nilpotency_report():
 def test_action_permutes_indices_and_respects_ab(paper):
     rng = random.Random(23)
     for _ in range(40):
-        m = random_kernel_element(rng)
+        m = random_kernel_element(rng, 18)
         if rng.random() < 0.9:
             i, j = rng.sample(range(1, 19), 2)
             sigma = transposition(i, j, 18)
@@ -321,9 +341,8 @@ def test_chord_exponents_sum_to_zero_over_the_planes(paper, grid):
             for x in word:
                 sums[abs(x)] += 1 if x > 0 else -1
         assert set(sums.values()) <= {0}, w
-        if span.published:
-            reduced = rho_hat(exact, span).part
-            assert sum(reduced.a) == sum(reduced.b) == 0, w
+        reduced = rho_hat(exact, span).part
+        assert sum(reduced.a) == sum(reduced.b) == 0, w
 
 
 def test_rho_hat_is_multiplicative(paper, paper_phi):
@@ -333,7 +352,7 @@ def test_rho_hat_is_multiplicative(paper, paper_phi):
         w2 = tuple(rng.randint(1, 27) for _ in range(rng.randint(0, 8)))
         x, y = oracle.evaluate(w1, paper_phi, 18), oracle.evaluate(w2, paper_phi, 18)
         product = rho_hat(word_action(w1 + w2, paper.span, paper.graph), paper.span)
-        assert product == oracle.reduced(oracle.mul(x, y))
+        assert product == oracle.reduced(oracle.mul(x, y), paper.span)
         assert product == rho_hat(oracle.sparse(x), paper.span) * rho_hat(oracle.sparse(y), paper.span)
 
 
@@ -372,15 +391,15 @@ def test_center_witness_word_is_a_commutator_shape():
 
 
 def test_witness_commutes_with_every_generator_image(paper, paper_phi):
-    z = SemidirectElement(identity(18), ReducedElement.z(1))
+    z = SemidirectElement(identity(18), ReducedElement.z(18))
     for e in sorted(paper.graph.edges):
         g = rho_hat(oracle.sparse(paper_phi[e]), paper.span)
-        assert g == oracle.reduced(paper_phi[e])
+        assert g == oracle.reduced(paper_phi[e], paper.span)
         assert z * g == g * z
 
 
 def test_noncentral_kernel_element_moves():
-    m = SemidirectElement(identity(18), ReducedElement.p(1) * ReducedElement.p(2, -1))
+    m = SemidirectElement(identity(18), ReducedElement.p(18, 1) * ReducedElement.p(18, 2, -1))
     t = SemidirectElement(transposition(1, 2, 18), oracle.REDUCED_IDENTITY)
     assert not m.commutes_with(t)
 
@@ -395,9 +414,9 @@ _any_vector = st.one_of(_vectors, _constant, _nearly_constant)
 
 @settings(max_examples=120, derandomize=True, deadline=None, database=None)
 @given(st.one_of(
-    st.integers(0, 2**32).map(lambda seed: random_kernel_element(random.Random(seed))),
+    st.integers(0, 2**32).map(lambda seed: random_kernel_element(random.Random(seed), 18)),
     st.builds(ReducedElement, _any_vector, _any_vector, st.integers(-9, 9)),
-    st.integers(-9, 9).map(ReducedElement.z)))
+    st.integers(-9, 9).map(lambda power: ReducedElement.z(18, power))))
 def test_permutation_invariance_decides_commuting_with_transpositions(m):
     # The structure suite's semidirect-law test against the dense products
     # with all 153 transpositions: (1, m) moves under some (t, 1) exactly
@@ -410,7 +429,7 @@ def test_permutation_invariance_decides_commuting_with_transpositions(m):
 
 def test_random_kernel_element_sampling_law():
     rng = random.Random(41)
-    samples = [random_kernel_element(rng) for _ in range(600)]
+    samples = [random_kernel_element(rng, 18) for _ in range(600)]
     for m in samples:
         assert len(m.a) == len(m.b) == 18 and sum(m.a) == sum(m.b) == 0
         assert all(-5 <= x <= 5 for x in m.a[:17] + m.b[:17] + (m.zeta,))
@@ -418,8 +437,8 @@ def test_random_kernel_element_sampling_law():
     for pick in (lambda m: m.a[0], lambda m: m.a[16], lambda m: m.b[0],
                  lambda m: m.b[16], lambda m: m.zeta):
         assert {pick(m) for m in samples} == set(range(-5, 6))
-    assert [random_kernel_element(random.Random(7)) for _ in range(2)] == \
-        [random_kernel_element(random.Random(7))] * 2
+    assert [random_kernel_element(random.Random(7), 18) for _ in range(2)] == \
+        [random_kernel_element(random.Random(7), 18)] * 2
 
 
 def test_structure_suite_multiplies_no_semidirect_elements(paper, monkeypatch):
@@ -451,28 +470,30 @@ def test_rho_hat_rejects_a_plane_outside_the_published_complex(paper):
     grid = dual_graph(build_torus_triangulation(4, 6))
     exact = word_action((5,), paper.span, grid)
     assert exact == ({10: 45, 45: 10}, {})
-    with pytest.raises(ValueError, match=r"^the chord weights are pinned to planes 1\.\.18, got 45$"):
+    with pytest.raises(ValueError, match=r"^the span has planes 1\.\.18, got 45$"):
         rho_hat(exact, paper.span)
-    with pytest.raises(ValueError, match=r"^the chord weights are pinned to planes 1\.\.18, got 0$"):
+    with pytest.raises(ValueError, match=r"^the span has planes 1\.\.18, got 0$"):
         rho_hat(({0: 1, 1: 0}, {}), paper.span)
+    # A grid span names its own planes.
+    grid_span = spanning_data(grid, "canonical")
+    with pytest.raises(ValueError, match=r"^the span has planes 1\.\.48, got 49$"):
+        rho_hat(({49: 1, 1: 49}, {}), grid_span)
 
 
-def test_rho_requires_published_span(paper):
-    canonical = spanning_data(paper.graph, "canonical")
-    for call in _reduced_model_calls(paper):
-        with pytest.raises(ValueError):
-            call(canonical)
-
-
-def test_hand_built_published_span_rejected(paper):
-    # The published tree and chords, but not from the paper-fixture loader.
-    forged = SpanningData(tree_edges=list(paper.span.tree_edges), chords=dict(paper.span.chords))
+def test_hand_built_published_span_reduces_like_the_loaded_one(paper):
+    # The published tree and chord orientations from the fixture file and
+    # the weights from the published table, not from the paper-fixture loader.
+    data = fixtures.load_json("t0_spanning.json")
+    forged = SpanningData(tree_edges=data["tree"], chords={
+        ch["line"]: Chord(**ch, weight=oracle.PUBLISHED_WEIGHTS[ch["index"]]) for ch in data["chords"]})
     assert (forged.tree_edges, forged.chords) == (paper.span.tree_edges, paper.span.chords)
-    assert paper.span.published and not forged.published
     for call in _reduced_model_calls(paper):
-        call(paper.span)
-        with pytest.raises(ValueError):
-            call(forged)
+        assert call(forged) == call(paper.span)
+    rng = random.Random(467)
+    for _ in range(200):
+        w = tuple(rng.randint(1, 27) for _ in range(rng.randint(0, 30)))
+        assert rho_hat(word_action(w, forged, paper.graph), forged) == \
+            rho_hat(word_action(w, paper.span, paper.graph), paper.span), w
 
 
 def test_rho_hat_loads_no_fixture(paper, tmp_path, monkeypatch):
@@ -496,12 +517,13 @@ def test_paper_span_is_built_from_an_overriding_fixture(paper, tmp_path, monkeyp
     first, published = span.chords[chord["line"]], paper.span.chords[chord["line"]]
     assert (first.line, first.tail, first.head) == (chord["line"], chord["tail"], chord["head"])
     assert (first.tail, first.head) == (published.head, published.tail)
-    assert span.published
+    # The reversed chord winds the other way round the torus.
+    assert first.weight == tuple(-x for x in published.weight) != (0, 0)
     rho_hat(EXACT_UNIT, span)
 
 
 def test_reduced_element_json():
-    m = ReducedElement.p(1) * ReducedElement.q(1) * ReducedElement.z(2)
+    m = ReducedElement.p(18, 1) * ReducedElement.q(18, 1) * ReducedElement.z(18, 2)
     data = m.to_json()
     assert data["zeta"] == 2 and data["a"][0] == 1 and data["b"][0] == 1
 
@@ -543,7 +565,7 @@ def _misplaced(span, graph, which):
     ch = list(chords.values())[which % len(chords)]
     planes = sorted(graph.vertices)
     head = next(v for v in planes[planes.index(ch.head) + 1:] + planes if v not in (ch.tail, ch.head))
-    chords[ch.line] = Chord(ch.index, ch.line, ch.tail, head)
+    chords[ch.line] = Chord(ch.index, ch.line, ch.tail, head, ch.weight)
     return SpanningData(tree_edges=span.tree_edges, chords=chords)
 
 
@@ -690,3 +712,63 @@ def test_relators_suite_counts_no_nontrivial_cycle_under_a_chordless_span():
     assert entries["relators.counts"][0] == entries["relators.coxeter_identity"][0] == "pass"
     assert sorted(entries) == ["relators.counts", "relators.coxeter_identity",
                                "relators.cycles_in_kernel", "relators.cycles_nontrivial_before_reduction"]
+
+
+# -- the chord weights ---------------------------------------------------------
+
+def _canonical(rows, cols):
+    x0 = build_torus_triangulation(rows, cols)
+    graph = dual_graph(x0)
+    return x0, graph, spanning_data(graph, "canonical")
+
+
+def _every_relator_reduces_to_the_identity(x0, graph, span):
+    """The commutations act trivially already in the exact model, as
+    coxeter_failures decides, so they reduce to the identity; every square,
+    braid, fork and cycle is reduced by rho_hat."""
+    p = generate(graph, hexagon_links(x0), "quotient")
+    assert model.coxeter_failures(p, span, graph) == []
+    failed = [w for w in p.squares + p.braids + p.forks + p.cycles
+              if not rho_hat(word_action(w, span, graph), span).is_identity()]
+    assert failed == []
+
+
+@pytest.mark.parametrize("rows,cols", list(product(range(3, 9), repeat=2)))
+def test_every_relator_reduces_to_the_identity_on_grids(rows, cols):
+    x0, graph, span = _canonical(rows, cols)
+    _every_relator_reduces_to_the_identity(x0, graph, span)
+
+
+@settings(max_examples=12, derandomize=True, deadline=None, database=None)
+@given(rows=st.integers(3, 12), cols=st.integers(3, 12))
+def test_every_relator_reduces_to_the_identity_on_grids_property(rows, cols):
+    _every_relator_reduces_to_the_identity(*_canonical(rows, cols))
+
+
+@pytest.mark.parametrize("grid", ["paper", *product(range(3, 9), repeat=2)],
+                         ids=lambda g: g if g == "paper" else "x".join(map(str, g)))
+def test_weights_span_the_kernel_of_the_hexagon_exponents(paper, grid):
+    """Each coordinate word that a hexagon relator leaves gives one row of
+    chord exponent sums.  Over Q those rows have a kernel of dimension 2,
+    the first cohomology of the torus, and the chord weights span it."""
+    if grid == "paper":
+        x0, graph, span = paper.x0, paper.graph, paper.span
+    else:
+        x0, graph, span = _canonical(*grid)
+    t = len(span.chords)
+    rows = []
+    for link in hexagon_links(x0):
+        for word in word_action(cycle_relator(link.cycle), span, graph)[1].values():
+            row = [0] * t
+            for x in word:
+                row[abs(x) - 1] += 1 if x > 0 else -1
+            rows.append(row)
+
+    def matrix(entries):
+        return DomainMatrix([[ZZ(v) for v in row] for row in entries], (len(entries), t), ZZ).convert_to(QQ)
+
+    weights = matrix([[ch.weight[k] for ch in sorted(span.chords.values(), key=lambda ch: ch.index)]
+                      for k in (0, 1)])
+    exponents = matrix(rows)
+    assert t - exponents.rank() == weights.rank() == 2
+    assert (exponents * weights.transpose()).is_zero_matrix

@@ -3,7 +3,7 @@ import random
 from itertools import combinations
 
 import pytest
-from conftest import graph_of
+from conftest import connected, graph_of
 
 from coxlab.perm import Permutation, compose, identity, transposition
 
@@ -78,16 +78,16 @@ def test_compose_associative_random():
 # checks that criterion against the closure order.
 
 def test_generates_full_paper_lines(paper):
-    assert graph_of({line.id: line.planes for line in paper.x0.lines}).is_connected()
+    assert connected(graph_of({line.id: line.planes for line in paper.x0.lines}))
 
 
 def test_single_transposition_misses_s3():
-    assert not graph_of({1: (1, 2)}, range(1, 4)).is_connected()
+    assert not connected(graph_of({1: (1, 2)}, range(1, 4)))
 
 
 def test_spanning_tree_transpositions_generate(paper):
     tree = {e: paper.graph.edges[e] for e in paper.span.tree_edges}
-    assert graph_of(tree, paper.graph.vertices).is_connected()
+    assert connected(graph_of(tree, paper.graph.vertices))
 
 
 def _group_order(gens):
@@ -112,7 +112,7 @@ def test_connectivity_criterion_against_brute_force():
         n = rng.randint(3, 6)
         pairs = rng.sample(list(combinations(range(1, n + 1), 2)), rng.randint(1, n))
         gens = [transposition(a, b, n) for a, b in pairs]
-        fast = graph_of(dict(enumerate(pairs, start=1)), range(1, n + 1)).is_connected()
+        fast = connected(graph_of(dict(enumerate(pairs, start=1)), range(1, n + 1)))
         assert fast == (_group_order(gens) == math.factorial(n))
 
 
