@@ -11,7 +11,7 @@ and both images square to the identity.  The product is
 (s, f)(t, g) = (s t, f^t g) with (f^t)_i = f_{t(i)}, matching the
 permutation convention (p q)(i) = p(q(i)).  The exact model is the sparse
 pair (sigma, coords) that word_action returns for a word: sigma maps the
-planes the word touches to their images, and coords holds only the
+planes the word moves to their images, and coords holds only the
 nonempty coordinate words.  Right-multiplying by one edge image swaps two
 planes and appends at most two chord letters, so a word costs O(letters)
 rather than O(n) per letter.  No exact element is expanded to n
@@ -65,7 +65,7 @@ from .snf import abelian_invariants
 
 # -- the exact layer ---------------------------------------------------------
 
-# word_action's sparse image of a word: ({plane: sigma(plane)}, {plane: coordinate word}).
+# word_action's sparse image of a word: ({moved plane: sigma(plane)}, {plane: coordinate word}).
 Action = tuple[dict[int, int], dict[int, list[int]]]
 
 
@@ -78,9 +78,9 @@ def word_action(word, span: SpanningData, graph: DualGraph) -> Action:
     """Sparse left-to-right product of edge images; letters are line ids.
 
     Returns ({plane: sigma(plane)}, {plane: coordinate word}): the first
-    map covers the planes the word touches, the second holds only the
-    nonempty coordinate words; every other plane is fixed with an empty
-    word.  Right-multiplying by the image of an edge (a b) swaps a and b
+    map holds the planes the word moves, the second only the nonempty
+    coordinate words; every other plane is fixed with an empty word.
+    Right-multiplying by the image of an edge (a b) swaps a and b
     in both maps, then a chord appends its letter at the tail and the
     inverse letter at the head, with free cancellation.
     """
@@ -110,13 +110,13 @@ def word_action(word, span: SpanningData, graph: DualGraph) -> Action:
             coords[a] = wa
         if wb:
             coords[b] = wb
-    return sigma, coords
+    return {a: b for a, b in sigma.items() if a != b}, coords
 
 
 def word_is_identity(word, span: SpanningData, graph: DualGraph) -> bool:
     """Whether the word evaluates to the identity of the exact model."""
     sigma, coords = word_action(word, span, graph)
-    return not coords and all(plane == image for plane, image in sigma.items())
+    return not sigma and not coords
 
 
 def coxeter_failures(p, span: SpanningData, graph: DualGraph) -> list[tuple[int, ...]]:
@@ -147,7 +147,7 @@ def coxeter_failures(p, span: SpanningData, graph: DualGraph) -> list[tuple[int,
     failed, undecided = [], set()
     for w in p.squares:
         sigma, coords = word_action(w[:1], span, graph)
-        support = {a for a, b in sigma.items() if a != b}.union(coords)
+        support = sigma.keys() | coords.keys()
         if not word_is_identity(w, span, graph):
             failed.append(w)
         elif support <= set(graph.edges[w[0]]):
@@ -296,8 +296,8 @@ def _check_planes(planes, n: int):
 
 def rho_hat(action: Action, span: SpanningData) -> SemidirectElement:
     """The reduced image (sigma, rho(coords)) of an exact (sigma, coords),
-    over the span's planes; a plane outside them, an action read on another
-    graph, raises ValueError as in rho."""
+    over the span's planes; a moved or written plane outside them, an action
+    read on another graph, raises ValueError as in rho."""
     sigma, coords = action
     n = len(span.tree_edges) + 1
     _check_planes(sigma, n)
@@ -429,7 +429,6 @@ def center_witness(span: SpanningData, graph: DualGraph) -> CenterWitness:
     tau_images = {}
     for name, word in witness_words().items():
         sigma, coords = word_action(word, span, graph)
-        moved = tuple(sorted(plane for plane, image in sigma.items() if plane != image))
-        tau_images[name] = moved if len(moved) == 2 and not coords else None
+        tau_images[name] = tuple(sorted(sigma)) if len(sigma) == 2 and not coords else None
     value = rho_hat(word_action(center_witness_word(), span, graph), span)
     return CenterWitness(value=value, tau_images=tau_images)

@@ -26,24 +26,11 @@ class Permutation:
     def degree(self) -> int:
         return len(self.images)
 
-    def __call__(self, i: int) -> int:
-        return self.images[i - 1]
-
     def __mul__(self, other: "Permutation") -> "Permutation":
         return compose(self, other)
 
     def is_identity(self) -> bool:
         return self.images == tuple(range(1, len(self.images) + 1))
-
-    def moved_points(self) -> list[int]:
-        return [i + 1 for i, v in enumerate(self.images) if v != i + 1]
-
-    def as_transposition(self) -> tuple[int, int] | None:
-        """The swapped pair if this is a transposition, else None."""
-        moved = self.moved_points()
-        if len(moved) == 2 and self(moved[0]) == moved[1]:
-            return (moved[0], moved[1])
-        return None
 
     def to_json(self) -> list[int]:
         return list(self.images)

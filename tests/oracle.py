@@ -12,9 +12,9 @@ straight from its definition, for the tests to compare against:
 - mul is the dense product (s, f)(t, g) = (st, f^t g), with
   (f^t)_i = f_{t(i)} and each coordinate freely reduced;
 - evaluate multiplies the phi images of a word's letters left to right;
-- sparse converts a dense element to the (sigma, coords) pair, and moved
-  drops the planes that a word_action sigma maps to themselves, so the
-  two compare with ==;
+- sparse converts a dense element to the (sigma, coords) pair over the
+  planes it moves, the form word_action returns, so the two compare
+  with ==;
 - rho is the dense reduction that walks all n coordinates and multiplies
   the letter images one by one, the reference for model.rho on
   word_action's coordinate dict, and reduced applies it to a dense
@@ -96,7 +96,7 @@ def mul(g: Exact, h: Exact) -> Exact:
     if len(f) != len(k):
         raise ValueError(f"coordinate count mismatch: {len(f)} != {len(k)}")
     return Exact(g.sigma * t, FreeTuple(tuple(
-        free_reduce(f[t(i) - 1] + k[i - 1]) for i in range(1, len(f) + 1))))
+        free_reduce(f[t.images[i - 1] - 1] + k[i - 1]) for i in range(1, len(f) + 1))))
 
 
 def evaluate(word, table: dict[int, Exact], n: int) -> Exact:
@@ -109,12 +109,6 @@ def sparse(g: Exact) -> tuple[dict[int, int], dict[int, list[int]]]:
     """g as a (sigma, coords) pair: the planes g moves and its nonempty words."""
     return ({i: s for i, s in enumerate(g.sigma.images, start=1) if s != i},
             {i: list(w) for i, w in enumerate(g.part.coords, start=1) if w})
-
-
-def moved(action) -> tuple[dict[int, int], dict[int, list[int]]]:
-    """A word_action pair without the planes its sigma fixes, as sparse gives it."""
-    sigma, coords = action
-    return {a: b for a, b in sigma.items() if a != b}, coords
 
 
 def rho(f: FreeTuple, span) -> ReducedElement:

@@ -85,7 +85,7 @@ def test_criterion_3_relator_suite():
     for word in quotient.cycles:
         dense = oracle.evaluate(word, dense_table, 18)
         assert dense.sigma.is_identity() and not dense.part.is_identity()
-        assert oracle.moved(model.evaluate_word_semidirect(word, span, graph, table)) == oracle.sparse(dense)
+        assert model.evaluate_word_semidirect(word, span, graph, table) == oracle.sparse(dense)
     for link in links:
         values = set()
         for k in range(6):

@@ -418,7 +418,8 @@ def _assert_malformed_exits_2(capsys, complex_file, needle):
     pytest.param(lambda data: data.update(planes={"a": 1}),
                  "planes must be a list of objects, got {'a': 1}", id="planes_dict"),
     pytest.param(lambda data: data["lines"][4].pop("points"),
-                 "line at position 5: missing key 'points'", id="line_points_missing")])
+                 "line at position 5: missing key 'points'", id="line_points_missing"),
+    pytest.param(_field("points", 2, "id", 1), "point ids must be unique", id="point_id_repeated")])
 def test_verify_malformed_complex_exits_2(capsys, tmp_path, mutate, needle):
     data = load_json("tt33.json")
     mutate(data)
@@ -691,6 +692,31 @@ def _shift_point_ids(data):
     return data
 
 
+def _swap_ids(items, incident, x, y):
+    """An edit swapping the line or plane ids x and y throughout, in both element lists."""
+    def edit(data):
+        swap = {x: y, y: x}
+        for element in data[items]:
+            element["id"] = swap.get(element["id"], element["id"])
+        for element in data[incident]:
+            element[items] = [swap.get(v, v) for v in element[items]]
+        return data
+    return edit
+
+
+def _chord_moved_into_the_tree(data):
+    """The published span with its first chord's line listed as a tree line
+    instead, so every line is still listed once."""
+    data["tree"].append(data["chords"].pop(0)["line"])
+    return data
+
+
+def _naming(needle, case):
+    """case, whose one error line must hold needle."""
+    case.needle = needle
+    return case
+
+
 _tt33_with_point_ids_11_to_19 = _override("tt33.json", _shift_point_ids, "build", "--paper-fixture")
 
 VERIFY_PAPER = ("verify", "--complex", "{complex}", "--suite")
@@ -751,6 +777,30 @@ BAD_INPUTS = [
                            "build", "--paper-fixture"),
                  id="override_tt33_canonical_numbering"),
     pytest.param(_tt33_with_point_ids_11_to_19, id="override_tt33_point_ids_11_to_19"),
+    # Planes 1 and 2 swapped keep every hexagon and role; tau1 then moves planes 1 and 7.
+    pytest.param(_naming("witness image tau1 moves planes [1, 7], expected [2, 7]",
+                         _override("tt33.json", _swap_ids("planes", "lines", 1, 2), "build", "--paper-fixture")),
+                 id="override_tt33_planes_1_and_2_swapped"),
+    # Lines 12 and 16 both lie around point 6 and around no other hexagon anchor.
+    pytest.param(_naming("role a at point 6 is line 16, expected 12",
+                         _override("tt33.json", _swap_ids("lines", "planes", 12, 16), "build", "--paper-fixture")),
+                 id="override_tt33_lines_12_and_16_swapped"),
+    pytest.param(_naming("spanning fixture has the wrong tree size",
+                         _override("t0_spanning.json", _chord_moved_into_the_tree, *VERIFY_PAPER, "relators")),
+                 id="override_spanning_chord_moved_into_the_tree"),
+    pytest.param(_naming("a spanning fixture holds one object, got list",
+                         _override("t0_spanning.json", _set([]), *VERIFY_PAPER, "relators")),
+                 id="override_spanning_a_list"),
+    pytest.param(_naming("the pair table holds one list, got dict",
+                         _override("nonrel_pairs.json", _set({}), *VERIFY_PAPER, "tables")),
+                 id="override_nonrel_pairs_an_object"),
+    pytest.param(_naming("either --paper-fixture or both --rows and --cols are required",
+                         lambda tmp, files: ["build", "--rows", "3"]),
+                 id="build_rows_without_cols"),
+    pytest.param(_naming("capacity must be positive",
+                         lambda tmp, files: ["enumerate", "--presentation", str(files.fixtures / "s4_remark.json"),
+                                             "--capacity", "0"]),
+                 id="enumerate_capacity_0"),
 ]
 
 
@@ -769,6 +819,7 @@ def test_bad_input_exits_2_with_one_error_line(capsys, bad_input_env, case):
     assert "Traceback" not in err
     if hasattr(case, "fixture"):
         assert f"invalid fixture file {bad_input_env[0] / 'override' / case.fixture}: " in err
+    assert getattr(case, "needle", "") in err
 
 
 @pytest.mark.parametrize("name,argv", [

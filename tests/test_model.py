@@ -2,6 +2,7 @@ import json
 import random
 import tracemalloc
 from collections import Counter
+from dataclasses import replace
 from functools import reduce
 from itertools import product
 from operator import mul
@@ -15,7 +16,7 @@ from sympy.polys.matrices import DomainMatrix
 
 from coxlab import fixtures, model, presentation, verify
 from coxlab.complexes import (Chord, SpanningData, build_torus_triangulation,
-                              dual_graph, hexagon_links, spanning_data,
+                              dual_graph, hexagon_links, psi_image, spanning_data,
                               witness_words)
 from coxlab.model import (ReducedElement, SemidirectElement, abelianization, center_witness,
                           center_witness_word, evaluate_word_semidirect,
@@ -107,9 +108,27 @@ def test_sparse_evaluation_matches_dense_product(rows, cols):
     relators = generate(graph, hexagon_links(x0), "quotient").relator_words()
     for w in samples + relators:
         dense = oracle.evaluate(w, table, n)
-        assert oracle.moved(evaluate_word_semidirect(w, span, graph, table)) == oracle.sparse(dense), w
+        assert evaluate_word_semidirect(w, span, graph, table) == oracle.sparse(dense), w
         assert word_is_identity(w, span, graph) == dense.is_identity(), w
     assert all(word_is_identity(w + w[::-1], span, graph) for w in samples)
+
+
+@pytest.mark.parametrize("grid", ["paper", (3, 3), (4, 6), (8, 3)], ids=["paper", "3x3", "4x6", "8x3"])
+def test_psi_image_is_the_sigma_of_word_action(paper, grid):
+    """Both evaluators of a word's plane permutation return the planes it
+    moves: psi_image from the complex's lines, word_action's sigma from the
+    span, on random words and on words that put back every plane they touch."""
+    if grid == "paper":
+        x0, graph, span = paper.x0, paper.graph, paper.span
+    else:
+        x0, graph, span = _canonical(*grid)
+    edges = sorted(graph.edges)
+    rng = random.Random(len(edges))
+    for _ in range(100):
+        w = tuple(rng.choice(edges) * rng.choice((1, -1)) for _ in range(rng.randint(0, 40)))
+        for word in (w, w + w[::-1]):
+            assert psi_image(x0, word) == word_action(word, span, graph)[0], word
+    assert psi_image(x0, w + w[::-1]) == {}
 
 
 def test_semidirect_associativity_random(paper, paper_phi):
@@ -126,7 +145,7 @@ def test_witness_conjugate_tuples_match_recorded_values(paper, paper_phi):
     w = witness_words()
     for word, coords in ((w["tau1"] + (1,), {7: [1], 2: [-1]}), (w["tau4"] + (4,), {1: [8], 3: [-8]})):
         dense = oracle.evaluate(word, paper_phi, 18)
-        assert oracle.moved(word_action(word, paper.span, paper.graph)) == oracle.sparse(dense) == ({}, coords)
+        assert word_action(word, paper.span, paper.graph) == oracle.sparse(dense) == ({}, coords)
 
 
 def test_nine_cyclic_relators_die_under_reduction(paper, paper_phi):
@@ -136,7 +155,7 @@ def test_nine_cyclic_relators_die_under_reduction(paper, paper_phi):
         assert not dense.part.is_identity()
         assert oracle.reduced(dense, paper.span).is_identity()
         v = word_action(w, paper.span, paper.graph)
-        assert oracle.moved(v) == oracle.sparse(dense)
+        assert v == oracle.sparse(dense)
         assert rho_hat(v, paper.span).is_identity()
 
 
@@ -376,7 +395,8 @@ def test_tau_images_are_read_off_the_sparse_action(paper, paper_phi, monkeypatch
     got = center_witness(paper.span, paper.graph).tau_images
     for name, word in words.items():
         dense = oracle.evaluate(word, paper_phi, 18)
-        expected = dense.sigma.as_transposition() if dense.part.is_identity() else None
+        moved = [i for i, image in enumerate(dense.sigma.images, start=1) if i != image]
+        expected = tuple(moved) if len(moved) == 2 and dense.part.is_identity() else None
         assert got[name] == expected, name
     assert got["tree_edge"] == tuple(sorted(paper.graph.edges[x]))
     assert got["chord"] is got["three_cycle"] is got["kernel"] is None
@@ -712,6 +732,21 @@ def test_relators_suite_counts_no_nontrivial_cycle_under_a_chordless_span():
     assert entries["relators.counts"][0] == entries["relators.coxeter_identity"][0] == "pass"
     assert sorted(entries) == ["relators.counts", "relators.coxeter_identity",
                                "relators.cycles_in_kernel", "relators.cycles_nontrivial_before_reduction"]
+
+
+def test_relators_suite_fails_both_reduced_entries_under_a_wrong_chord_weight(paper):
+    """The published span with chord 1 weighed (1, 1), not (1, 0): every
+    Coxeter relator still holds in the exact model, but the hexagon relators
+    no longer reduce to the identity, so both reduced entries fail."""
+    ctx = verify._Context(paper.x0, paper=True)
+    line, chord = next(iter(paper.span.chords.items()))
+    assert (chord.index, chord.weight) == (1, (1, 0))
+    ctx.span = replace(paper.span, chords={**paper.span.chords, line: replace(chord, weight=(1, 1))})
+    rep = verify.Report(command="verify:relators")
+    verify._suite_relators(ctx, rep)
+    status = {e.name: e.status for e in rep.entries}
+    assert status["relators.reduced_identity"] == status["relators.cycle_orientations_agree"] == "fail"
+    assert status["relators.coxeter_identity"] == status["relators.cycles_in_kernel"] == "pass"
 
 
 # -- the chord weights ---------------------------------------------------------

@@ -91,7 +91,7 @@ def test_hexagon_quotient_matches_bundled_fixture(hexagon_graph):
 def test_every_relator_dies_in_symmetric_group(paper):
     quotient = generate(paper.graph, paper.links, "quotient")
     for w in quotient.relator_words():
-        assert psi_image(paper.x0, w).is_identity()
+        assert psi_image(paper.x0, w) == {}
 
 
 def test_cycle_relator_triangle():
@@ -116,7 +116,7 @@ def test_cycle_relator_chord_first_structure(paper):
     support = {i + 1 for i, u in enumerate(v.part.coords) if u}
     assert support == {9, 11}
     assert {abs(x) for u in v.part.coords for x in u} == {4}
-    assert oracle.moved(model.word_action(word, paper.span, paper.graph)) == oracle.sparse(v)
+    assert model.word_action(word, paper.span, paper.graph) == oracle.sparse(v)
 
 
 def test_cycle_orientations_same_model_value(paper, paper_phi):
