@@ -25,10 +25,12 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field, fields
+from functools import cached_property, reduce
 from itertools import product
 from operator import attrgetter, itemgetter
 
 from . import fixtures
+from .perm import compose, identity, transposition
 
 # The ends of the line of each kind at cell (r, c), as offsets from (r, c),
 # and the roles it takes at its first and at its second end.
@@ -343,6 +345,11 @@ class SpanningData:
     tree_edges: list[int]
     chords: dict[int, Chord]
 
+    @cached_property
+    def weights(self) -> dict[int, tuple[int, int]]:
+        """{chord index: weight}, read off chords once."""
+        return {ch.index: ch.weight for ch in self.chords.values()}
+
 
 def spanning_data(graph: DualGraph, mode: str = "canonical") -> SpanningData:
     """A spanning tree of the dual graph plus its oriented, weighted chords.
@@ -474,11 +481,9 @@ def check_paper_fixture(x0: DegenerationComplex) -> DegenerationComplex:
 def psi_image(x0: DegenerationComplex, word) -> dict[int, int]:
     """Product of the line transpositions of a word, left to right, as
     {plane: image} over the planes it moves."""
-    sigma: dict[int, int] = {}
-    for letter in word:
-        a, b = x0.line_by_id[abs(letter)].planes
-        sigma[a], sigma[b] = sigma.get(b, b), sigma.get(a, a)
-    return {a: b for a, b in sigma.items() if a != b}
+    n = len(x0.planes)
+    return reduce(compose, (transposition(*x0.line_by_id[abs(letter)].planes, n) for letter in word),
+                  identity())
 
 
 # Conjugating words used by the center computation; only lines 1 and 4 lie

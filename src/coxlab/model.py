@@ -43,11 +43,14 @@ because [g, h] = (hg)^-1 (gh), where gh and hg share a and b and their
 zeta values differ by b'.a - b.a'.
 
 SemidirectElement is the reduced layer only: S_n acting on
-ReducedElement.  rho_hat sends the exact (sigma, coords) to the reduced
-(sigma, rho(coords)); it reads the width n = len(span.tree_edges) + 1 and
-the weights from the span, no fixture, and rho never reads the planes a
-word leaves empty.  All arithmetic is plain Python integers, hence exact
-at every size.  No central block per chord is needed: a chord letter
+ReducedElement, its sigma the same {plane: image} over the moved planes
+that word_action returns, multiplied by perm.compose.  rho_hat sends the
+exact (sigma, coords) to the reduced (sigma, rho(coords)), passing sigma
+through; it reads the width n = len(span.tree_edges) + 1 and the weights
+from the span, no fixture, and rho never reads the planes a word leaves
+empty.  sigma is spelled out as its images of 1..n only where a report
+prints it.  All arithmetic is plain Python integers, hence exact at every
+size.  No central block per chord is needed: a chord letter
 enters an image at its tail and leaves, inverted, at its head, so its
 exponent summed over the planes is 0 on every image.
 """
@@ -59,7 +62,7 @@ import random
 from dataclasses import dataclass
 
 from .complexes import DualGraph, SpanningData, witness_words
-from .perm import Permutation
+from .perm import compose
 from .snf import abelian_invariants
 
 
@@ -178,17 +181,18 @@ def evaluate_word_semidirect(word, span: SpanningData, graph: DualGraph,
 @dataclass(frozen=True)
 class SemidirectElement:
     """(sigma, part) in S_n acting on the reduced coordinates:
-    (s, f)(t, g) = (st, f^t g), with part a ReducedElement."""
+    (s, f)(t, g) = (st, f^t g), with sigma a {plane: image} dict over the
+    planes it moves and part a ReducedElement."""
 
-    sigma: Permutation
+    sigma: dict[int, int]
     part: ReducedElement
 
     def __mul__(self, other: "SemidirectElement") -> "SemidirectElement":
-        return SemidirectElement(self.sigma * other.sigma,
+        return SemidirectElement(compose(self.sigma, other.sigma),
                                  self.part.act(other.sigma) * other.part)
 
     def is_identity(self) -> bool:
-        return self.sigma.is_identity() and self.part.is_identity()
+        return not self.sigma and self.part.is_identity()
 
     def commutes_with(self, other: "SemidirectElement") -> bool:
         return self * other == other * self
@@ -241,10 +245,11 @@ class ReducedElement:
         return ReducedElement(zero, zero, sum(map(operator.mul, self.a, other.b))
                               - sum(map(operator.mul, self.b, other.a)))
 
-    def act(self, sigma: Permutation) -> "ReducedElement":
-        """Permute the p and q indices; z is fixed."""
-        return ReducedElement(tuple(self.a[i - 1] for i in sigma.images),
-                              tuple(self.b[i - 1] for i in sigma.images), self.zeta)
+    def act(self, sigma: dict[int, int]) -> "ReducedElement":
+        """Permute the p and q indices by {plane: image}; z is fixed."""
+        images = [sigma.get(i, i) - 1 for i in range(1, len(self.a) + 1)]
+        return ReducedElement(tuple(self.a[i] for i in images),
+                              tuple(self.b[i] for i in images), self.zeta)
 
     def is_identity(self) -> bool:
         return self.zeta == 0 and self.is_central_power()
@@ -271,7 +276,7 @@ def rho(coords: dict[int, list[int]], span: SpanningData) -> ReducedElement:
     """
     n = len(span.tree_edges) + 1
     _check_planes(coords, n)
-    weights = {ch.index: ch.weight for ch in span.chords.values()}
+    weights = span.weights
     a, b, zeta = [0] * n, [0] * n, 0
     for plane, word in coords.items():
         i = plane - 1
@@ -301,7 +306,7 @@ def rho_hat(action: Action, span: SpanningData) -> SemidirectElement:
     sigma, coords = action
     n = len(span.tree_edges) + 1
     _check_planes(sigma, n)
-    return SemidirectElement(Permutation(tuple([sigma.get(i, i) for i in range(1, n + 1)])), rho(coords, span))
+    return SemidirectElement(sigma, rho(coords, span))
 
 
 def relator_report(relator_words, span: SpanningData, graph: DualGraph) -> list[dict]:
@@ -316,7 +321,8 @@ def relator_report(relator_words, span: SpanningData, graph: DualGraph) -> list[
         out.append({
             "relator": [int(x) for x in w],
             "status": "pass" if v.is_identity() else "fail",
-            "value": {"sigma": v.sigma.to_json(), **v.part.to_json()},
+            "value": {"sigma": [v.sigma.get(i, i) for i in range(1, len(v.part.a) + 1)],
+                      **v.part.to_json()},
         })
     return out
 
@@ -371,12 +377,11 @@ def nilpotency_class_check(n: int, sample_size: int = 100, seed: int = 20040709)
     exactly 2.
 
     Every sampled commutator must land in the centre; every sampled triple
-    commutator must vanish; and at least one sampled pair must fail to
-    commute, which pins the class at 2 rather than 1.
+    commutator must vanish; and the fixed pair p_1 p_2^-1, q_1 q_2^-1 must
+    fail to commute, which pins the class at 2 rather than 1.
     """
     rng = random.Random(seed)
     commutators_central = triple_trivial = True
-    witness = None
     for _ in range(sample_size):
         g = random_kernel_element(rng, n)
         h = random_kernel_element(rng, n)
@@ -386,19 +391,14 @@ def nilpotency_class_check(n: int, sample_size: int = 100, seed: int = 20040709)
             commutators_central = False
         if not comm.commutator(k).is_identity():
             triple_trivial = False
-        if witness is None and comm.zeta != 0:
-            witness = (g, h, comm.zeta)
-    if witness is None:
-        g = ReducedElement.p(n, 1) * ReducedElement.p(n, 2, -1)
-        h = ReducedElement.q(n, 1) * ReducedElement.q(n, 2, -1)
-        comm = g.commutator(h)
-        if comm.zeta != 0:
-            witness = (g, h, comm.zeta)
+    g = ReducedElement.p(n, 1) * ReducedElement.p(n, 2, -1)
+    h = ReducedElement.q(n, 1) * ReducedElement.q(n, 2, -1)
+    witness = g.commutator(h).zeta != 0
     return {
         "samples": sample_size,
         "commutators_central": commutators_central,
         "triple_commutators_trivial": triple_trivial,
-        "class_two_witness": witness is not None,
+        "class_two_witness": witness,
         "nilpotency_class": 2 if (commutators_central and triple_trivial and witness) else None,
     }
 

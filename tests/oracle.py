@@ -2,10 +2,14 @@
 
 The package builds exact images one way only, as the sparse
 (sigma, coords) pair of model.word_action, and multiplies only reduced
-elements.  This module builds the exact model a second way, densely and
-straight from its definition, for the tests to compare against:
+elements; every permutation it holds is the {plane: image} dict of
+coxlab.perm.  This module builds the exact model a second way, densely
+and straight from its definition, for the tests to compare against:
 
-- an Exact element is a permutation of the n planes and a FreeTuple, one
+- a Permutation is dense, the tuple (p(1), ..., p(n)) checked to be a
+  bijection of 1..n, with the convention (p * q)(i) = p(q(i)) of
+  coxlab.perm, and moved() gives it in the package's form;
+- an Exact element is a Permutation of the n planes and a FreeTuple, one
   freely reduced chord-letter word per plane;
 - phi sends a tree edge from a to b to ((a b), trivial tuple) and a chord
   x from tail t to head h to ((t h), x at t and x^-1 at h);
@@ -18,7 +22,7 @@ straight from its definition, for the tests to compare against:
 - rho is the dense reduction that walks all n coordinates and multiplies
   the letter images one by one, the reference for model.rho on
   word_action's coordinate dict, and reduced applies it to a dense
-  element.
+  element, giving a SemidirectElement with the moved planes as sigma.
 
 For the reduced layer it adds the identity over the published complex's
 18 planes, the group inverse of p^a q^b z^zeta and the published chord
@@ -30,7 +34,41 @@ from dataclasses import dataclass
 from functools import reduce
 
 from coxlab.model import ReducedElement, SemidirectElement
-from coxlab.perm import Permutation, identity, transposition
+
+
+@dataclass(frozen=True)
+class Permutation:
+    """Dense bijection on {1..n}, stored as the tuple (p(1), ..., p(n))."""
+
+    images: tuple[int, ...]
+
+    def __post_init__(self):
+        n = len(self.images)
+        if sorted(self.images) != list(range(1, n + 1)):
+            raise ValueError(f"not a permutation of 1..{n}: {self.images}")
+
+    def __mul__(self, other: "Permutation") -> "Permutation":
+        """(p * q)(i) = p(q(i)): apply q first."""
+        if len(self.images) != len(other.images):
+            raise ValueError(f"degree mismatch: {len(self.images)} != {len(other.images)}")
+        return Permutation(tuple(self.images[v - 1] for v in other.images))
+
+    def is_identity(self) -> bool:
+        return self.images == tuple(range(1, len(self.images) + 1))
+
+    def moved(self) -> dict[int, int]:
+        """{plane: image} over the planes it moves: the form of coxlab.perm."""
+        return {i: s for i, s in enumerate(self.images, start=1) if s != i}
+
+
+def identity(n: int) -> Permutation:
+    return Permutation(tuple(range(1, n + 1)))
+
+
+def transposition(alpha: int, beta: int, n: int) -> Permutation:
+    images = list(range(1, n + 1))
+    images[alpha - 1], images[beta - 1] = beta, alpha
+    return Permutation(tuple(images))
 
 
 @dataclass(frozen=True)
@@ -107,8 +145,7 @@ def evaluate(word, table: dict[int, Exact], n: int) -> Exact:
 
 def sparse(g: Exact) -> tuple[dict[int, int], dict[int, list[int]]]:
     """g as a (sigma, coords) pair: the planes g moves and its nonempty words."""
-    return ({i: s for i, s in enumerate(g.sigma.images, start=1) if s != i},
-            {i: list(w) for i, w in enumerate(g.part.coords, start=1) if w})
+    return g.sigma.moved(), {i: list(w) for i, w in enumerate(g.part.coords, start=1) if w}
 
 
 def rho(f: FreeTuple, span) -> ReducedElement:
@@ -119,7 +156,7 @@ def rho(f: FreeTuple, span) -> ReducedElement:
     n = len(span.tree_edges) + 1
     if f.n != n:
         raise ValueError(f"the span has {n} planes, got {f.n} coordinates")
-    weights = {ch.index: ch.weight for ch in span.chords.values()}
+    weights = span.weights
     out = ReducedElement.z(n, 0)
     for i, word in enumerate(f.coords, start=1):
         for letter in word:
@@ -132,7 +169,7 @@ def rho(f: FreeTuple, span) -> ReducedElement:
 
 
 def reduced(g: Exact, span) -> SemidirectElement:
-    return SemidirectElement(g.sigma, rho(g.part, span))
+    return SemidirectElement(g.sigma.moved(), rho(g.part, span))
 
 
 PUBLISHED_WEIGHTS = {x: (1, 0) if x in (1, 2, 3) else (0, 1) if x in (6, 7, 8) else (0, 0)

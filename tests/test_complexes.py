@@ -189,6 +189,12 @@ def test_chords_are_keyed_by_line_in_index_order(request, shape):
     assert [ch.index for ch in span.chords.values()] == list(range(1, len(span.chords) + 1))
 
 
+def test_spanning_data_rejects_an_unknown_mode(paper):
+    # Only the verify context picks a mode; a direct caller gets the raise.
+    with pytest.raises(ValueError, match="unknown spanning mode: published"):
+        spanning_data(paper.graph, "published")
+
+
 def test_spanning_of_tree_has_no_chords():
     # A path on four vertices.
     span = spanning_data(graph_of({1: (1, 2), 2: (2, 3), 3: (3, 4)}), "canonical")

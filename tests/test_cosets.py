@@ -49,10 +49,10 @@ def test_hexagon_with_cycle_is_finite_720(paper, hexagon_graph):
     assert len(graph.walk(graph.edges)) == len(graph.vertices) - 1
     images = {e: transposition(*graph.edges[e], 6) for e in graph.edges}
     for w in pres.relator_words():
-        acc = identity(6)
+        acc = identity()
         for letter in w:
             acc = compose(acc, images[letter])
-        assert acc.is_identity()
+        assert acc == identity()
 
 
 def test_hexagon_without_cycle_exceeds_capacity(hexagon_graph):
@@ -416,9 +416,23 @@ def _differential_cases(count=300, seed=13):
     return cases
 
 
+def _doubled_letter_case():
+    """The affine hexagon group with its first two relators that are not
+    squares prefixed by their doubled first letter: the same group, but the
+    table first grows, at 2,048 rows, while a doubled-letter relator is
+    defining cosets."""
+    data = load_json("hexagon_affine.json")
+    relators = [tuple(w) for w in data["relators"]]
+    longer = [i for i, w in enumerate(relators) if len(w) > 2][:2]
+    for i in longer:
+        relators[i] = relators[i][:1] * 2 + relators[i]
+    assert [relators[i] for i in longer] == [(1, 1, 1, 2, 1, 2, 1, 2), (1, 1, 1, 3, 1, 3)]
+    return data["generators"], relators, [], 5000
+
+
 def test_enumerator_matches_frozen_reference():
     outcomes = set()
-    for ngens, relators, subgroup, capacity in _differential_cases():
+    for ngens, relators, subgroup, capacity in _differential_cases() + [_doubled_letter_case()]:
         got = enumerate_cosets(ngens, relators, subgroup, capacity)
         want = _reference_enumerate(ngens, relators, subgroup, capacity)
         assert (got.status, got.index, got.allocated, got.table) == \

@@ -24,7 +24,7 @@ from coxlab.model import (ReducedElement, SemidirectElement, abelianization, cen
                           nilpotency_class_check, phi_table,
                           random_kernel_element, relator_report, rho, rho_hat,
                           word_action, word_is_identity)
-from coxlab.perm import identity, transposition
+from coxlab.perm import compose, identity, transposition
 from coxlab.presentation import ax_fixture, cycle_relator, generate
 
 
@@ -32,7 +32,7 @@ def test_phi_tree_edge_is_plain_transposition(paper):
     e = paper.span.tree_edges[0]
     a, b = paper.graph.edges[e]
     v = oracle.phi(e, paper.span, paper.graph)
-    assert v.sigma == transposition(a, b, 18)
+    assert v.sigma.moved() == transposition(a, b, 18)
     assert v.part.is_identity()
     assert phi_table(paper.span, paper.graph)[e] == oracle.sparse(v) == ({a: b, b: a}, {})
 
@@ -41,7 +41,7 @@ def test_phi_chord_puts_opposite_letters_at_ends(paper):
     chord = next(c for c in paper.span.chords.values() if c.index == 4)
     assert chord.line == 17 and (chord.tail, chord.head) == (11, 9)
     v = oracle.phi(17, paper.span, paper.graph)
-    assert v.sigma == transposition(11, 9, 18)
+    assert v.sigma.moved() == transposition(11, 9, 18)
     assert v.part.coords[chord.tail - 1] == (4,)
     assert v.part.coords[chord.head - 1] == (-4,)
     assert phi_table(paper.span, paper.graph)[17] == oracle.sparse(v) == ({11: 9, 9: 11}, {11: [4], 9: [-4]})
@@ -193,6 +193,9 @@ def test_rho_rejects_foreign_letters(paper):
 
 def test_published_span_weights_are_the_published_table(paper):
     assert {ch.index: ch.weight for ch in paper.span.chords.values()} == oracle.PUBLISHED_WEIGHTS
+    # The span's derived view of the chords reads the same table, built once.
+    assert paper.span.weights == oracle.PUBLISHED_WEIGHTS
+    assert paper.span.weights is paper.span.weights
 
 
 def test_rho_matches_the_product_of_letter_images(paper):
@@ -334,10 +337,13 @@ def test_action_permutes_indices_and_respects_ab(paper):
             i, j = rng.sample(range(1, 19), 2)
             sigma = transposition(i, j, 18)
         else:
-            sigma = identity(18)
+            sigma = identity()
         acted = m.act(sigma)
         assert sum(acted.a) == sum(m.a) and sum(acted.b) == sum(m.b)
         assert acted.zeta == m.zeta
+        # f^(st) = (f^s)^t, with a 3-cycle st so that the order shows.
+        t = transposition(*rng.sample(range(1, 19), 2), 18)
+        assert m.act(compose(sigma, t)) == acted.act(t)
 
 
 @pytest.mark.parametrize("grid", ["paper", (3, 3), (3, 4), (4, 4), (5, 5)],
@@ -378,7 +384,7 @@ def test_rho_hat_is_multiplicative(paper, paper_phi):
 def test_center_witness(paper):
     witness = center_witness(paper.span, paper.graph)
     assert witness.value.part.zeta in (1, -1)
-    assert witness.value.sigma.is_identity()
+    assert witness.value.sigma == identity()
     assert witness.tau_images == {"tau1": (2, 7), "tau2": (7, 10),
                                   "tau3": (1, 7), "tau4": (1, 3)}
 
@@ -411,7 +417,7 @@ def test_center_witness_word_is_a_commutator_shape():
 
 
 def test_witness_commutes_with_every_generator_image(paper, paper_phi):
-    z = SemidirectElement(identity(18), ReducedElement.z(18))
+    z = SemidirectElement(identity(), ReducedElement.z(18))
     for e in sorted(paper.graph.edges):
         g = rho_hat(oracle.sparse(paper_phi[e]), paper.span)
         assert g == oracle.reduced(paper_phi[e], paper.span)
@@ -419,7 +425,7 @@ def test_witness_commutes_with_every_generator_image(paper, paper_phi):
 
 
 def test_noncentral_kernel_element_moves():
-    m = SemidirectElement(identity(18), ReducedElement.p(18, 1) * ReducedElement.p(18, 2, -1))
+    m = SemidirectElement(identity(), ReducedElement.p(18, 1) * ReducedElement.p(18, 2, -1))
     t = SemidirectElement(transposition(1, 2, 18), oracle.REDUCED_IDENTITY)
     assert not m.commutes_with(t)
 
@@ -441,7 +447,7 @@ def test_permutation_invariance_decides_commuting_with_transpositions(m):
     # The structure suite's semidirect-law test against the dense products
     # with all 153 transpositions: (1, m) moves under some (t, 1) exactly
     # when a or b is not constant.
-    elem = SemidirectElement(identity(18), m)
+    elem = SemidirectElement(identity(), m)
     moved = any(not elem.commutes_with(t) for t in _TRANSPOSITIONS)
     assert (not m.is_permutation_invariant()) == moved
     assert m.is_permutation_invariant() == (len(set(m.a)) == len(set(m.b)) == 1)
@@ -747,6 +753,12 @@ def test_relators_suite_fails_both_reduced_entries_under_a_wrong_chord_weight(pa
     status = {e.name: e.status for e in rep.entries}
     assert status["relators.reduced_identity"] == status["relators.cycle_orientations_agree"] == "fail"
     assert status["relators.coxeter_identity"] == status["relators.cycles_in_kernel"] == "pass"
+
+
+def test_run_suite_rejects_an_unknown_suite(paper):
+    # The command line offers only the known suites; a direct caller gets the raise.
+    with pytest.raises(ValueError, match="unknown suite 'weights'"):
+        verify.run_suite(paper.x0, "weights")
 
 
 # -- the chord weights ---------------------------------------------------------

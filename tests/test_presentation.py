@@ -70,6 +70,12 @@ def test_variants_nest(paper):
     assert c(plain) < c(fork) < c(quotient)
 
 
+def test_generate_rejects_an_unknown_variant(paper):
+    # The command line offers only VARIANTS; a direct caller gets the raise.
+    with pytest.raises(ValueError, match="unknown variant 'affine'"):
+        generate(paper.graph, paper.links, "affine")
+
+
 def test_fork_variant_needs_three_regular(hexagon_graph):
     graph, links = hexagon_graph
     with pytest.raises(ValueError):
@@ -127,7 +133,7 @@ def test_cycle_orientations_same_model_value(paper, paper_phi):
             for orient in (rot, (rot[0],) + rot[:0:-1]):
                 v = model.rho_hat(model.evaluate_word_semidirect(
                     cycle_relator(orient), paper.span, paper.graph, paper_phi), paper.span)
-                values.add((v.sigma, v.part))
+                values.add((tuple(sorted(v.sigma.items())), v.part))
         assert len(values) == 1
 
 

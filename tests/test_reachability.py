@@ -28,7 +28,6 @@ UNREACHED_ALLOWED = {
     "words._substitution_rules",        # inside derive_bounded; item 8
     "words.free_reduce_involutive",     # inside clean and derive_bounded; item 8
     "presentation.Presentation.relator_words",  # benchmark tracer (_observe_generate); item 2
-    "perm.transposition",               # benchmark tracer; item 2
 }
 
 
