@@ -304,12 +304,6 @@ class HexagonLink:
     cycle: tuple[int, int, int, int, int, int]      # order (d, e, f, a, b, c)
     roles: dict[str, int]
 
-    def role_of(self, line_id: int) -> str:
-        for role, lid in self.roles.items():
-            if lid == line_id:
-                return role
-        raise KeyError(f"line {line_id} is not around point {self.point}")
-
 
 def hexagon_links(x0: DegenerationComplex) -> list[HexagonLink]:
     """One link per point; a line takes the ROLES of its kind at its two ends."""

@@ -180,7 +180,8 @@ def classify_missing(pairs, links: list[HexagonLink]) -> dict[int, set[str]]:
     for i, j in pairs:
         homes = [link for link in links if i in link.cycle and j in link.cycle]
         if len(homes) == 1:
-            roles = sorted((homes[0].role_of(i), homes[0].role_of(j)))
+            role_of = {line: role for role, line in homes[0].roles.items()}
+            roles = sorted((role_of[i], role_of[j]))
             table[homes[0].point].add(
                 next((c for c in MISSING_ROLE_COLUMNS if sorted(c) == roles), "".join(roles)))
     return table

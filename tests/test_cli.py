@@ -606,6 +606,20 @@ def test_repeated_enumerations_keep_their_tables_off_the_heap(paper_files):
     assert all(arena - first < 256 * 1024 for arena in later), proc.stdout
 
 
+def test_mmap_threshold_is_left_alone_without_a_c_library(monkeypatch):
+    import ctypes
+
+    def no_library(name):
+        raise OSError("no C library")
+
+    cli._fix_mmap_threshold.cache_clear()
+    monkeypatch.setattr(ctypes, "CDLL", no_library)
+    try:
+        assert cli._fix_mmap_threshold() is None
+    finally:
+        cli._fix_mmap_threshold.cache_clear()
+
+
 def test_python_dash_m_runs_the_command_line():
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(

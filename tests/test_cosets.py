@@ -7,7 +7,8 @@ from collections import deque
 
 import pytest
 
-from coxlab.cosets import DEFAULT_CAPACITY, EnumerationResult, _find, _unify, check_result, enumerate_cosets
+from coxlab.cosets import (DEFAULT_CAPACITY, EnumerationResult, _find, _standardize, _unify,
+                           check_result, enumerate_cosets)
 from coxlab.fixtures import load_json
 from coxlab.perm import compose, identity, transposition
 from coxlab.presentation import generate
@@ -149,6 +150,7 @@ def test_unconstrained_involutions_are_inconclusive():
     # group; the enumeration must report the cap, not a bogus index.
     result = enumerate_cosets(2, [], capacity=500)
     assert result.status == "capacity-exceeded"
+    assert check_result(result, 2, []) is False
 
 
 def _digest(table):
@@ -633,6 +635,15 @@ def test_unify_leaves_no_dead_coset_named_and_every_entry_paired():
                 assert [col[c] for col in cols] == \
                     [d if d == -1 else _reference_find(reference, d) // width
                      for d in reference[c * width + 1:(c + 1) * width]]
+
+
+@pytest.mark.parametrize("cols,message", [
+    ([[1, -1]], "closed table expected"),           # coset 1 has no image yet
+    ([[0, 1]], "not all reachable"),                # coset 0 never reaches coset 1
+])
+def test_standardize_rejects_a_table_no_enumeration_leaves(cols, message):
+    with pytest.raises(ValueError, match=message):
+        _standardize(cols, [-1, -1], 2)
 
 
 def _assert_matches_reference(ngens, relators, subgroup=(), capacity=DEFAULT_CAPACITY):

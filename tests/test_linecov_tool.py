@@ -49,3 +49,20 @@ def test_unexecuted_returns_the_branch_the_run_skips(linecov, tmp_path, monkeypa
         for name in ("linecov_toy.toy", "linecov_toy"):
             sys.modules.pop(name, None)
     assert sys.gettrace() is before
+
+
+def test_split_allowed_keeps_only_the_named_statements_out_of_the_total(linecov, tmp_path):
+    (tmp_path / "toy.py").write_text(TOY)
+    missed = {"toy.py": [8, 9]}
+    allowed = {("toy.py", "return -1"), ("toy.py", "return 0")}
+    assert linecov.split_allowed(missed, tmp_path, allowed) == (
+        {"toy.py": [8]}, {"toy.py": [9]}, [("toy.py", "return 0")])
+    assert linecov.split_allowed(missed, tmp_path, set()) == ({"toy.py": [8, 9]}, {"toy.py": []}, [])
+
+
+def test_subprocess_only_entries_name_statements_and_tests_that_exist(linecov):
+    for (module, text), test_id in linecov.SUBPROCESS_ONLY.items():
+        source = (ROOT / "src" / "coxlab" / module).read_text(encoding="utf-8")
+        assert text in map(str.strip, source.splitlines()), (module, text)
+        file, _, name = test_id.partition("::")
+        assert f"\ndef {name}(" in (ROOT / file).read_text(encoding="utf-8"), test_id

@@ -323,10 +323,16 @@ def test_kernel_commutators_by_hand():
     assert g.commutator(g2).is_identity()
 
 
-def test_nilpotency_report():
-    report = nilpotency_class_check(18, sample_size=150, seed=5)
-    assert report["nilpotency_class"] == 2
-    assert report["commutators_central"] and report["triple_commutators_trivial"]
+def test_nilpotency_report(monkeypatch):
+    assert nilpotency_class_check(18) == {
+        "samples": model.SAMPLES, "commutators_central": True, "triple_commutators_trivial": True,
+        "class_two_witness": True, "nilpotency_class": 2}
+    # A commutator that leaves the centre fails both sampled checks.
+    monkeypatch.setattr(ReducedElement, "commutator", lambda self, other: ReducedElement.p(18, 1))
+    report = nilpotency_class_check(18)
+    assert report["commutators_central"] is False
+    assert report["triple_commutators_trivial"] is False
+    assert report["nilpotency_class"] is None
 
 
 def test_action_permutes_indices_and_respects_ab(paper):
