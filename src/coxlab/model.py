@@ -27,9 +27,11 @@ central z.  The weight is the chord's class in H_1(T^2, Z) = Z^2, which
 complexes.spanning_data reads off the seams of its fundamental cycle, so
 the layer holds on every span of every grid.  A normal form
 
-    p^a q^b z^zeta      (a and b in Z^n for the span's n planes, zeta in Z)
+    p^a q^b z^zeta      (a, b in Z^n for the span's n planes, zeta in Z)
 
-is unique, with cocycle multiplication
+is unique.  ReducedElement holds a and b as {plane: exponent} dicts over
+the planes whose exponent is not 0, so == is equality in M; it has cocycle
+multiplication
 
     (a,b,z)(a',b',z') = (a+a', b+b', z+z' - sum_i b_i a'_i)
 
@@ -45,14 +47,18 @@ zeta values differ by b'.a - b.a'.
 SemidirectElement is the reduced layer only: S_n acting on
 ReducedElement, its sigma the same {plane: image} over the moved planes
 that word_action returns, multiplied by perm.compose.  rho_hat sends the
-exact (sigma, coords) to the reduced (sigma, rho(coords)), passing sigma
-through; it reads the width n = len(span.tree_edges) + 1 and the weights
-from the span, no fixture, and rho never reads the planes a word leaves
-empty.  sigma is spelled out as its images of 1..n only where a report
-prints it.  All arithmetic is plain Python integers, hence exact at every
-size.  No central block per chord is needed: a chord letter
-enters an image at its tail and leaves, inverted, at its head, so its
-exponent summed over the planes is 0 on every image.
+exact (sigma, coords) to the reduced (sigma, p^a q^b z^zeta), passing
+sigma through and reducing the word at each written plane; it reads the
+width n = len(span.tree_edges) + 1 only to check the planes, and the
+weights from the span, no fixture.  Like word_action's coords and perm's
+sigma, a reduced element holds only the planes a word touches, so a
+reduction, a product, act and commutator cost the touched planes, not n.
+The width is read back only where a report prints sigma, a and b as
+their dense lists over 1..n (ReducedElement.to_json(n)) and by
+is_permutation_invariant(n).  All arithmetic is plain Python integers,
+hence exact at every size.  No central block per chord is needed: a
+chord letter enters an image at its tail and leaves, inverted, at its
+head, so its exponent summed over the planes is 0 on every image.
 
 The kernel's structure is read in closed form except for two sampled
 checks, nilpotency_class_check here (SAMPLES triples) and verify's
@@ -62,7 +68,6 @@ random_kernel_element from a fixed seed.
 
 from __future__ import annotations
 
-import operator
 import random
 from dataclasses import dataclass
 
@@ -210,35 +215,16 @@ ModelElement = SemidirectElement
 
 @dataclass(frozen=True)
 class ReducedElement:
-    """Normal form p^a q^b z^zeta over n planes, n = len(a) = len(b)."""
+    """Normal form p^a q^b z^zeta, with a and b the {plane: exponent} dicts
+    over the planes whose exponent is not 0; it stores no width."""
 
-    a: tuple[int, ...]
-    b: tuple[int, ...]
+    a: dict[int, int]
+    b: dict[int, int]
     zeta: int
 
-    @staticmethod
-    def z(n: int, power: int = 1) -> "ReducedElement":
-        return ReducedElement((0,) * n, (0,) * n, power)
-
-    @staticmethod
-    def p(n: int, i: int, power: int = 1) -> "ReducedElement":
-        a = [0] * n
-        a[i - 1] = power
-        return ReducedElement(tuple(a), (0,) * n, 0)
-
-    @staticmethod
-    def q(n: int, i: int, power: int = 1) -> "ReducedElement":
-        b = [0] * n
-        b[i - 1] = power
-        return ReducedElement((0,) * n, tuple(b), 0)
-
     def __mul__(self, other: "ReducedElement") -> "ReducedElement":
-        cross = sum(bi * ai for bi, ai in zip(self.b, other.a))
-        return ReducedElement(
-            tuple(x + y for x, y in zip(self.a, other.a)),
-            tuple(x + y for x, y in zip(self.b, other.b)),
-            self.zeta + other.zeta - cross,
-        )
+        return ReducedElement(_add(self.a, other.a), _add(self.b, other.b),
+                              self.zeta + other.zeta - _dot(self.b, other.a))
 
     def commutator(self, other: "ReducedElement") -> "ReducedElement":
         """[g, h] = g^-1 h^-1 g h = z^(a.b' - b.a').
@@ -246,45 +232,63 @@ class ReducedElement:
         [g, h] = (hg)^-1 (gh), and gh and hg have the same a and b while
         their zeta values differ by b'.a - b.a'.
         """
-        zero = (0,) * len(self.a)
-        return ReducedElement(zero, zero, sum(map(operator.mul, self.a, other.b))
-                              - sum(map(operator.mul, self.b, other.a)))
+        return ReducedElement({}, {}, _dot(self.a, other.b) - _dot(self.b, other.a))
 
     def act(self, sigma: dict[int, int]) -> "ReducedElement":
-        """Permute the p and q indices by {plane: image}; z is fixed."""
-        images = [sigma.get(i, i) - 1 for i in range(1, len(self.a) + 1)]
-        return ReducedElement(tuple(self.a[i] for i in images),
-                              tuple(self.b[i] for i in images), self.zeta)
+        """Permute the p and q indices by {plane: image}: plane i takes the
+        exponent at sigma(i), so the exponent at j moves to sigma^-1(j); z
+        is fixed."""
+        inverse = {j: i for i, j in sigma.items()}
+        return ReducedElement({inverse.get(i, i): e for i, e in self.a.items()},
+                              {inverse.get(i, i): e for i, e in self.b.items()}, self.zeta)
 
     def is_identity(self) -> bool:
         return self.zeta == 0 and self.is_central_power()
 
-    def is_permutation_invariant(self) -> bool:
+    def is_permutation_invariant(self, n: int) -> bool:
         """Whether act(sigma) is the element itself for every sigma in
-        S_n, i.e. a and b are both constant."""
-        return len(set(self.a)) == 1 and len(set(self.b)) == 1
+        S_n, i.e. a and b are both constant over the n planes: each is
+        empty or writes all n planes with one exponent."""
+        return all(not v or (len(v) == n and len(set(v.values())) == 1) for v in (self.a, self.b))
 
     def is_central_power(self) -> bool:
         """Whether the element lies in the cyclic group generated by z."""
-        return not any(self.a) and not any(self.b)
+        return not self.a and not self.b
 
-    def to_json(self) -> dict:
-        return {"a": list(self.a), "b": list(self.b), "zeta": self.zeta}
+    def to_json(self, n: int) -> dict:
+        """a and b as the dense lists over the planes 1..n."""
+        return {"a": [self.a.get(i, 0) for i in range(1, n + 1)],
+                "b": [self.b.get(i, 0) for i in range(1, n + 1)], "zeta": self.zeta}
 
 
-def rho(coords: dict[int, list[int]], span: SpanningData) -> ReducedElement:
-    """Collapse word_action's coordinate dict into the reduced normal form.
+def _add(x: dict[int, int], y: dict[int, int]) -> dict[int, int]:
+    """The sum of two {plane: exponent} dicts, holding no zero exponent."""
+    return {i: s for i in x.keys() | y.keys() if (s := x.get(i, 0) + y.get(i, 0))}
+
+
+def _dot(x: dict[int, int], y: dict[int, int]) -> int:
+    return sum(e * y.get(i, 0) for i, e in x.items())
+
+
+def rho_hat(action: Action, span: SpanningData) -> SemidirectElement:
+    """The reduced image (sigma, p^a q^b z^zeta) of an exact (sigma, coords).
 
     The word at plane i sends a chord letter x of weight (alpha, beta) to
     p_i^alpha q_i^beta, and x^-1 to p_i^-alpha q_i^-beta z^-alpha*beta.
-    Distinct planes commute in M, so they are taken in any order.
+    Distinct planes commute in M, so they are taken in any order, and a
+    plane the word leaves empty is never read.  A moved or written plane
+    outside the span's planes 1..n, an action read on another graph,
+    raises ValueError, and so does a letter that is not a chord of the span.
     """
+    sigma, coords = action
     n = len(span.tree_edges) + 1
-    _check_planes(coords, n)
+    for plane in (*sigma, *coords):
+        if not 1 <= plane <= n:
+            raise ValueError(f"the span has planes 1..{n}, got {plane}")
     weights = span.weights
-    a, b, zeta = [0] * n, [0] * n, 0
+    a, b, zeta = {}, {}, 0
     for plane, word in coords.items():
-        i = plane - 1
+        ai = bi = 0
         for letter in word:
             if abs(letter) not in weights:
                 raise ValueError(f"letter {letter} is not a chord of the span")
@@ -292,26 +296,14 @@ def rho(coords: dict[int, list[int]], span: SpanningData) -> ReducedElement:
             if letter < 0:
                 alpha, beta = -alpha, -beta
                 zeta -= alpha * beta
-            zeta -= b[i] * alpha
-            a[i] += alpha
-            b[i] += beta
-    return ReducedElement(tuple(a), tuple(b), zeta)
-
-
-def _check_planes(planes, n: int):
-    for plane in planes:
-        if not 1 <= plane <= n:
-            raise ValueError(f"the span has planes 1..{n}, got {plane}")
-
-
-def rho_hat(action: Action, span: SpanningData) -> SemidirectElement:
-    """The reduced image (sigma, rho(coords)) of an exact (sigma, coords),
-    over the span's planes; a moved or written plane outside them, an action
-    read on another graph, raises ValueError as in rho."""
-    sigma, coords = action
-    n = len(span.tree_edges) + 1
-    _check_planes(sigma, n)
-    return SemidirectElement(sigma, rho(coords, span))
+            zeta -= bi * alpha
+            ai += alpha
+            bi += beta
+        if ai:
+            a[plane] = ai
+        if bi:
+            b[plane] = bi
+    return SemidirectElement(sigma, ReducedElement(a, b, zeta))
 
 
 def relator_report(relator_words, span: SpanningData, graph: DualGraph) -> list[dict]:
@@ -320,14 +312,14 @@ def relator_report(relator_words, span: SpanningData, graph: DualGraph) -> list[
     status is "pass" when the relator reduces to the identity of the
     model, else "fail" with the offending value serialized.
     """
+    n = len(span.tree_edges) + 1
     out = []
     for w in relator_words:
         v = rho_hat(word_action(w, span, graph), span)
         out.append({
             "relator": [int(x) for x in w],
             "status": "pass" if v.is_identity() else "fail",
-            "value": {"sigma": [v.sigma.get(i, i) for i in range(1, len(v.part.a) + 1)],
-                      **v.part.to_json()},
+            "value": {"sigma": [v.sigma.get(i, i) for i in range(1, n + 1)], **v.part.to_json(n)},
         })
     return out
 
@@ -336,9 +328,9 @@ def relator_report(relator_words, span: SpanningData, graph: DualGraph) -> list[
 
 def kernel_generators(n: int) -> list[ReducedElement]:
     """p_i p_{i+1}^-1 and q_i q_{i+1}^-1 for i < n, plus z."""
-    gens = [ReducedElement.p(n, i) * ReducedElement.p(n, i + 1, -1) for i in range(1, n)]
-    gens += [ReducedElement.q(n, i) * ReducedElement.q(n, i + 1, -1) for i in range(1, n)]
-    return gens + [ReducedElement.z(n)]
+    gens = [ReducedElement({i: 1, i + 1: -1}, {}, 0) for i in range(1, n)]
+    gens += [ReducedElement({}, {i: 1, i + 1: -1}, 0) for i in range(1, n)]
+    return gens + [ReducedElement({}, {}, 1)]
 
 
 def kernel_relation_matrix(n: int) -> list[list[int]]:
@@ -377,8 +369,9 @@ def random_kernel_element(rng: random.Random, n: int) -> ReducedElement:
     b, zeta.
     """
     draws = rng.choices(range(-5, 6), k=2 * n - 1)
-    a, b = draws[:n - 1], draws[n - 1:-1]
-    return ReducedElement((*a, -sum(a)), (*b, -sum(b)), draws[-1])
+    a, b = ({i: x for i, x in enumerate((*v, -sum(v)), start=1) if x}
+            for v in (draws[:n - 1], draws[n - 1:-1]))
+    return ReducedElement(a, b, draws[-1])
 
 
 def nilpotency_class_check(n: int) -> dict:
@@ -401,8 +394,8 @@ def nilpotency_class_check(n: int) -> dict:
             commutators_central = False
         if not comm.commutator(k).is_identity():
             triple_trivial = False
-    g = ReducedElement.p(n, 1) * ReducedElement.p(n, 2, -1)
-    h = ReducedElement.q(n, 1) * ReducedElement.q(n, 2, -1)
+    g = ReducedElement({1: 1, 2: -1}, {}, 0)
+    h = ReducedElement({}, {1: 1, 2: -1}, 0)
     witness = g.commutator(h).zeta != 0
     return {
         "samples": SAMPLES,

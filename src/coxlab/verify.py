@@ -27,14 +27,16 @@ checks only the counts that 3-regularity implies.
 center reads each generator image as ctx.reduced((e,)), the one path
 from word_action through rho_hat that the other suites use, and each
 conjugating word's transposition off its sigma dict.  Every sigma is the
-{plane: image} dict of coxlab.perm, so z is (perm.identity(), z); only a
-failing center.witness_permutation spells sigma out as its list of images.
+{plane: image} dict of coxlab.perm, so z is (perm.identity(), z), its
+reduced part ({}, {}, 1) writing no plane; only a failing entry spells
+sigma, a and b out as their lists over the complex's planes.
 
 structure decides structure.noncentral_kernel_elements by the semidirect
 law, without forming a product.  For a transposition t and a reduced m,
 (1, m)(t, 1) = (t, m.act(t)) and (t, 1)(1, m) = (t, m), so (1, m) fails
 to commute with some transposition exactly when a or b is not constant
-(ReducedElement.is_permutation_invariant).  Its model.SAMPLES elements,
+over the n planes (ReducedElement.is_permutation_invariant(n): a constant
+nonzero exponent writes every plane).  Its model.SAMPLES elements,
 like the nilpotency entry's triples, come from a fixed seed; the seed
 draws no central element, so every sample must move.
 """
@@ -187,7 +189,7 @@ def _suite_ax(ctx: _Context, rep: Report) -> None:
     for label, word in sorted(presentation.ax_fixture().items()):
         value = ctx.reduced(word)
         rep.add(f"ax.{label}", value.is_identity(),
-                "identity" if value.is_identity() else value.part.to_json(),
+                "identity" if value.is_identity() else value.part.to_json(len(ctx.graph.vertices)),
                 "fixed miscellaneous relator evaluates to the identity")
 
 
@@ -221,14 +223,15 @@ def _suite_tables(ctx: _Context, rep: Report) -> None:
 
 
 def _suite_center(ctx: _Context, rep: Report) -> None:
+    n = len(ctx.graph.vertices)
     witness = model.center_witness(ctx.span, ctx.graph)
     part, sigma = witness.value.part, witness.value.sigma
     generates = part.is_central_power() and part.zeta in (1, -1)
     rep.add("center.witness_value", generates,
-            {"zeta": part.zeta} if generates else part.to_json(),
+            {"zeta": part.zeta} if generates else part.to_json(n),
             "the commutator word evaluates to a generator of the centre")
     rep.add("center.witness_permutation", not sigma,
-            [sigma.get(i, i) for i in range(1, len(part.a) + 1)] if sigma else "identity",
+            [sigma.get(i, i) for i in range(1, n + 1)] if sigma else "identity",
             "the centre witness has trivial permutation part")
     expected = {k: set(v) for k, v in WITNESS_TRANSPOSITIONS.items()}
     got = {k: v and set(v) for k, v in witness.tau_images.items()}
@@ -236,8 +239,7 @@ def _suite_center(ctx: _Context, rep: Report) -> None:
             {k: v and sorted(v) for k, v in sorted(witness.tau_images.items())},
             "the conjugating words land on the recorded transpositions")
 
-    n = len(ctx.graph.vertices)
-    z = model.SemidirectElement(identity(), model.ReducedElement.z(n))
+    z = model.SemidirectElement(identity(), model.ReducedElement({}, {}, 1))
     commuting = sum(
         1 for e in sorted(ctx.graph.edges)
         if z.commutes_with(ctx.reduced((e,))))
@@ -259,7 +261,7 @@ def _suite_structure(ctx: _Context, rep: Report) -> None:
             "sampled kernel triples witness nilpotency class exactly 2")
 
     rng = random.Random(18)
-    moved = sum(not model.random_kernel_element(rng, n).is_permutation_invariant()
+    moved = sum(not model.random_kernel_element(rng, n).is_permutation_invariant(n)
                 for _ in range(model.SAMPLES))
     rep.add("structure.noncentral_kernel_elements", moved == model.SAMPLES,
             {"samples": model.SAMPLES, "moved": moved},

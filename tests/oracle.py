@@ -3,8 +3,9 @@
 The package builds exact images one way only, as the sparse
 (sigma, coords) pair of model.word_action, and multiplies only reduced
 elements; every permutation it holds is the {plane: image} dict of
-coxlab.perm.  This module builds the exact model a second way, densely
-and straight from its definition, for the tests to compare against:
+coxlab.perm, and every reduced element holds only the planes it writes.
+This module builds both models a second way, densely and straight from
+their definitions, for the tests to compare against:
 
 - a Permutation is dense, the tuple (p(1), ..., p(n)) checked to be a
   bijection of 1..n, with the convention (p * q)(i) = p(q(i)) of
@@ -19,13 +20,17 @@ and straight from its definition, for the tests to compare against:
 - sparse converts a dense element to the (sigma, coords) pair over the
   planes it moves, the form word_action returns, so the two compare
   with ==;
+- Reduced is the dense normal form p^a q^b z^zeta over n planes, a and b
+  n-tuples, with the cocycle product, the group inverse, act by a
+  {plane: image} dict and the commutator by its definition
+  g^-1 h^-1 g h; sparse() gives it in the package's form, the
+  ReducedElement over the planes it writes, and dense(m, n) goes back;
 - rho is the dense reduction that walks all n coordinates and multiplies
-  the letter images one by one, the reference for model.rho on
+  the letter images one by one, the reference for model.rho_hat on
   word_action's coordinate dict, and reduced applies it to a dense
   element, giving a SemidirectElement with the moved planes as sigma.
 
-For the reduced layer it adds the identity over the published complex's
-18 planes, the group inverse of p^a q^b z^zeta and the published chord
+It adds the identity of the reduced layer and the published chord
 weights: chords 1, 2 and 3 go to p_i, chords 6, 7 and 8 to q_i and the
 other four to the identity.
 """
@@ -148,7 +153,72 @@ def sparse(g: Exact) -> tuple[dict[int, int], dict[int, list[int]]]:
     return g.sigma.moved(), {i: list(w) for i, w in enumerate(g.part.coords, start=1) if w}
 
 
-def rho(f: FreeTuple, span) -> ReducedElement:
+@dataclass(frozen=True)
+class Reduced:
+    """Dense normal form p^a q^b z^zeta over n planes, n = len(a) = len(b)."""
+
+    a: tuple[int, ...]
+    b: tuple[int, ...]
+    zeta: int
+
+    @staticmethod
+    def z(n: int, power: int = 1) -> "Reduced":
+        return Reduced((0,) * n, (0,) * n, power)
+
+    @staticmethod
+    def p(n: int, i: int, power: int = 1) -> "Reduced":
+        a = [0] * n
+        a[i - 1] = power
+        return Reduced(tuple(a), (0,) * n, 0)
+
+    @staticmethod
+    def q(n: int, i: int, power: int = 1) -> "Reduced":
+        b = [0] * n
+        b[i - 1] = power
+        return Reduced((0,) * n, tuple(b), 0)
+
+    def __mul__(self, other: "Reduced") -> "Reduced":
+        """(a,b,z)(a',b',z') = (a+a', b+b', z+z' - sum_i b_i a'_i)."""
+        if len(self.a) != len(other.a):
+            raise ValueError(f"width mismatch: {len(self.a)} != {len(other.a)}")
+        cross = sum(bi * ai for bi, ai in zip(self.b, other.a))
+        return Reduced(tuple(x + y for x, y in zip(self.a, other.a)),
+                       tuple(x + y for x, y in zip(self.b, other.b)),
+                       self.zeta + other.zeta - cross)
+
+    def inverse(self) -> "Reduced":
+        """(p^a q^b z^zeta)^-1 = p^-a q^-b z^(-zeta - a.b)."""
+        cross = sum(ai * bi for ai, bi in zip(self.a, self.b))
+        return Reduced(tuple(-x for x in self.a), tuple(-x for x in self.b), -self.zeta - cross)
+
+    def commutator(self, other: "Reduced") -> "Reduced":
+        """[g, h] = g^-1 h^-1 g h, through the group law."""
+        return self.inverse() * other.inverse() * self * other
+
+    def act(self, sigma: dict[int, int]) -> "Reduced":
+        """(f^t)_i = f_{t(i)} for t the {plane: image} dict sigma."""
+        images = [sigma.get(i, i) - 1 for i in range(1, len(self.a) + 1)]
+        return Reduced(tuple(self.a[i] for i in images), tuple(self.b[i] for i in images), self.zeta)
+
+    def is_permutation_invariant(self) -> bool:
+        return len(set(self.a)) == 1 and len(set(self.b)) == 1
+
+    def to_json(self) -> dict:
+        return {"a": list(self.a), "b": list(self.b), "zeta": self.zeta}
+
+    def sparse(self) -> ReducedElement:
+        """The package's form: a and b over the planes they write."""
+        return ReducedElement({i: x for i, x in enumerate(self.a, start=1) if x},
+                              {i: x for i, x in enumerate(self.b, start=1) if x}, self.zeta)
+
+
+def dense(m: ReducedElement, n: int) -> Reduced:
+    """A package ReducedElement as the dense normal form over planes 1..n."""
+    return Reduced(tuple(m.a.get(i, 0) for i in range(1, n + 1)),
+                   tuple(m.b.get(i, 0) for i in range(1, n + 1)), m.zeta)
+
+
+def rho(f: FreeTuple, span) -> Reduced:
     """The dense reduction, walking all n coordinates: coordinate i sends a
     chord letter of weight (alpha, beta) to p_i^alpha q_i^beta and its
     inverse letter to the inverse of that, multiplied in coordinate order,
@@ -157,28 +227,22 @@ def rho(f: FreeTuple, span) -> ReducedElement:
     if f.n != n:
         raise ValueError(f"the span has {n} planes, got {f.n} coordinates")
     weights = span.weights
-    out = ReducedElement.z(n, 0)
+    out = Reduced.z(n, 0)
     for i, word in enumerate(f.coords, start=1):
         for letter in word:
             if abs(letter) not in weights:
                 raise ValueError(f"letter {letter} is not a chord of the span")
             alpha, beta = weights[abs(letter)]
-            image = ReducedElement.p(n, i, alpha) * ReducedElement.q(n, i, beta)
-            out = out * (image if letter > 0 else inverse(image))
+            image = Reduced.p(n, i, alpha) * Reduced.q(n, i, beta)
+            out = out * (image if letter > 0 else image.inverse())
     return out
 
 
 def reduced(g: Exact, span) -> SemidirectElement:
-    return SemidirectElement(g.sigma.moved(), rho(g.part, span))
+    return SemidirectElement(g.sigma.moved(), rho(g.part, span).sparse())
 
 
 PUBLISHED_WEIGHTS = {x: (1, 0) if x in (1, 2, 3) else (0, 1) if x in (6, 7, 8) else (0, 0)
                      for x in range(1, 11)}
 
-REDUCED_IDENTITY = ReducedElement.z(18, 0)
-
-
-def inverse(m: ReducedElement) -> ReducedElement:
-    """(p^a q^b z^zeta)^-1 = p^-a q^-b z^(-zeta - a.b)."""
-    cross = sum(ai * bi for ai, bi in zip(m.a, m.b))
-    return ReducedElement(tuple(-x for x in m.a), tuple(-x for x in m.b), -m.zeta - cross)
+REDUCED_IDENTITY = ReducedElement({}, {}, 0)

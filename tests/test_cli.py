@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -868,27 +869,38 @@ def _canonical_span(data):
             "chords": [{k: v for k, v in asdict(ch).items() if k != "weight"} for ch in span.chords.values()]}
 
 
+# Each failing report is pinned by the sha256 of its stdout, so a failing
+# value prints byte for byte as it did: the reduced model's a and b as dense
+# lists over the 18 planes.
 FAILED_CLAIMS = [
     # The weights are derived on any tree, so the reduced claims hold; only
     # the conjugating words pass through the published tree's chords.
     pytest.param(_override("t0_spanning.json", _canonical_span, *VERIFY_PAPER, "all"), 45,
-                 {"center.tau_images"}, id="override_spanning_canonical_tree"),
+                 {"center.tau_images"}, "f92bd420f6b19db293f6098d7804e3eaf5d17434527f7a505a90155b5e03b6af",
+                 id="override_spanning_canonical_tree"),
     # Lines 1 and 6 meet at point 1 in roles c and d, a column the table lacks.
     pytest.param(_override("nonrel_pairs.json", _set([1, 6], 0), *VERIFY_PAPER, "tables"), 6,
                  {"tables.given_split", "tables.missing_split", "tables.no_diagonal_roles",
-                  "tables.role_table"},
+                  "tables.role_table"}, "18c4fa679bbf3b96fadf7c319a4068349cc6eb840cc9e337b9771ce461446cb9",
                  id="override_nonrel_pairs_diagonal_role"),
     # Lines 1 and 27 share no point, so the pair fills no cell of the table.
     pytest.param(_override("nonrel_pairs.json", _set([1, 27], 0), *VERIFY_PAPER, "tables"), 6,
-                 {"tables.role_table"}, id="override_nonrel_pairs_pair_without_a_point"),
+                 {"tables.role_table"}, "b37b67dd8d3995e730c72e0f4329d556c594f050dee9008b407b2a3d8728547c",
+                 id="override_nonrel_pairs_pair_without_a_point"),
+    # Lines 1 and 13, chords of weights (1, 0) and (0, 1), twice: a 3-cycle of planes
+    # 2, 7 and 15 with a and b nonzero at two planes each and zeta = -1.
+    pytest.param(_override("ax_relations.json", _set([1, 13, 1, 13], "AX1"), *VERIFY_PAPER, "ax"), 25,
+                 {"ax.AX1"}, "ab3bbe92d4247d596591f687f9ab2aaa34788279af9c0ff5b565ba9c8cc879fc",
+                 id="override_ax_relations_ax1_off_the_kernel"),
 ]
 
 
-@pytest.mark.parametrize("case,entries,failed", FAILED_CLAIMS)
+@pytest.mark.parametrize("case,entries,failed,digest", FAILED_CLAIMS)
 def test_fixture_failing_a_claim_exits_1_with_the_whole_report(capsys, bad_input_env, case,
-                                                               entries, failed):
+                                                               entries, failed, digest):
     code, out, err = run(capsys, *case(*bad_input_env), "--json")
     assert code == 1 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
     report = json.loads(out)
     assert len(report["entries"]) == entries
     assert {e["name"] for e in report["entries"] if e["status"] == "fail"} == failed

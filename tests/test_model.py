@@ -22,7 +22,7 @@ from coxlab.model import (ReducedElement, SemidirectElement, abelianization, cen
                           center_witness_word, evaluate_word_semidirect,
                           kernel_generators, kernel_relation_matrix,
                           nilpotency_class_check, phi_table,
-                          random_kernel_element, relator_report, rho, rho_hat,
+                          random_kernel_element, relator_report, rho_hat,
                           word_action, word_is_identity)
 from coxlab.perm import compose, identity, transposition
 from coxlab.presentation import ax_fixture, cycle_relator, generate
@@ -177,18 +177,19 @@ def test_reduction_of_the_sparse_action_matches_the_dense_reference(paper, paper
 def test_rho_commutator_of_paired_letters_is_z(paper):
     coords = {7: [-1, -8, 1, 8]}
     dense = oracle.FreeTuple(tuple(tuple(coords.get(i, ())) for i in range(1, 19)))
-    assert rho(coords, paper.span) == oracle.rho(dense, paper.span) == ReducedElement.z(18)
+    assert oracle.rho(dense, paper.span) == oracle.Reduced.z(18)
+    assert rho_hat(({}, coords), paper.span).part == ReducedElement({}, {}, 1)
 
 
 def test_rho_rejects_foreign_letters(paper):
     for letter in (11, -11):
         with pytest.raises(ValueError):
-            rho({1: [letter]}, paper.span)
+            rho_hat(({}, {1: [letter]}), paper.span)
         with pytest.raises(ValueError):
             oracle.rho(oracle.FreeTuple(((letter,),) + ((),) * 17), paper.span)
     for plane in (0, 19):
         with pytest.raises(ValueError):
-            rho({plane: [1]}, paper.span)
+            rho_hat(({}, {plane: [1]}), paper.span)
 
 
 def test_published_span_weights_are_the_published_table(paper):
@@ -212,8 +213,8 @@ def test_rho_matches_the_product_of_letter_images(paper):
 
         def image(letter, i):
             alpha, beta = weights[abs(letter)]
-            img = ReducedElement.p(n, i, alpha) * ReducedElement.q(n, i, beta)
-            return img if letter > 0 else oracle.inverse(img)
+            img = oracle.Reduced.p(n, i, alpha) * oracle.Reduced.q(n, i, beta)
+            return img if letter > 0 else img.inverse()
 
         for _ in range(300):
             words = {i: tuple(rng.choice((1, -1)) * rng.randint(1, len(weights))
@@ -221,17 +222,73 @@ def test_rho_matches_the_product_of_letter_images(paper):
                      for i in rng.sample(range(1, n + 1), rng.randint(0, 6))}
             coords = tuple(words.get(i, ()) for i in range(1, n + 1))
             expected = reduce(mul, (image(x, i) for i, w in enumerate(coords, start=1) for x in w),
-                              ReducedElement.z(n, 0))
+                              oracle.Reduced.z(n, 0))
             assert oracle.rho(oracle.FreeTuple(coords), span) == expected
-            assert rho({i: list(w) for i, w in words.items()}, span) == expected
+            assert rho_hat(({}, {i: list(w) for i, w in words.items()}), span).part == expected.sparse()
         with pytest.raises(ValueError):
             oracle.rho(oracle.unit(n - 1).part, span)
 
 
+@pytest.mark.parametrize("grid", ["paper", (4, 6), (8, 3), (12, 12)],
+                         ids=["paper", "4x6", "8x3", "12x12"])
+def test_sparse_reduced_layer_matches_the_dense_reference(paper, grid):
+    """On seeded random words, rho_hat's sparse image, the products and
+    commutators with another word's image and with a random element over
+    every plane, act by a random permutation of all n planes,
+    is_permutation_invariant(n) and to_json(n) equal the dense reference's,
+    which walks every plane."""
+    if grid == "paper":
+        span, graph = paper.span, paper.graph
+    else:
+        graph = dual_graph(build_torus_triangulation(*grid))
+        span = spanning_data(graph, "canonical")
+    n, lines, table = len(graph.vertices), sorted(graph.edges), oracle.phi_table(span, graph)
+    rng = random.Random(f"sparse {grid}")
+    for _ in range(60):
+        u, v = (tuple(rng.choice(lines) for _ in range(rng.randint(0, 20))) for _ in range(2))
+        x, y = oracle.evaluate(u, table, n), oracle.evaluate(v, table, n)
+        su, sv = (rho_hat(word_action(w, span, graph), span) for w in (u, v))
+        du, dv = oracle.rho(x.part, span), oracle.rho(y.part, span)
+        assert su == oracle.reduced(x, span) and su.part == du.sparse(), u
+        assert su * sv == oracle.reduced(oracle.mul(x, y), span)
+        assert su * sv == rho_hat(word_action(u + v, span, graph), span)
+        # A dense element over every plane, so that most commutators are not trivial.
+        e = oracle.Reduced(*(tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(2)), 1)
+        for w, dw in ((sv.part, dv), (e.sparse(), e)):
+            assert su.part * w == (du * dw).sparse()
+            assert su.part.commutator(w) == du.commutator(dw).sparse()
+        images = rng.sample(range(1, n + 1), n)
+        sigma = {i: j for i, j in enumerate(images, start=1) if i != j}
+        assert su.part.act(sigma) == du.act(sigma).sparse()
+        assert su.part.is_permutation_invariant(n) == du.is_permutation_invariant()
+        assert su.part.to_json(n) == du.to_json()
+    for c in (0, 3):
+        nearly = (c,) * (n - 1) + (c + 1,)
+        for d in (oracle.Reduced((c,) * n, (0,) * n, 1), oracle.Reduced(nearly, (c,) * n, 0)):
+            assert d.sparse().is_permutation_invariant(n) == d.is_permutation_invariant()
+            assert d.sparse().to_json(n) == d.to_json()
+
+
+def test_a_short_word_on_the_64x64_grid_writes_only_the_planes_it_touches():
+    """The reduced image holds the planes a word writes, not the grid's
+    8,192: a chord of weight (+-1, +-1) conjugated by a line at its tail."""
+    graph = dual_graph(build_torus_triangulation(64, 64))
+    span = spanning_data(graph, "canonical")
+    chord = next(c for c in span.chords.values() if c.weight[0] and c.weight[1])
+    line = next(e for e, ends in sorted(graph.edges.items()) if chord.tail in ends and e != chord.line)
+    word = (chord.line, line, chord.line)
+    value = rho_hat(word_action(word, span, graph), span)
+    touched = {plane for e in word for plane in graph.edges[e]}
+    assert value.part.a and value.part.b
+    assert value.sigma.keys() | value.part.a.keys() | value.part.b.keys() <= touched
+    assert len(value.part.a) + len(value.part.b) <= 4
+    assert len(value.part.to_json(8192)["b"]) == 8192
+
+
 def test_heisenberg_single_pair_commutator():
-    p1, q1 = ReducedElement.p(18, 1), ReducedElement.q(18, 1)
-    assert p1 * q1 == q1 * p1 * ReducedElement.z(18)
-    assert p1.commutator(q1) == ReducedElement.z(18)
+    p1, q1, z = ReducedElement({1: 1}, {}, 0), ReducedElement({}, {1: 1}, 0), ReducedElement({}, {}, 1)
+    assert p1 * q1 == q1 * p1 * z
+    assert p1.commutator(q1) == z
 
 
 def _oracle_normal_form(letters, n=18):
@@ -252,7 +309,7 @@ def _oracle_normal_form(letters, n=18):
     a, b = [0] * n, [0] * n
     for kind, i, e in syms:
         (a if kind == "p" else b)[i - 1] += e
-    return ReducedElement(tuple(a), tuple(b), zeta)
+    return oracle.Reduced(tuple(a), tuple(b), zeta).sparse()
 
 
 def test_heisenberg_against_rewriting_oracle():
@@ -262,7 +319,7 @@ def test_heisenberg_against_rewriting_oracle():
                    for _ in range(rng.randint(0, 8))]
         product = oracle.REDUCED_IDENTITY
         for kind, i, e in letters:
-            factor = ReducedElement.p(18, i, e) if kind == "p" else ReducedElement.q(18, i, e)
+            factor = ReducedElement({i: e}, {}, 0) if kind == "p" else ReducedElement({}, {i: e}, 0)
             product = product * factor
         assert product == _oracle_normal_form(letters)
 
@@ -288,19 +345,16 @@ def test_single_pair_heisenberg_abelianization():
     assert rank == 2 and torsion == []
 
 
-def _product_commutator(g, h):
-    # The definition [g, h] = g^-1 h^-1 g h, through the group law.
-    return oracle.inverse(g) * oracle.inverse(h) * g * h
-
-
 _vectors = st.lists(st.integers(-50, 50), min_size=18, max_size=18).map(tuple)
-_reduced = st.builds(ReducedElement, _vectors, _vectors, st.integers(-10**6, 10**6))
+_dense = st.builds(oracle.Reduced, _vectors, _vectors, st.integers(-10**6, 10**6))
 
 
-@given(_reduced, _reduced)
+@given(_dense, _dense)
 def test_commutator_closed_form_matches_the_product(g, h):
-    assert g * oracle.inverse(g) == oracle.inverse(g) * g == oracle.REDUCED_IDENTITY
-    assert g.commutator(h) == _product_commutator(g, h)
+    # The dense commutator is the definition g^-1 h^-1 g h, through the group law.
+    assert g.sparse() * g.inverse().sparse() == g.inverse().sparse() * g.sparse() == oracle.REDUCED_IDENTITY
+    assert g.sparse() * h.sparse() == (g * h).sparse()
+    assert g.sparse().commutator(h.sparse()) == g.commutator(h).sparse()
 
 
 def test_kernel_relation_matrix_matches_the_product_form():
@@ -308,18 +362,18 @@ def test_kernel_relation_matrix_matches_the_product_form():
     expected = []
     for i in range(len(gens)):
         for j in range(i + 1, len(gens)):
-            expected.append([0] * (len(gens) - 1) + [_product_commutator(gens[i], gens[j]).zeta])
+            g, h = oracle.dense(gens[i], 18), oracle.dense(gens[j], 18)
+            expected.append([0] * (len(gens) - 1) + [g.commutator(h).zeta])
     assert kernel_relation_matrix(18) == expected
 
 
 def test_kernel_commutators_by_hand():
-    p, q = ReducedElement.p, ReducedElement.q
-    g = p(18, 1) * p(18, 2, -1)
-    h = q(18, 1) * q(18, 2, -1)
-    assert g.commutator(h) == ReducedElement.z(18, 2)
-    h13 = q(18, 1) * q(18, 3, -1)
-    assert g.commutator(h13) == ReducedElement.z(18, 1)
-    g2 = p(18, 3) * p(18, 4, -1)
+    g = ReducedElement({1: 1, 2: -1}, {}, 0)
+    h = ReducedElement({}, {1: 1, 2: -1}, 0)
+    assert g.commutator(h) == ReducedElement({}, {}, 2)
+    h13 = ReducedElement({}, {1: 1, 3: -1}, 0)
+    assert g.commutator(h13) == ReducedElement({}, {}, 1)
+    g2 = ReducedElement({3: 1, 4: -1}, {}, 0)
     assert g.commutator(g2).is_identity()
 
 
@@ -328,7 +382,7 @@ def test_nilpotency_report(monkeypatch):
         "samples": model.SAMPLES, "commutators_central": True, "triple_commutators_trivial": True,
         "class_two_witness": True, "nilpotency_class": 2}
     # A commutator that leaves the centre fails both sampled checks.
-    monkeypatch.setattr(ReducedElement, "commutator", lambda self, other: ReducedElement.p(18, 1))
+    monkeypatch.setattr(ReducedElement, "commutator", lambda self, other: ReducedElement({1: 1}, {}, 0))
     report = nilpotency_class_check(18)
     assert report["commutators_central"] is False
     assert report["triple_commutators_trivial"] is False
@@ -345,7 +399,7 @@ def test_action_permutes_indices_and_respects_ab(paper):
         else:
             sigma = identity()
         acted = m.act(sigma)
-        assert sum(acted.a) == sum(m.a) and sum(acted.b) == sum(m.b)
+        assert sum(acted.a.values()) == sum(m.a.values()) and sum(acted.b.values()) == sum(m.b.values())
         assert acted.zeta == m.zeta
         # f^(st) = (f^s)^t, with a 3-cycle st so that the order shows.
         t = transposition(*rng.sample(range(1, 19), 2), 18)
@@ -373,7 +427,7 @@ def test_chord_exponents_sum_to_zero_over_the_planes(paper, grid):
                 sums[abs(x)] += 1 if x > 0 else -1
         assert set(sums.values()) <= {0}, w
         reduced = rho_hat(exact, span).part
-        assert sum(reduced.a) == sum(reduced.b) == 0, w
+        assert sum(reduced.a.values()) == sum(reduced.b.values()) == 0, w
 
 
 def test_rho_hat_is_multiplicative(paper, paper_phi):
@@ -423,7 +477,7 @@ def test_center_witness_word_is_a_commutator_shape():
 
 
 def test_witness_commutes_with_every_generator_image(paper, paper_phi):
-    z = SemidirectElement(identity(), ReducedElement.z(18))
+    z = SemidirectElement(identity(), ReducedElement({}, {}, 1))
     for e in sorted(paper.graph.edges):
         g = rho_hat(oracle.sparse(paper_phi[e]), paper.span)
         assert g == oracle.reduced(paper_phi[e], paper.span)
@@ -431,7 +485,7 @@ def test_witness_commutes_with_every_generator_image(paper, paper_phi):
 
 
 def test_noncentral_kernel_element_moves():
-    m = SemidirectElement(identity(), ReducedElement.p(18, 1) * ReducedElement.p(18, 2, -1))
+    m = SemidirectElement(identity(), ReducedElement({1: 1, 2: -1}, {}, 0))
     t = SemidirectElement(transposition(1, 2, 18), oracle.REDUCED_IDENTITY)
     assert not m.commutes_with(t)
 
@@ -446,22 +500,36 @@ _any_vector = st.one_of(_vectors, _constant, _nearly_constant)
 
 @settings(max_examples=120, derandomize=True, deadline=None, database=None)
 @given(st.one_of(
-    st.integers(0, 2**32).map(lambda seed: random_kernel_element(random.Random(seed), 18)),
-    st.builds(ReducedElement, _any_vector, _any_vector, st.integers(-9, 9)),
-    st.integers(-9, 9).map(lambda power: ReducedElement.z(18, power))))
-def test_permutation_invariance_decides_commuting_with_transpositions(m):
-    # The structure suite's semidirect-law test against the dense products
-    # with all 153 transpositions: (1, m) moves under some (t, 1) exactly
-    # when a or b is not constant.
+    st.integers(0, 2**32).map(lambda seed: oracle.dense(random_kernel_element(random.Random(seed), 18), 18)),
+    st.builds(oracle.Reduced, _any_vector, _any_vector, st.integers(-9, 9)),
+    st.integers(-9, 9).map(lambda power: oracle.Reduced.z(18, power))))
+def test_permutation_invariance_decides_commuting_with_transpositions(d):
+    # The structure suite's semidirect-law test against the products with
+    # all 153 transpositions: (1, m) moves under some (t, 1) exactly when
+    # a or b is not constant over the 18 planes.
+    m = d.sparse()
     elem = SemidirectElement(identity(), m)
     moved = any(not elem.commutes_with(t) for t in _TRANSPOSITIONS)
-    assert (not m.is_permutation_invariant()) == moved
-    assert m.is_permutation_invariant() == (len(set(m.a)) == len(set(m.b)) == 1)
+    assert (not m.is_permutation_invariant(18)) == moved
+    assert m.is_permutation_invariant(18) == d.is_permutation_invariant()
+
+
+def test_permutation_invariance_reads_the_unwritten_planes():
+    # An exponent written at one plane leaves 0 at the others; a constant
+    # nonzero exponent writes every plane of the width it is read at.
+    everywhere = {i: 2 for i in range(1, 19)}
+    assert not ReducedElement({1: 1}, {}, 0).is_permutation_invariant(18)
+    assert not ReducedElement({}, {18: -3}, 0).is_permutation_invariant(18)
+    assert ReducedElement(everywhere, {}, 5).is_permutation_invariant(18)
+    assert not ReducedElement(everywhere, {}, 5).is_permutation_invariant(19)
+    assert ReducedElement({}, {}, 5).is_permutation_invariant(19)
 
 
 def test_random_kernel_element_sampling_law():
     rng = random.Random(41)
-    samples = [random_kernel_element(rng, 18) for _ in range(600)]
+    sparse = [random_kernel_element(rng, 18) for _ in range(600)]
+    assert all(0 not in m.a.values() and 0 not in m.b.values() for m in sparse)
+    samples = [oracle.dense(m, 18) for m in sparse]
     for m in samples:
         assert len(m.a) == len(m.b) == 18 and sum(m.a) == sum(m.b) == 0
         assert all(-5 <= x <= 5 for x in m.a[:17] + m.b[:17] + (m.zeta,))
@@ -555,9 +623,11 @@ def test_paper_span_is_built_from_an_overriding_fixture(paper, tmp_path, monkeyp
 
 
 def test_reduced_element_json():
-    m = ReducedElement.p(18, 1) * ReducedElement.q(18, 1) * ReducedElement.z(18, 2)
-    data = m.to_json()
-    assert data["zeta"] == 2 and data["a"][0] == 1 and data["b"][0] == 1
+    m = ReducedElement({1: 1}, {}, 0) * ReducedElement({}, {1: 1}, 0) * ReducedElement({}, {}, 2)
+    assert m == ReducedElement({1: 1}, {1: 1}, 2)
+    data = m.to_json(18)
+    assert data == {"a": [1] + [0] * 17, "b": [1] + [0] * 17, "zeta": 2}
+    assert list(data) == ["a", "b", "zeta"]
 
 
 def test_exact_layer_relator_suite(paper, paper_phi):
@@ -786,7 +856,7 @@ def _every_relator_reduces_to_the_identity(x0, graph, span):
     assert failed == []
 
 
-@pytest.mark.parametrize("rows,cols", list(product(range(3, 9), repeat=2)))
+@pytest.mark.parametrize("rows,cols", list(product(range(3, 9), repeat=2)) + [(32, 32)])
 def test_every_relator_reduces_to_the_identity_on_grids(rows, cols):
     x0, graph, span = _canonical(rows, cols)
     _every_relator_reduces_to_the_identity(x0, graph, span)
