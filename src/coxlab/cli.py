@@ -28,8 +28,8 @@ from .complexes import (build_torus_triangulation, complex_from_json,
 from .words import Word, word_from_json
 
 USAGE_ERROR = 2
-# Items of a long list (relator or coset-table rows, complex records)
-# encoded by one json.dumps call.
+# Items of a long list (relator or coset-table rows, the rows of a large
+# grid's id tables) encoded by one json.dumps call.
 ROWS_PER_CHUNK = 256
 # glibc's mallopt parameter and its default value.
 M_MMAP_THRESHOLD = -3
@@ -120,8 +120,8 @@ def _json_text(value, pad: str = ""):
     pad is the indent of the line on which value starts.  A dict whose
     keys are all str recurses, with sorted keys.  An iterator, or a list or
     tuple longer than ROWS_PER_CHUNK, is encoded that many items at a time
-    and written as a list, so the relators, a coset table or a list of
-    complex records is never held whole; an iterator is read once.  A
+    and written as a list, so the relators, a coset table or any long
+    list of records is never held whole; an iterator is read once.  A
     list of non-empty int rows goes through json.dumps without indent,
     which runs in the C encoder, and the row breaks are then indented.
     Anything else is json.dumps itself, indented by pad.  So the text is

@@ -16,17 +16,23 @@ Rows increase downward; wrap takes rows mod m and columns mod n, and
 crossing counts the seams a line crosses from its first plane to its
 second.  Summed around a chord's fundamental cycle they give its weight,
 the cycle's class in H_1(T^2, Z) = Z^2 (Hatcher, Algebraic Topology,
-2.2).  A line's roles at its two ends are ROLES.  The instance of record is the 3 x 3
-complex with its published irregular numbering, shipped as the fixture
-``tt33.json`` and checked against anchors on every load.
+2.2).  A line's roles at its two ends are ROLES.
+
+A complex is fixed by rows, cols and its numbering: the ids of the points,
+of the h, v and d lines and of the upper and lower planes, each as a table
+by grid position.  That is all a complex file holds; build_torus_triangulation
+derives every incidence from it, for a generated grid, a file and the
+fixture alike.  The instance of record is the 3 x 3 complex with its
+published irregular numbering, shipped as the fixture ``tt33.json`` and
+checked against anchors on every load.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field, fields
+from collections import defaultdict, deque
+from dataclasses import dataclass, field
 from functools import cached_property, reduce
-from itertools import product
+from itertools import chain, product
 from operator import attrgetter, itemgetter
 
 from . import fixtures
@@ -92,11 +98,12 @@ class Plane:
 
 @dataclass
 class DegenerationComplex:
-    """A complex and its lookup dicts, checked by validate on construction;
-    field types are trusted, as complex_from_json checks those of a file."""
+    """A complex: its numbering, the elements build_torus_triangulation
+    derives from it, and their lookup dicts."""
 
     rows: int
     cols: int
+    numbering: dict     # {"points": ids, "lines": {kind: ids}, "planes": {half: ids}}, ids by grid position
     points: list[Point]
     lines: list[Line]
     planes: list[Plane]
@@ -107,142 +114,95 @@ class DegenerationComplex:
     def __post_init__(self):
         self.line_by_id = {l.id: l for l in self.lines}
         self.plane_by_id = {f.id: f for f in self.planes}
-        self.validate()
-
-    def validate(self):
-        """Counts, ids, grid geometry and incidence; ValueError if not."""
-        m, n = self.rows, self.cols
-        if type(m) is not int or type(n) is not int or min(m, n) < 3:
-            raise ValueError(f"rows and cols must be integers of at least 3, got {m!r} and {n!r}")
-        counts = (len(self.points), len(self.lines), len(self.planes))
-        if counts != (m * n, 3 * m * n, 2 * m * n):
-            raise ValueError(f"expected {m * n} points, {3 * m * n} lines and {2 * m * n} planes, "
-                             f"got {counts[0]}, {counts[1]} and {counts[2]}")
-        if len({p.id for p in self.points}) != m * n:
-            raise ValueError("point ids must be unique")
-        for kind, ids, count in (("line", self.line_by_id, 3 * m * n),
-                                 ("plane", self.plane_by_id, 2 * m * n)):
-            if set(ids) != set(range(1, count + 1)):
-                raise ValueError(f"{kind} ids must be exactly 1..{count}")
-        at = {(p.row, p.col): p.id for p in self.points}
-        if len(at) != m * n or not all(_on_grid(cell, m, n) for cell in at):
-            raise ValueError(f"point (row, col) values must be distinct cells of the {m} x {n} grid")
-        line_at = {(l.kind, *l.cell): l.id for l in self.lines}
-        if len(line_at) != len(self.lines):
-            raise ValueError("two lines share a kind and cell")
-        for line in self.lines:
-            if line.kind not in ENDPOINTS or not _on_grid(line.cell, m, n):
-                raise ValueError(f"line {line.id}: kind {line.kind!r} at cell {list(line.cell)} "
-                                 f"is not an h, v or d line of the {m} x {n} grid")
-            ends = {at[end] for end in ends_of(line.kind, line.cell, m, n)}
-            if len(line.points) != 2 or set(line.points) != ends:
-                raise ValueError(f"line {line.id} joins points {list(line.points)}, "
-                                 f"but its kind and cell give {sorted(ends)}")
-            if len(line.planes) != 2 or line.planes[0] == line.planes[1]:
-                raise ValueError(f"line {line.id} must border two distinct planes, got {list(line.planes)}")
-            for pid in line.planes:
-                if pid not in self.plane_by_id:
-                    raise ValueError(f"line {line.id} borders unknown plane {pid}")
-                if line.id not in self.plane_by_id[pid].lines:
-                    raise ValueError(f"incidence mismatch at line {line.id} / plane {pid}")
-        for plane in self.planes:
-            if plane.half not in SIDES or not _on_grid(plane.cell, m, n):
-                raise ValueError(f"plane {plane.id}: half {plane.half!r} at cell {list(plane.cell)} "
-                                 f"is not an upper or lower half of the {m} x {n} grid")
-            sides = {line_at[side] for side in sides_of(plane.half, plane.cell, m, n)}
-            if len(plane.lines) != 3 or set(plane.lines) != sides:
-                raise ValueError(f"plane {plane.id} is bounded by lines {list(plane.lines)}, "
-                                 f"but its half and cell give {sorted(sides)}")
-        if len({(f.half, f.cell) for f in self.planes}) != len(self.planes):
-            raise ValueError("two planes share a half and cell")
 
     def to_json(self) -> dict:
-        """Each element as its dataclass fields, tuples as lists."""
-        def rows(items, cls):
-            names = [f.name for f in fields(cls)]
-            return [{name: list(v) if type(v := getattr(item, name)) is tuple else v for name in names}
-                    for item in items]
-
-        return {"rows": self.rows, "cols": self.cols, "points": rows(self.points, Point),
-                "lines": rows(self.lines, Line), "planes": rows(self.planes, Plane)}
+        """The complex file: rows, cols and the numbering."""
+        return {"rows": self.rows, "cols": self.cols, **self.numbering}
 
 
-def _on_grid(cell, m: int, n: int) -> bool:
-    return len(cell) == 2 and all(0 <= x < size for x, size in zip(cell, (m, n)))
+def _require_keys(value, keys, what: str) -> None:
+    """ValueError unless value is an object with exactly the given keys."""
+    if type(value) is not dict:
+        raise ValueError(f"{what} must be an object keyed {', '.join(sorted(keys))}, got {type(value).__name__}")
+    for key in sorted(keys - value.keys()):
+        raise ValueError(f"{what}: missing key {key!r}")
+    for key in sorted(value.keys() - keys):
+        raise ValueError(f"{what}: unexpected key {key!r}")
 
 
-def complex_from_json(data: dict) -> DegenerationComplex:
-    """A complex from its JSON form; ValueError naming the element and rule if not.
+def complex_from_json(data) -> DegenerationComplex:
+    """A complex from its JSON form, rows, cols and the numbering; ValueError
+    naming the rule if not.
 
-    Each element is an object holding every field of its class.  Ids,
-    coordinates and incidence entries are integers (bools rejected), kind
-    and half are strings, and tuple-typed fields are lists, which become
-    tuples.  Counts, ids and geometry are left to validate.
+    Each table is rows lists of cols integers (bools rejected), and each
+    kind's ids are exactly 1..its count: lines are the generator letters and
+    planes the points the permutations act on.  Incidence is not read; the
+    builder derives it.
     """
     if type(data) is not dict:
         raise ValueError(f"a complex file holds one object, got {type(data).__name__}")
-
-    def elements(key, cls):
-        items = data[key]
-        if type(items) is not list:
-            raise ValueError(f"{key} must be a list of objects, got {items!r}")
-        name = cls.__name__.lower()
-        cls_fields = fields(cls)
-        out = []
-        for position, item in enumerate(items, start=1):
-            if type(item) is not dict:
-                raise ValueError(f"{name} at position {position} must be an object, got {item!r}")
-            missing = next((f.name for f in cls_fields if f.name not in item), None)
-            if missing:
-                raise ValueError(f"{name} at position {position}: missing key {missing!r}")
-            values = {}
-            for f in cls_fields:
-                value = item[f.name]
-                if f.type == "str":
-                    ok, want = type(value) is str, "a string"
-                elif f.type.startswith("tuple"):
-                    ok = type(value) is list and all(type(x) is int for x in value)
-                    want = "a list of integers"
-                else:
-                    ok, want = type(value) is int, "an integer"
-                if not ok:
-                    # id comes first, so a later field is named by it once it passed.
-                    label = values.get("id", f"at position {position}")
-                    raise ValueError(f"{name} {label}: {f.name} must be {want}, got {value!r}")
-                values[f.name] = tuple(value) if type(value) is list else value
-            out.append(cls(**values))
-        return out
-
-    return DegenerationComplex(rows=data["rows"], cols=data["cols"], points=elements("points", Point),
-                               lines=elements("lines", Line), planes=elements("planes", Plane))
+    _require_keys(data, {"rows", "cols", "points", "lines", "planes"}, "a complex file")
+    m, n = data["rows"], data["cols"]
+    if type(m) is not int or type(n) is not int or min(m, n) < 3:
+        raise ValueError(f"rows and cols must be integers of at least 3, got {m!r} and {n!r}")
+    for key, names in (("points", None), ("lines", ENDPOINTS), ("planes", SIDES)):
+        if names:
+            _require_keys(data[key], names.keys(), key)
+        tables = {f"{key} {name}": data[key][name] for name in names} if names else {key: data[key]}
+        for label, table in tables.items():
+            if type(table) is not list or len(table) != m or any(
+                    type(row) is not list or len(row) != n for row in table):
+                raise ValueError(f"{label} must be {m} rows of {n} ids")
+            for x in chain.from_iterable(table):
+                if type(x) is not int:
+                    raise ValueError(f"{label}: ids must be integers, got {x!r}")
+        ids = [x for table in tables.values() for x in chain.from_iterable(table)]
+        if set(ids) != set(range(1, len(ids) + 1)):
+            raise ValueError(f"{key[:-1]} ids must be exactly 1..{len(ids)}")
+    return build_torus_triangulation(m, n, {key: data[key] for key in ("points", "lines", "planes")})
 
 
-def build_torus_triangulation(m: int, n: int) -> DegenerationComplex:
-    """The m x n torus triangulation with the canonical numbering.
+def _canonical_numbering(m: int, n: int) -> dict:
+    """Points, then h, v and d lines, row by row; the lower then the upper
+    half of each cell in turn."""
+    def ids(first, step=1):
+        return [[first + step * (r * n + c) for c in range(n)] for r in range(m)]
 
-    Grids below 3 x 3 would glue two triangles along two distinct lines,
-    producing parallel edges in the dual graph, which the transposition
-    constructions downstream do not model; they are rejected.
+    return {"points": ids(1), "lines": {kind: ids(1 + k * m * n) for k, kind in enumerate(ENDPOINTS)},
+            "planes": {"lower": ids(1, 2), "upper": ids(2, 2)}}
+
+
+def build_torus_triangulation(m: int, n: int, numbering: dict | None = None) -> DegenerationComplex:
+    """The m x n torus triangulation under numbering, the id tables of
+    DegenerationComplex, by default the canonical one.  numbering is
+    trusted: complex_from_json checks those of a file.
+
+    Each line's points and planes and each plane's lines are derived from
+    ends_of and sides_of; a line lists its upper plane first.  Grids below
+    3 x 3 would glue two triangles along two distinct lines, producing
+    parallel edges in the dual graph, which the transposition constructions
+    downstream do not model; they are rejected.
     """
     if m < 3 or n < 3:
         raise ValueError(f"unsupported grid {m} x {n}: both sides must be at least 3")
-    cells = [(r, c) for r in range(m) for c in range(n)]
-    point_id = {cell: k for k, cell in enumerate(cells, start=1)}
-    line_id = {(kind, *cell): k for k, (kind, cell) in enumerate(product(ENDPOINTS, cells), 1)}
-    plane_id = {(half, *cell): k for k, (cell, half) in enumerate(product(cells, ["lower", "upper"]), 1)}
-    planes, line_planes = [], {key: [] for key in line_id}
+    numbering = numbering or _canonical_numbering(m, n)
+    point_ids, line_ids, plane_ids = (numbering[key] for key in ("points", "lines", "planes"))
+    cells = list(product(range(m), range(n)))
+    planes, line_planes = [], defaultdict(list)
     # Halves in SIDES order, so each line lists its upper plane first.
     for half, cell in product(SIDES, cells):
-        sides, pid = sides_of(half, cell, m, n), plane_id[(half, *cell)]
-        planes.append(Plane(pid, tuple(line_id[side] for side in sides), cell, half))
+        sides = sides_of(half, cell, m, n)
+        planes.append(Plane(plane_ids[half][cell[0]][cell[1]],
+                            tuple(line_ids[kind][r][c] for kind, r, c in sides), cell, half))
         for side in sides:
-            line_planes[side].append(pid)
-    planes.sort(key=attrgetter("id"))
-    points = [Point(k, *cell) for cell, k in point_id.items()]
-    lines = [Line(k, tuple(point_id[end] for end in ends_of(kind, (r, c), m, n)),
+            line_planes[side].append(planes[-1].id)
+    points = [Point(point_ids[r][c], r, c) for r, c in cells]
+    lines = [Line(line_ids[kind][r][c], tuple(point_ids[i][j] for i, j in ends_of(kind, (r, c), m, n)),
                   tuple(line_planes[kind, r, c]), kind, (r, c))
-             for (kind, r, c), k in line_id.items()]
-    return DegenerationComplex(rows=m, cols=n, points=points, lines=lines, planes=planes)
+             for kind, (r, c) in product(ENDPOINTS, cells)]
+    by_id = attrgetter("id")
+    return DegenerationComplex(m, n, numbering, sorted(points, key=by_id), sorted(lines, key=by_id),
+                               sorted(planes, key=by_id))
 
 
 @dataclass
@@ -428,7 +388,7 @@ def is_paper_labeling(x0: DegenerationComplex) -> bool:
     """Whether x0 passes check_paper_fixture; reads no fixture file."""
     try:
         check_paper_fixture(x0)
-    except (ValueError, KeyError):
+    except ValueError:
         return False
     return True
 
@@ -452,9 +412,6 @@ def check_paper_fixture(x0: DegenerationComplex) -> DegenerationComplex:
     if (x0.rows, x0.cols) != (3, 3):
         raise ValueError("published labeling is a 3 x 3 complex")
     links = {link.point: link for link in hexagon_links(x0)}
-    for point in sorted({*HEXAGON_ANCHORS, *(point for point, _, _ in ROLE_ANCHORS)}):
-        if point not in links:
-            raise ValueError(f"anchor point {point} is not a point of the complex")
     for point, expected in HEXAGON_ANCHORS.items():
         got = set(links[point].cycle)
         if got != expected:

@@ -21,6 +21,15 @@ def graph_of(edges, vertices=None) -> DualGraph:
                      crossings=dict.fromkeys(edges, (0, 0)))
 
 
+def relabel(data, kind: str, new_id):
+    """data, the JSON form of a complex, with each id of kind ("points",
+    "lines" or "planes") in its tables replaced by new_id(id)."""
+    for table in [data[kind]] if kind == "points" else data[kind].values():
+        for row in table:
+            row[:] = map(new_id, row)
+    return data
+
+
 def connected(graph: DualGraph) -> bool:
     """Whether a walk from the lowest vertex reaches every vertex."""
     return len(graph.walk(graph.edges)) == len(graph.vertices) - 1

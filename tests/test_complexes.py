@@ -2,13 +2,16 @@ import importlib
 import json
 from collections import defaultdict
 from itertools import product
+from operator import attrgetter
 from pathlib import Path
 
 import pytest
-from conftest import connected, graph_of
+from conftest import connected, graph_of, relabel
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from coxlab import fixtures
-from coxlab.complexes import (build_torus_triangulation, complex_from_json,
+from coxlab import fixtures, verify
+from coxlab.complexes import (Line, Plane, Point, build_torus_triangulation, complex_from_json,
                               dual_graph, hexagon_links, is_paper_labeling,
                               load_paper_labeling, spanning_data)
 from coxlab.fixtures import CorruptFixtureError, load_json
@@ -98,11 +101,9 @@ def test_roles_match_the_offset_table(request, shape):
     assert all(len(set(roles)) == len(roles) == 2 for roles in roles_of_line.values())
 
 
-@pytest.mark.parametrize("shape", list(product(range(3, 9), repeat=2)), ids=_shape_id)
-def test_built_lines_list_their_upper_plane_first(shape):
-    # The published fixture lists each line's planes in ascending id order,
-    # so only built grids promise the upper half first.
-    x0 = build_torus_triangulation(*shape)
+@pytest.mark.parametrize("shape", ["paper", *product(range(3, 9), repeat=2)], ids=_shape_id)
+def test_built_lines_list_their_upper_plane_first(request, shape):
+    x0 = _complex(request, shape)
     for line in x0.lines:
         assert [x0.plane_by_id[f].half for f in line.planes] == ["upper", "lower"], line
 
@@ -226,19 +227,36 @@ def test_json_round_trip(request, shape):
 
 
 def test_planes_doubling_the_upper_halves_rejected():
-    # Every lower plane copies the upper plane of its cell, and every line
-    # borders the two copies: the incidence is consistent and each plane's
-    # lines are the sides of its half and cell, but no plane is a lower half.
+    # Every lower plane takes the id of the upper plane of its cell: each
+    # table has the grid's shape, but the plane ids are not 1..18.
     data = build_torus_triangulation(3, 3).to_json()
-    upper = {tuple(f["cell"]): f for f in data["planes"] if f["half"] == "upper"}
-    lower = {tuple(f["cell"]): f for f in data["planes"] if f["half"] == "lower"}
-    for cell, f in lower.items():
-        f["half"], f["lines"] = "upper", list(upper[cell]["lines"])
-    for l in data["lines"]:
-        cell = tuple(l["cell"])
-        l["planes"] = [upper[cell]["id"], lower[cell]["id"]]
-    with pytest.raises(ValueError, match="two planes share a half and cell"):
+    data["planes"]["lower"] = data["planes"]["upper"]
+    with pytest.raises(ValueError, match=r"plane ids must be exactly 1\.\.18"):
         complex_from_json(data)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_relabeled_grid_round_trips_and_passes_relators(data):
+    """A random numbering of an m x n grid, written as its tables, reads back
+    as the canonical grid with every id renamed, and passes `relators`."""
+    m, n = data.draw(st.integers(3, 8), "m"), data.draw(st.integers(3, 8), "n")
+    canon = build_torus_triangulation(m, n)
+    new = {kind: dict(zip(range(1, count + 1), data.draw(st.permutations(range(1, count + 1)), kind)))
+           for kind, count in (("points", m * n), ("lines", 3 * m * n), ("planes", 2 * m * n))}
+    tables = json.loads(json.dumps(canon.to_json()))
+    for kind, ids in new.items():
+        relabel(tables, kind, ids.__getitem__)
+    x0 = complex_from_json(json.loads(json.dumps(tables)))
+    p, l, f = new["points"], new["lines"], new["planes"]
+    assert x0.points == sorted((Point(p[x.id], x.row, x.col) for x in canon.points), key=attrgetter("id"))
+    assert x0.lines == sorted((Line(l[x.id], (p[x.points[0]], p[x.points[1]]), (f[x.planes[0]], f[x.planes[1]]),
+                                    x.kind, x.cell) for x in canon.lines), key=attrgetter("id"))
+    assert x0.planes == sorted((Plane(f[x.id], tuple(l[y] for y in x.lines), x.cell, x.half)
+                                for x in canon.planes), key=attrgetter("id"))
+    assert x0.to_json() == tables
+    report = verify.run_suite(x0, "relators")
+    assert report.exit_code() == 0 and report.summary()["fail"] == 0
 
 
 def test_canonical_33_is_not_the_paper_labeling():
@@ -258,10 +276,8 @@ def test_is_paper_labeling_loads_no_fixture(paper, tmp_path, monkeypatch):
 
 
 def test_corrupt_fixture_fails_loudly(tmp_path, monkeypatch):
-    data = load_json("tt33.json")
-    # Swap the plane pair of two lines; counts survive but anchors break.
-    lines = {l["id"]: l for l in data["lines"]}
-    lines[1]["planes"], lines[3]["planes"] = lines[3]["planes"], lines[1]["planes"]
+    # Lines 1 and 3 trade places; the tables stay valid but anchors break.
+    data = relabel(load_json("tt33.json"), "lines", lambda x: {1: 3, 3: 1}.get(x, x))
     (tmp_path / "tt33.json").write_text(json.dumps(data))
     monkeypatch.setenv("COXLAB_FIXTURES", str(tmp_path))
     with pytest.raises((CorruptFixtureError, ValueError)):

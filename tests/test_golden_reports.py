@@ -4,8 +4,8 @@ The paper and 4 x 3 digests were taken before the exact and reduced
 models were merged into one semidirect product; the 6 x 6 relators digest
 and the 6 x 6 and paper CleanReport digests are the benchmark's goldens,
 made from the seed code.
-The `build --out` digests were taken before the torus builder was
-rewritten over the grid-geometry tables, and the `present --variant
+The `build --out` digests were taken when complex files became their
+numbering alone (rows, cols and the id tables), and the `present --variant
 quotient --out` digests while hexagons had their own orientation code.
 The plain and fork presentation files and the `enumerate --table-out`
 files were pinned while every file was still written by `json.dump`.
@@ -52,9 +52,9 @@ TABLE_FILE_DIGESTS = {
 }
 
 BUILD_DIGESTS = {
-    (3, 3): "1d496f025dd4910100e59eac8faabffb29a0cab1b79e80bce21693473cf8b199",
-    (4, 6): "debbcdc93acac1fbdb310c5ce7bb213458cc3a71a17a09db8edba5579f81f45d",
-    (10, 10): "2a2c1ebbe851f4c21dbaaf6954ab0338ce390d93ae270dde97d4ed8f6e9640ab",
+    (3, 3): "e09da148517d4d3e0960afd6d5b3272d2181df62f0b28d3dc80c24e3b41b802c",
+    (4, 6): "1d89b3bd3e4d205ba3e4a705eaa963439ce2a0b2fbcf04b0479e917f5d7fee9a",
+    (10, 10): "7766201517fe8a1d08c5f6dd6d0526a2735ed45d85c1f9f08f717ba8c56529c6",
 }
 
 

@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Regenerate the bundled JSON fixtures.
 
-The published 3 x 3 labeling is recorded here as relabeling tables over
-the canonical builder's grid coordinates; everything else follows from
-them.  Run from the repository root:
+The published 3 x 3 labeling is recorded here as its numbering, the ids of
+each kind by grid position, which is what a complex file holds; everything
+else follows from it.  Run from the repository root:
 
     python tools/gen_fixtures.py
 """
@@ -14,8 +14,7 @@ import sys
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from coxlab.cli import _write_json  # noqa: E402
-from coxlab.complexes import (DegenerationComplex, Line, Plane, Point,  # noqa: E402
-                              build_torus_triangulation, load_paper_labeling)
+from coxlab.complexes import load_paper_labeling  # noqa: E402
 from coxlab.presentation import cycle_relator  # noqa: E402
 
 OUT = os.path.join(os.path.dirname(__file__), "..", "src", "coxlab", "fixtures")
@@ -84,25 +83,6 @@ NONREL_PAIRS = [
 ]
 
 
-def relabeled_tt33():
-    """The canonical 3 x 3 complex renumbered to the published ids, each
-    element list in id order and each incidence ascending."""
-    canon = build_torus_triangulation(3, 3)
-    pmap = {p.id: POINT[p.row][p.col] for p in canon.points}
-    lmap = {l.id: {"h": HLINE, "v": VLINE, "d": DLINE}[l.kind][l.cell[0]][l.cell[1]] for l in canon.lines}
-    fmap = {f.id: (UPPER if f.half == "upper" else LOWER)[f.cell[0]][f.cell[1]] for f in canon.planes}
-    return DegenerationComplex(
-        rows=3,
-        cols=3,
-        points=sorted((Point(pmap[p.id], p.row, p.col) for p in canon.points), key=lambda p: p.id),
-        lines=sorted((Line(lmap[l.id], tuple(sorted(pmap[x] for x in l.points)),
-                           tuple(sorted(fmap[x] for x in l.planes)), l.kind, l.cell)
-                      for l in canon.lines), key=lambda l: l.id),
-        planes=sorted((Plane(fmap[f.id], tuple(sorted(lmap[x] for x in f.lines)), f.cell, f.half)
-                       for f in canon.planes), key=lambda f: f.id),
-    )
-
-
 def hexagon_presentation(with_cycle):
     # Six involutions around a 6-cycle: consecutive pairs braid, the rest
     # commute; optionally the relator of the cycle 1 .. 6 itself.
@@ -127,7 +107,8 @@ def dump(name, data):
 
 
 def main():
-    dump("tt33.json", relabeled_tt33().to_json())
+    dump("tt33.json", {"rows": 3, "cols": 3, "points": POINT, "lines": {"h": HLINE, "v": VLINE, "d": DLINE},
+                       "planes": {"upper": UPPER, "lower": LOWER}})
     dump("t0_spanning.json", {"tree": T0_TREE, "chords": T0_CHORDS})
     dump("ax_relations.json", AX_RELATIONS)
     dump("nonrel_pairs.json", NONREL_PAIRS)

@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Growth of one coxlab command over m x m grids, in fresh processes.
 
-For each m the m x m torus is built once, with the first tree's `build`,
-and the command runs on it in a new interpreter per run, with PYTHONPATH
-set to the tree's src.  Each run records its wall time, the child's own
-peak RSS (os.wait4) and the SHA-256 of its stdout.  With two trees the
+For each m each tree builds the m x m torus with its own `build`, so two
+trees may write different complex-file formats, and the command runs on
+that file in a new interpreter per run, with PYTHONPATH set to the tree's
+src.  Each run records its wall time, the child's own peak RSS (os.wait4)
+and the SHA-256 of its stdout.  With two trees the
 runs alternate, first tree first.  Each tree's startup, the fastest time
 and the smallest peak RSS of at least three runs of `coxlab --help`, is
 recorded too.  Each tree also runs the command once per m under a runpy
@@ -126,7 +127,6 @@ def main(argv=None) -> int:
     caps = {name: int(m) for name, m in pairs(args.max_m, "--max-m").items()}
     if not 1 <= len(trees) <= 2 or set(caps) - set(trees):
         raise SystemExit("give one or two --tree, and --max-m only for a named tree")
-    first = next(iter(trees.values()))
     runs: dict[str, list[dict]] = {name: [] for name in trees}
     startup = {}
     for name, tree in trees.items():
@@ -134,19 +134,22 @@ def main(argv=None) -> int:
         startup[name] = {key: min(r[key] for r in helps) for key in ("wall_s", "peak_rss_mb")}
     with tempfile.TemporaryDirectory() as work:
         for m in sorted(set(args.m)):
-            complex_path = os.path.join(work, f"g{m}.json")
-            built = subprocess.run([sys.executable, "-m", "coxlab", "build", "--rows", str(m), "--cols", str(m),
-                                    "--out", complex_path], env=dict(os.environ, PYTHONPATH=str(first / "src")),
-                                   stdout=subprocess.DEVNULL)
-            if built.returncode:
-                raise SystemExit(f"building the {m} x {m} grid exited {built.returncode}")
-            cmd = shlex.split(args.command.format(complex=complex_path))
+            cmds = {}
+            for name, tree in trees.items():
+                if m > caps.get(name, m):
+                    continue
+                complex_path = os.path.join(work, f"{name}-g{m}.json")
+                built = subprocess.run([sys.executable, "-m", "coxlab", "build", "--rows", str(m), "--cols", str(m),
+                                        "--out", complex_path], env=dict(os.environ, PYTHONPATH=str(tree / "src")),
+                                       stdout=subprocess.DEVNULL)
+                if built.returncode:
+                    raise SystemExit(f"{name}: building the {m} x {m} grid exited {built.returncode}")
+                cmds[name] = shlex.split(args.command.format(complex=complex_path))
             for traced in [False] * args.repeat + [True]:
-                for name, tree in trees.items():
-                    if m <= caps.get(name, m):
-                        record = run(tree, cmd, traced)
-                        runs[name].append({"m": m, **record})
-                        print(name, m, record, file=sys.stderr)
+                for name, cmd in cmds.items():
+                    record = run(trees[name], cmd, traced)
+                    runs[name].append({"m": m, **record})
+                    print(name, m, record, file=sys.stderr)
     shared = [m for m in set(args.m) if all(any(r["m"] == m for r in rs) for rs in runs.values())]
     entry = {
         "command": "coxlab " + args.command,
