@@ -20,8 +20,10 @@ the cycle's class in H_1(T^2, Z) = Z^2 (Hatcher, Algebraic Topology,
 
 A complex is fixed by rows, cols and its numbering: the ids of the points,
 of the h, v and d lines and of the upper and lower planes, each as a table
-by grid position.  That is all a complex file holds; build_torus_triangulation
-derives every incidence from it, for a generated grid, a file and the
+by grid position.  That is all a complex file holds and all a complex
+keeps.  Its incidence is read from the tables where it is used: dual_graph
+derives each line's planes through sides_of, and hexagon_links each line's
+ends and roles through ends_of, for a generated grid, a file and the
 fixture alike.  The instance of record is the 3 x 3 complex with its
 published irregular numbering, shipped as the fixture ``tt33.json`` and
 checked against anchors on every load.
@@ -30,10 +32,11 @@ checked against anchors on every load.
 from __future__ import annotations
 
 from collections import defaultdict, deque
-from dataclasses import dataclass, field
+from copy import deepcopy
+from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import chain, product
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 
 from . import fixtures
 from .perm import compose, identity, transposition
@@ -72,52 +75,30 @@ def sides_of(half: str, cell, m: int, n: int):
     return [(kind, *wrap(r + dr, c + dc, m, n)) for kind, (dr, dc) in SIDES[half].items()]
 
 
-@dataclass(frozen=True)
-class Point:
-    id: int
-    row: int
-    col: int
-
-
-@dataclass(frozen=True)
-class Line:
-    id: int
-    points: tuple[int, int]
-    planes: tuple[int, int]
-    kind: str           # "h", "v" or "d"
-    cell: tuple[int, int]
-
-
-@dataclass(frozen=True)
-class Plane:
-    id: int
-    lines: tuple[int, int, int]
-    cell: tuple[int, int]
-    half: str           # "upper" or "lower"
-
-
 @dataclass
 class DegenerationComplex:
-    """A complex: its numbering, the elements build_torus_triangulation
-    derives from it, and their lookup dicts."""
+    """A complex: rows, cols and its numbering.  Ids run 1..count for each
+    kind, so points, lines and planes are id ranges."""
 
     rows: int
     cols: int
     numbering: dict     # {"points": ids, "lines": {kind: ids}, "planes": {half: ids}}, ids by grid position
-    points: list[Point]
-    lines: list[Line]
-    planes: list[Plane]
 
-    line_by_id: dict[int, Line] = field(init=False, repr=False)
-    plane_by_id: dict[int, Plane] = field(init=False, repr=False)
+    @property
+    def points(self) -> range:
+        return range(1, self.rows * self.cols + 1)
 
-    def __post_init__(self):
-        self.line_by_id = {l.id: l for l in self.lines}
-        self.plane_by_id = {f.id: f for f in self.planes}
+    @property
+    def lines(self) -> range:
+        return range(1, 3 * self.rows * self.cols + 1)
+
+    @property
+    def planes(self) -> range:
+        return range(1, 2 * self.rows * self.cols + 1)
 
     def to_json(self) -> dict:
-        """The complex file: rows, cols and the numbering."""
-        return {"rows": self.rows, "cols": self.cols, **self.numbering}
+        """The complex file: rows, cols and a copy of the numbering."""
+        return {"rows": self.rows, "cols": self.cols, **deepcopy(self.numbering)}
 
 
 def _require_keys(value, keys, what: str) -> None:
@@ -136,8 +117,8 @@ def complex_from_json(data) -> DegenerationComplex:
 
     Each table is rows lists of cols integers (bools rejected), and each
     kind's ids are exactly 1..its count: lines are the generator letters and
-    planes the points the permutations act on.  Incidence is not read; the
-    builder derives it.
+    planes the points the permutations act on.  Incidence is not read:
+    dual_graph and hexagon_links derive it.
     """
     if type(data) is not dict:
         raise ValueError(f"a complex file holds one object, got {type(data).__name__}")
@@ -177,32 +158,13 @@ def build_torus_triangulation(m: int, n: int, numbering: dict | None = None) -> 
     DegenerationComplex, by default the canonical one.  numbering is
     trusted: complex_from_json checks those of a file.
 
-    Each line's points and planes and each plane's lines are derived from
-    ends_of and sides_of; a line lists its upper plane first.  Grids below
-    3 x 3 would glue two triangles along two distinct lines, producing
-    parallel edges in the dual graph, which the transposition constructions
-    downstream do not model; they are rejected.
+    Grids below 3 x 3 would glue two triangles along two distinct lines,
+    producing parallel edges in the dual graph, which the transposition
+    constructions downstream do not model; they are rejected.
     """
     if m < 3 or n < 3:
         raise ValueError(f"unsupported grid {m} x {n}: both sides must be at least 3")
-    numbering = numbering or _canonical_numbering(m, n)
-    point_ids, line_ids, plane_ids = (numbering[key] for key in ("points", "lines", "planes"))
-    cells = list(product(range(m), range(n)))
-    planes, line_planes = [], defaultdict(list)
-    # Halves in SIDES order, so each line lists its upper plane first.
-    for half, cell in product(SIDES, cells):
-        sides = sides_of(half, cell, m, n)
-        planes.append(Plane(plane_ids[half][cell[0]][cell[1]],
-                            tuple(line_ids[kind][r][c] for kind, r, c in sides), cell, half))
-        for side in sides:
-            line_planes[side].append(planes[-1].id)
-    points = [Point(point_ids[r][c], r, c) for r, c in cells]
-    lines = [Line(line_ids[kind][r][c], tuple(point_ids[i][j] for i, j in ends_of(kind, (r, c), m, n)),
-                  tuple(line_planes[kind, r, c]), kind, (r, c))
-             for kind, (r, c) in product(ENDPOINTS, cells)]
-    by_id = attrgetter("id")
-    return DegenerationComplex(m, n, numbering, sorted(points, key=by_id), sorted(lines, key=by_id),
-                               sorted(planes, key=by_id))
+    return DegenerationComplex(m, n, numbering or _canonical_numbering(m, n))
 
 
 @dataclass
@@ -244,16 +206,23 @@ class DualGraph:
 
 
 def dual_graph(x0: DegenerationComplex) -> DualGraph:
-    vertices = sorted(f.id for f in x0.planes)
-    edges = {l.id: l.planes for l in x0.lines}
-    adjacency = {v: [] for v in vertices}
-    for line_id in sorted(edges):
-        f, g = edges[line_id]
+    """The dual graph of x0, each line's planes derived from sides_of."""
+    m, n = x0.rows, x0.cols
+    line_ids, plane_ids = x0.numbering["lines"], x0.numbering["planes"]
+    planes, cells = defaultdict(list), defaultdict(list)
+    # Halves in SIDES order, so each line lists its upper plane first.
+    for half, (r, c) in product(SIDES, product(range(m), range(n))):
+        for kind, i, j in sides_of(half, (r, c), m, n):
+            line = line_ids[kind][i][j]
+            planes[line].append(plane_ids[half][r][c])
+            cells[line].append((r, c))
+    edges = {e: tuple(planes[e]) for e in x0.lines}
+    adjacency = {v: [] for v in x0.planes}
+    for line_id, (f, g) in edges.items():
         adjacency[f].append(line_id)
         adjacency[g].append(line_id)
-    cell = x0.plane_by_id
-    crossings = {e: crossing(cell[f].cell, cell[g].cell, x0.rows, x0.cols) for e, (f, g) in edges.items()}
-    return DualGraph(vertices=vertices, edges=edges, adjacency=adjacency, crossings=crossings)
+    crossings = {e: crossing(*cells[e], m, n) for e in edges}
+    return DualGraph(vertices=list(x0.planes), edges=edges, adjacency=adjacency, crossings=crossings)
 
 
 @dataclass(frozen=True)
@@ -266,16 +235,18 @@ class HexagonLink:
 
 
 def hexagon_links(x0: DegenerationComplex) -> list[HexagonLink]:
-    """One link per point; a line takes the ROLES of its kind at its two ends."""
-    roles_at = {(p.row, p.col): {} for p in x0.points}
-    for line in x0.lines:
-        (first, second), (a, b) = ends_of(line.kind, line.cell, x0.rows, x0.cols), ROLES[line.kind]
-        roles_at[first][a] = roles_at[second][b] = line.id
+    """One link per point, in id order; a line takes the ROLES of its kind
+    at its two ends, derived from ends_of."""
+    m, n, point_ids = x0.rows, x0.cols, x0.numbering["points"]
+    roles_at = {p: {} for p in x0.points}
+    for (kind, line_ids), (r, c) in product(x0.numbering["lines"].items(), product(range(m), range(n))):
+        for (i, j), role in zip(ends_of(kind, (r, c), m, n), ROLES[kind]):
+            roles_at[point_ids[i][j]][role] = line_ids[r][c]
     cycle = itemgetter(*"defabc")
     links = []
-    for p in sorted(x0.points, key=attrgetter("id")):
-        roles = dict(sorted(roles_at[p.row, p.col].items()))
-        links.append(HexagonLink(point=p.id, cycle=cycle(roles), roles=roles))
+    for p, roles in roles_at.items():
+        roles = dict(sorted(roles.items()))
+        links.append(HexagonLink(point=p, cycle=cycle(roles), roles=roles))
     return links
 
 
@@ -422,19 +393,20 @@ def check_paper_fixture(x0: DegenerationComplex) -> DegenerationComplex:
                 f"role {role} at point {point} is line {links[point].roles[role]}, expected {line}")
 
     # Two moved planes are swapped: a permutation moving only a and b sends a to b.
+    graph, words = dual_graph(x0), witness_words()
     for name, expected in WITNESS_TRANSPOSITIONS.items():
-        moved = sorted(psi_image(x0, witness_words()[name]))
+        moved = sorted(psi_image(graph, words[name]))
         if moved != list(expected):
             raise ValueError(f"witness image {name} moves planes {moved}, expected {list(expected)}")
     return x0
 
 
-def psi_image(x0: DegenerationComplex, word) -> dict[int, int]:
-    """Product of the line transpositions of a word, left to right, as
-    {plane: image} over the planes it moves."""
-    n = len(x0.planes)
-    return reduce(compose, (transposition(*x0.line_by_id[abs(letter)].planes, n) for letter in word),
-                  identity())
+def psi_image(graph: DualGraph, word) -> dict[int, int]:
+    """Product of the transpositions of a word's lines, each swapping the
+    line's two planes, left to right, as {plane: image} over the planes it
+    moves."""
+    n = len(graph.vertices)
+    return reduce(compose, (transposition(*graph.edges[abs(letter)], n) for letter in word), identity())
 
 
 # Conjugating words used by the center computation; only lines 1 and 4 lie

@@ -6,7 +6,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from coxlab.complexes import (DualGraph, HexagonLink, dual_graph, hexagon_links,
+from coxlab.complexes import (DualGraph, HexagonLink, dual_graph, ends_of, hexagon_links,
                               load_paper_labeling, spanning_data)
 from coxlab.fixtures import load_json
 from oracle import phi_table
@@ -28,6 +28,20 @@ def relabel(data, kind: str, new_id):
         for row in table:
             row[:] = map(new_id, row)
     return data
+
+
+def grid_positions(tables) -> dict:
+    """{id: (name, row, col)} over the {name: table} id tables of a numbering."""
+    return {x: (name, r, c) for name, table in tables.items()
+            for r, row in enumerate(table) for c, x in enumerate(row)}
+
+
+def line_ends(x0) -> dict[int, tuple[int, int]]:
+    """{line: its two point ids}, from ends_of over x0's numbering, apart
+    from hexagon_links."""
+    points = x0.numbering["points"]
+    return {line: tuple(points[i][j] for i, j in ends_of(kind, (r, c), x0.rows, x0.cols))
+            for line, (kind, r, c) in grid_positions(x0.numbering["lines"]).items()}
 
 
 def connected(graph: DualGraph) -> bool:

@@ -12,6 +12,7 @@ import math
 import time
 
 import oracle
+from conftest import line_ends
 
 from coxlab import model
 from coxlab.cli import main
@@ -60,8 +61,9 @@ def test_criterion_2_pair_accounting():
     table = classify_missing(pairs, links)
     assert table == EXPECTED_MISSING_ROLES
     by_point = {link.point: link for link in links}
+    ends = line_ends(x0)
     for i, j in pairs:
-        shared = set(x0.line_by_id[i].points) & set(x0.line_by_id[j].points)
+        shared = set(ends[i]) & set(ends[j])
         diagonals = {by_point[next(iter(shared))].roles[r] for r in ("c", "f")}
         assert i not in diagonals and j not in diagonals
     _verdict(2, "pair accounting", time.perf_counter() - start, 0.1)

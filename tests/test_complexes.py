@@ -6,12 +6,12 @@ from operator import attrgetter
 from pathlib import Path
 
 import pytest
-from conftest import connected, graph_of, relabel
+from conftest import connected, graph_of, grid_positions, relabel
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coxlab import fixtures, verify
-from coxlab.complexes import (Line, Plane, Point, build_torus_triangulation, complex_from_json,
+from coxlab.complexes import (HexagonLink, build_torus_triangulation, complex_from_json,
                               dual_graph, hexagon_links, is_paper_labeling,
                               load_paper_labeling, spanning_data)
 from coxlab.fixtures import CorruptFixtureError, load_json
@@ -86,32 +86,34 @@ ROLE_OFFSETS = {"a": ("h", 0, -1), "b": ("v", -1, 0), "c": ("d", -1, 0),
 @pytest.mark.parametrize("shape", ["paper", *product(range(3, 9), repeat=2)], ids=_shape_id)
 def test_roles_match_the_offset_table(request, shape):
     x0 = _complex(request, shape)
-    line_at = {(l.kind, *l.cell): l.id for l in x0.lines}
-    point = {p.id: p for p in x0.points}
+    lines, point = x0.numbering["lines"], grid_positions({"points": x0.numbering["points"]})
     roles_of_line = defaultdict(list)
     for link in hexagon_links(x0):
-        p = point[link.point]
-        expected = {role: line_at[kind, (p.row + dr) % x0.rows, (p.col + dc) % x0.cols]
+        _, r, c = point[link.point]
+        expected = {role: lines[kind][(r + dr) % x0.rows][(c + dc) % x0.cols]
                     for role, (kind, dr, dc) in ROLE_OFFSETS.items()}
         assert list(link.roles.items()) == list(expected.items())
         assert link.cycle == tuple(expected[role] for role in "defabc")
         for role, line_id in link.roles.items():
             roles_of_line[line_id].append(role)
-    assert sorted(roles_of_line) == sorted(line_at.values())
+    assert sorted(roles_of_line) == sorted(grid_positions(lines))
     assert all(len(set(roles)) == len(roles) == 2 for roles in roles_of_line.values())
 
 
 @pytest.mark.parametrize("shape", ["paper", *product(range(3, 9), repeat=2)], ids=_shape_id)
 def test_built_lines_list_their_upper_plane_first(request, shape):
     x0 = _complex(request, shape)
-    for line in x0.lines:
-        assert [x0.plane_by_id[f].half for f in line.planes] == ["upper", "lower"], line
+    edges, plane = dual_graph(x0).edges, grid_positions(x0.numbering["planes"])
+    assert list(edges) == list(x0.lines)
+    for line, pair in edges.items():
+        assert [plane[f][0] for f in pair] == ["upper", "lower"], line
 
 
 def test_roles_c_and_f_are_diagonals(paper):
+    line = grid_positions(paper.x0.numbering["lines"])
     for link in paper.links:
         for role, line_id in link.roles.items():
-            kind = paper.x0.line_by_id[line_id].kind
+            kind, _, _ = line[line_id]
             assert (kind == "d") == (role in ("c", "f"))
 
 
@@ -120,16 +122,16 @@ def test_hexagon_cycle_adjacency(paper):
     for link in paper.links:
         cyc = link.cycle
         for k in range(6):
-            a = set(paper.x0.line_by_id[cyc[k]].planes)
-            b = set(paper.x0.line_by_id[cyc[(k + 1) % 6]].planes)
-            c = set(paper.x0.line_by_id[cyc[(k + 3) % 6]].planes)
+            a = set(paper.graph.edges[cyc[k]])
+            b = set(paper.graph.edges[cyc[(k + 1) % 6]])
+            c = set(paper.graph.edges[cyc[(k + 3) % 6]])
             assert a & b
             assert not a & c
 
 
 def test_hexagon_transpositions_generate_local_symmetric(paper):
     for link in paper.links:
-        local = graph_of({e: paper.x0.line_by_id[e].planes for e in link.cycle})
+        local = graph_of({e: paper.graph.edges[e] for e in link.cycle})
         assert len(local.vertices) == 6 and connected(local)
 
 
@@ -146,11 +148,11 @@ def test_crossings_unwrap_each_line_to_neighbouring_cells(request, shape):
     # Moving the second plane's cell by the crossing times the grid size
     # puts it in the same or a neighbouring row and column as the first.
     x0 = _complex(request, shape)
-    graph = dual_graph(x0)
+    graph, plane = dual_graph(x0), grid_positions(x0.numbering["planes"])
     assert sorted(graph.crossings) == sorted(graph.edges)
     crossed = set()
     for line, (f, g) in graph.edges.items():
-        (fr, fc), (gr, gc) = x0.plane_by_id[f].cell, x0.plane_by_id[g].cell
+        (_, fr, fc), (_, gr, gc) = plane[f], plane[g]
         cr, cc = graph.crossings[line]
         assert {cr, cc} <= {-1, 0, 1}
         assert abs(gr + cr * x0.rows - fr) <= 1 and abs(gc + cc * x0.cols - fc) <= 1
@@ -226,6 +228,19 @@ def test_json_round_trip(request, shape):
     assert again.to_json() == data
 
 
+@pytest.mark.parametrize("shape", [(3, 3), (4, 6)], ids=_shape_id)
+def test_editing_the_json_form_leaves_the_complex_alone(shape):
+    # A caller may edit what to_json returns: rows and tables are its own.
+    x0 = build_torus_triangulation(*shape)
+    data, graph = x0.to_json(), dual_graph(x0)
+    before = json.loads(json.dumps(data))
+    for table in (data["points"], *data["lines"].values(), *data["planes"].values()):
+        table[0][0] = 0
+    data["lines"]["h"], data["planes"]["upper"] = [], []
+    assert x0.to_json() == before
+    assert dual_graph(x0) == graph
+
+
 def test_planes_doubling_the_upper_halves_rejected():
     # Every lower plane takes the id of the upper plane of its cell: each
     # table has the grid's shape, but the plane ids are not 1..18.
@@ -239,7 +254,9 @@ def test_planes_doubling_the_upper_halves_rejected():
 @given(st.data())
 def test_relabeled_grid_round_trips_and_passes_relators(data):
     """A random numbering of an m x n grid, written as its tables, reads back
-    as the canonical grid with every id renamed, and passes `relators`."""
+    as the canonical grid with every id renamed: its dual graph's edges and
+    crossings and its hexagon links are the canonical ones under the id
+    maps, and it passes `relators`."""
     m, n = data.draw(st.integers(3, 8), "m"), data.draw(st.integers(3, 8), "n")
     canon = build_torus_triangulation(m, n)
     new = {kind: dict(zip(range(1, count + 1), data.draw(st.permutations(range(1, count + 1)), kind)))
@@ -249,11 +266,12 @@ def test_relabeled_grid_round_trips_and_passes_relators(data):
         relabel(tables, kind, ids.__getitem__)
     x0 = complex_from_json(json.loads(json.dumps(tables)))
     p, l, f = new["points"], new["lines"], new["planes"]
-    assert x0.points == sorted((Point(p[x.id], x.row, x.col) for x in canon.points), key=attrgetter("id"))
-    assert x0.lines == sorted((Line(l[x.id], (p[x.points[0]], p[x.points[1]]), (f[x.planes[0]], f[x.planes[1]]),
-                                    x.kind, x.cell) for x in canon.lines), key=attrgetter("id"))
-    assert x0.planes == sorted((Plane(f[x.id], tuple(l[y] for y in x.lines), x.cell, x.half)
-                                for x in canon.planes), key=attrgetter("id"))
+    graph, canon_graph = dual_graph(x0), dual_graph(canon)
+    assert graph.edges == {l[e]: (f[a], f[b]) for e, (a, b) in canon_graph.edges.items()}
+    assert graph.crossings == {l[e]: crossed for e, crossed in canon_graph.crossings.items()}
+    assert hexagon_links(x0) == sorted((HexagonLink(p[x.point], tuple(l[y] for y in x.cycle),
+                                                    {role: l[y] for role, y in x.roles.items()})
+                                        for x in hexagon_links(canon)), key=attrgetter("point"))
     assert x0.to_json() == tables
     report = verify.run_suite(x0, "relators")
     assert report.exit_code() == 0 and report.summary()["fail"] == 0

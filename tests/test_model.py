@@ -116,19 +116,19 @@ def test_sparse_evaluation_matches_dense_product(rows, cols):
 @pytest.mark.parametrize("grid", ["paper", (3, 3), (4, 6), (8, 3)], ids=["paper", "3x3", "4x6", "8x3"])
 def test_psi_image_is_the_sigma_of_word_action(paper, grid):
     """Both evaluators of a word's plane permutation return the planes it
-    moves: psi_image from the complex's lines, word_action's sigma from the
+    moves: psi_image from the graph's edges, word_action's sigma from the
     span, on random words and on words that put back every plane they touch."""
     if grid == "paper":
-        x0, graph, span = paper.x0, paper.graph, paper.span
+        graph, span = paper.graph, paper.span
     else:
-        x0, graph, span = _canonical(*grid)
+        _, graph, span = _canonical(*grid)
     edges = sorted(graph.edges)
     rng = random.Random(len(edges))
     for _ in range(100):
         w = tuple(rng.choice(edges) * rng.choice((1, -1)) for _ in range(rng.randint(0, 40)))
         for word in (w, w + w[::-1]):
-            assert psi_image(x0, word) == word_action(word, span, graph)[0], word
-    assert psi_image(x0, w + w[::-1]) == {}
+            assert psi_image(graph, word) == word_action(word, span, graph)[0], word
+    assert psi_image(graph, w + w[::-1]) == {}
 
 
 def test_semidirect_associativity_random(paper, paper_phi):

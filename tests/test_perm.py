@@ -18,13 +18,13 @@ def test_transposition_swaps_and_fixes():
 def test_transposition_matches_first_witness_conjugate(paper):
     # sigma1^-1 . 14 . sigma1 with sigma1 = 21.19.8.6 lands on (2 7).
     from coxlab.complexes import psi_image, witness_words
-    tau1 = psi_image(paper.x0, witness_words()["tau1"])
+    tau1 = psi_image(paper.graph, witness_words()["tau1"])
     assert tau1 == {2: 7, 7: 2}
 
 
 def test_transposition_matches_fourth_witness_conjugate(paper):
     from coxlab.complexes import psi_image, witness_words
-    tau4 = psi_image(paper.x0, witness_words()["tau4"])
+    tau4 = psi_image(paper.graph, witness_words()["tau4"])
     assert tau4 == {1: 3, 3: 1}
 
 
@@ -91,7 +91,7 @@ def test_compose_associative_random():
 # checks that criterion against the closure order.
 
 def test_generates_full_paper_lines(paper):
-    assert connected(graph_of({line.id: line.planes for line in paper.x0.lines}))
+    assert connected(graph_of(paper.graph.edges))
 
 
 def test_single_transposition_misses_s3():

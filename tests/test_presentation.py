@@ -3,10 +3,10 @@ from itertools import combinations
 
 import oracle
 import pytest
-from conftest import graph_of
+from conftest import graph_of, grid_positions
 
 from coxlab import cli, model
-from coxlab.complexes import build_torus_triangulation, dual_graph, hexagon_links, psi_image
+from coxlab.complexes import build_torus_triangulation, dual_graph, hexagon_links, psi_image, sides_of
 from coxlab.fixtures import CorruptFixtureError, load_json
 from coxlab.presentation import (EXPECTED_MISSING_ROLES, VARIANTS, ax_fixture,
                                  classify_missing, coverage_counts,
@@ -16,13 +16,14 @@ from coxlab.words import canonical_form
 
 
 def brute_force_pair_split(x0):
-    # Count disjoint/adjacent pairs going through the plane boundary lists,
-    # independently of the line -> planes map the generator uses.
-    at_plane = {}
-    for plane in x0.planes:
-        for line in plane.lines:
-            at_plane.setdefault(line, set()).add(plane.id)
-    ids = sorted(l.id for l in x0.lines)
+    # Count disjoint/adjacent pairs going through each plane's sides, read
+    # by sides_of off the tables, independently of dual_graph's line ->
+    # planes map that the generator uses.
+    lines, at_plane = x0.numbering["lines"], {}
+    for plane, (half, r, c) in grid_positions(x0.numbering["planes"]).items():
+        for kind, i, j in sides_of(half, (r, c), x0.rows, x0.cols):
+            at_plane.setdefault(lines[kind][i][j], set()).add(plane)
+    ids = list(x0.lines)
     adjacent = sum(1 for i, j in combinations(ids, 2) if at_plane[i] & at_plane[j])
     return len(ids) * (len(ids) - 1) // 2 - adjacent, adjacent
 
@@ -97,7 +98,7 @@ def test_hexagon_quotient_matches_bundled_fixture(hexagon_graph):
 def test_every_relator_dies_in_symmetric_group(paper):
     quotient = generate(paper.graph, paper.links, "quotient")
     for w in quotient.relator_words():
-        assert psi_image(paper.x0, w) == {}
+        assert psi_image(paper.graph, w) == {}
 
 
 def test_cycle_relator_triangle():
