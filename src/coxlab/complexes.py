@@ -12,26 +12,27 @@ Around a point the six lines carry fixed positional roles:
     a west horizontal    b north vertical   c northeast diagonal
     d east horizontal    e south vertical   f southwest diagonal
 
-Rows increase downward; wrap takes rows mod m and columns mod n, and
-crossing counts the seams a line crosses from its first plane to its
-second.  Summed around a chord's fundamental cycle they give its weight,
-the cycle's class in H_1(T^2, Z) = Z^2 (Hatcher, Algebraic Topology,
-2.2).  A line's roles at its two ends are ROLES.
+Rows increase downward.  wrap is the one place the grid is glued: it
+takes rows mod m and columns mod n and counts the seams crossed on the
+way.  The seams a line crosses from its upper plane to its lower, summed
+around a chord's fundamental cycle, give its weight, the cycle's class in
+H_1(T^2, Z) = Z^2 (Hatcher, Algebraic Topology, 2.2).  A line's roles at
+its two ends are ROLES.
 
 A complex is fixed by rows, cols and its numbering: the ids of the points,
 of the h, v and d lines and of the upper and lower planes, each as a table
 by grid position.  That is all a complex file holds and all a complex
 keeps.  Its incidence is read from the tables where it is used: dual_graph
-derives each line's planes through sides_of, and hexagon_links each line's
-ends and roles through ends_of, for a generated grid, a file and the
-fixture alike.  The instance of record is the 3 x 3 complex with its
-published irregular numbering, shipped as the fixture ``tt33.json`` and
-checked against anchors on every load.
+reads each line's planes and crossing off its own cell and its LOWER
+offset, and hexagon_links each line's ends and roles through ends_of, for
+a generated grid, a file and the fixture alike.  The instance of record is
+the 3 x 3 complex with its published irregular numbering, shipped as the
+fixture ``tt33.json`` and checked against anchors on every load.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict, deque
+from collections import deque
 from copy import deepcopy
 from dataclasses import dataclass
 from functools import cached_property, reduce
@@ -46,33 +47,24 @@ from .perm import compose, identity, transposition
 ENDPOINTS = {"h": ((0, 0), (0, 1)), "v": ((0, 0), (1, 0)), "d": ((0, 1), (1, 0))}
 ROLES = {"h": "da", "v": "eb", "d": "fc"}
 
-# The h, v and d sides of each half of cell (r, c), as offsets from (r, c):
-# the upper half lies above the cell's diagonal, the lower half below it.
-SIDES = {"upper": {"h": (0, 0), "v": (0, 0), "d": (0, 0)},
-         "lower": {"h": (1, 0), "v": (0, 1), "d": (0, 0)}}
+# The halves of each cell: the upper lies above the cell's diagonal, the
+# lower below it.  The line of each kind at cell (r, c) borders the upper
+# half of its own cell and the lower half of the cell at its LOWER offset.
+HALVES = ("upper", "lower")
+LOWER = {"h": (-1, 0), "v": (0, -1), "d": (0, 0)}
 
 
 def wrap(row: int, col: int, m: int, n: int):
-    return row % m, col % n
-
-
-def crossing(first, second, m: int, n: int):
-    """The (row, col) seams crossed from cell first to a neighbouring cell
-    second: +1 past the last row or column, -1 back."""
-    (fr, fc), (gr, gc) = first, second
-    return -((gr - fr + 1) // m), -((gc - fc + 1) // n)
+    """The cell (row mod m, col mod n) and the (row, col) seams crossed to
+    reach it: +1 past the last row or column, -1 back before the first."""
+    (dr, r), (dc, c) = divmod(row, m), divmod(col, n)
+    return (r, c), (dr, dc)
 
 
 def ends_of(kind: str, cell, m: int, n: int):
     """The two end cells of the kind line at cell."""
     (r, c), ((dr, dc), (er, ec)) = cell, ENDPOINTS[kind]
-    return wrap(r + dr, c + dc, m, n), wrap(r + er, c + ec, m, n)
-
-
-def sides_of(half: str, cell, m: int, n: int):
-    """The (kind, row, col) of each side of the half plane at cell."""
-    r, c = cell
-    return [(kind, *wrap(r + dr, c + dc, m, n)) for kind, (dr, dc) in SIDES[half].items()]
+    return wrap(r + dr, c + dc, m, n)[0], wrap(r + er, c + ec, m, n)[0]
 
 
 @dataclass
@@ -126,9 +118,9 @@ def complex_from_json(data) -> DegenerationComplex:
     m, n = data["rows"], data["cols"]
     if type(m) is not int or type(n) is not int or min(m, n) < 3:
         raise ValueError(f"rows and cols must be integers of at least 3, got {m!r} and {n!r}")
-    for key, names in (("points", None), ("lines", ENDPOINTS), ("planes", SIDES)):
+    for key, names in (("points", None), ("lines", ENDPOINTS), ("planes", HALVES)):
         if names:
-            _require_keys(data[key], names.keys(), key)
+            _require_keys(data[key], set(names), key)
         tables = {f"{key} {name}": data[key][name] for name in names} if names else {key: data[key]}
         for label, table in tables.items():
             if type(table) is not list or len(table) != m or any(
@@ -174,7 +166,7 @@ class DualGraph:
     vertices: list[int]
     edges: dict[int, tuple[int, int]]       # line id -> plane pair
     adjacency: dict[int, list[int]]         # plane id -> incident line ids, ascending
-    crossings: dict[int, tuple[int, int]]   # line id -> crossing from its first plane
+    crossings: dict[int, tuple[int, int]]   # line id -> seams crossed from its first plane
 
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
@@ -206,22 +198,21 @@ class DualGraph:
 
 
 def dual_graph(x0: DegenerationComplex) -> DualGraph:
-    """The dual graph of x0, each line's planes derived from sides_of."""
+    """The dual graph of x0: each line joins the upper half of its own cell
+    to the lower half at its LOWER offset, crossing the seams wrap counts."""
     m, n = x0.rows, x0.cols
-    line_ids, plane_ids = x0.numbering["lines"], x0.numbering["planes"]
-    planes, cells = defaultdict(list), defaultdict(list)
-    # Halves in SIDES order, so each line lists its upper plane first.
-    for half, (r, c) in product(SIDES, product(range(m), range(n))):
-        for kind, i, j in sides_of(half, (r, c), m, n):
-            line = line_ids[kind][i][j]
-            planes[line].append(plane_ids[half][r][c])
-            cells[line].append((r, c))
-    edges = {e: tuple(planes[e]) for e in x0.lines}
+    upper, lower = (x0.numbering["planes"][half] for half in HALVES)
+    found = {}
+    for (kind, ids), (r, c) in product(x0.numbering["lines"].items(), product(range(m), range(n))):
+        dr, dc = LOWER[kind]
+        (i, j), seams = wrap(r + dr, c + dc, m, n)
+        found[ids[r][c]] = (upper[r][c], lower[i][j]), seams
+    edges = {e: found[e][0] for e in x0.lines}
+    crossings = {e: found[e][1] for e in x0.lines}
     adjacency = {v: [] for v in x0.planes}
     for line_id, (f, g) in edges.items():
         adjacency[f].append(line_id)
         adjacency[g].append(line_id)
-    crossings = {e: crossing(*cells[e], m, n) for e in edges}
     return DualGraph(vertices=list(x0.planes), edges=edges, adjacency=adjacency, crossings=crossings)
 
 

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from coxlab import fixtures, verify
 from coxlab.complexes import (HexagonLink, build_torus_triangulation, complex_from_json,
                               dual_graph, hexagon_links, is_paper_labeling,
-                              load_paper_labeling, spanning_data)
+                              load_paper_labeling, spanning_data, wrap)
 from coxlab.fixtures import CorruptFixtureError, load_json
 
 
@@ -141,6 +141,17 @@ def test_dual_graph_regular_connected(m, n):
     assert all(g.degree(v) == 3 for v in g.vertices)
     assert connected(g)
     assert len(g.edges) == 3 * len(g.vertices) // 2
+
+
+@pytest.mark.parametrize("row,col,cell,seams", [
+    (1, 2, (1, 2), (0, 0)),         # inside the grid
+    (3, 1, (0, 1), (1, 0)),         # past the last row
+    (2, 4, (2, 0), (0, 1)),         # past the last column
+    (-1, 4, (2, 0), (-1, 1)),       # before the first row, past the last column
+    (0, -1, (0, 3), (0, -1)),       # before the first column
+])
+def test_wrap_returns_the_cell_and_the_seams_crossed(row, col, cell, seams):
+    assert wrap(row, col, 3, 4) == (cell, seams)
 
 
 @pytest.mark.parametrize("shape", ["paper", *product(range(3, 9), repeat=2)], ids=_shape_id)

@@ -6,7 +6,7 @@ import pytest
 from conftest import graph_of, grid_positions
 
 from coxlab import cli, model
-from coxlab.complexes import build_torus_triangulation, dual_graph, hexagon_links, psi_image, sides_of
+from coxlab.complexes import build_torus_triangulation, dual_graph, hexagon_links, psi_image
 from coxlab.fixtures import CorruptFixtureError, load_json
 from coxlab.presentation import (EXPECTED_MISSING_ROLES, VARIANTS, ax_fixture,
                                  classify_missing, coverage_counts,
@@ -15,14 +15,21 @@ from coxlab.presentation import (EXPECTED_MISSING_ROLES, VARIANTS, ax_fixture,
 from coxlab.words import canonical_form
 
 
+# The h, v and d sides of each half of cell (r, c), as offsets from (r, c):
+# the upper half lies above the cell's diagonal, the lower half below it.
+SIDES = {"upper": {"h": (0, 0), "v": (0, 0), "d": (0, 0)},
+         "lower": {"h": (1, 0), "v": (0, 1), "d": (0, 0)}}
+
+
 def brute_force_pair_split(x0):
     # Count disjoint/adjacent pairs going through each plane's sides, read
-    # by sides_of off the tables, independently of dual_graph's line ->
+    # by SIDES off the tables, independently of dual_graph's line ->
     # planes map that the generator uses.
     lines, at_plane = x0.numbering["lines"], {}
     for plane, (half, r, c) in grid_positions(x0.numbering["planes"]).items():
-        for kind, i, j in sides_of(half, (r, c), x0.rows, x0.cols):
-            at_plane.setdefault(lines[kind][i][j], set()).add(plane)
+        for kind, (dr, dc) in SIDES[half].items():
+            line = lines[kind][(r + dr) % x0.rows][(c + dc) % x0.cols]
+            at_plane.setdefault(line, set()).add(plane)
     ids = list(x0.lines)
     adjacent = sum(1 for i, j in combinations(ids, 2) if at_plane[i] & at_plane[j])
     return len(ids) * (len(ids) - 1) // 2 - adjacent, adjacent
